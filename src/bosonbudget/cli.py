@@ -65,14 +65,19 @@ def write_matrix_json(path: str | Path, matrix: np.ndarray) -> None:
 
 def read_matrix_json(path: str | Path) -> np.ndarray:
     data = json.loads(Path(path).read_text())
-    modes = int(data["modes"])
-    entries = data["entries"]
-    if len(entries) != modes or any(len(r) != modes for r in entries):
-        raise UsageError(f"matrix file {path} does not hold a {modes}x{modes} matrix")
-    out = np.empty((modes, modes), dtype=np.complex128)
-    for i, row in enumerate(entries):
-        for j, (re, im) in enumerate(row):
-            out[i, j] = complex(re, im)
+    try:
+        modes = int(data["modes"])
+        entries = data["entries"]
+        if len(entries) != modes or any(len(r) != modes for r in entries):
+            raise UsageError(f"matrix file {path} does not hold a {modes}x{modes} matrix")
+        out = np.empty((modes, modes), dtype=np.complex128)
+        for i, row in enumerate(entries):
+            for j, (re, im) in enumerate(row):
+                out[i, j] = complex(re, im)
+    except KeyError as exc:
+        raise UsageError(f"matrix file {path} has no {exc} field") from exc
+    except TypeError as exc:
+        raise UsageError(f"matrix file {path} is malformed: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise NumericError(f"matrix file {path} has non-finite entries")
     return out
@@ -91,13 +96,15 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     lines = Path(path).read_text().strip().splitlines()
-    n = (len(lines[0].split(",")) // 2)
-    out = np.empty((len(lines) - 1, n), dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        vals = [float(v) for v in line.split(",")]
+    n = len(lines[0].split(",")) // 2 if lines else 0
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    if n == 0 or len(rows) != n or any(len(vals) != 2 * n for vals in rows):
+        raise UsageError(f"matrix file {path} does not hold a square matrix of re,im column pairs")
+    out = np.empty((n, n), dtype=np.complex128)
+    for i, vals in enumerate(rows):
         out[i] = [complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)]
-    if out.shape[0] != n:
-        raise UsageError(f"matrix file {path} is not square")
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"matrix file {path} has non-finite entries")
     return out
 
 
@@ -320,6 +327,8 @@ def cmd_distribution(args) -> None:
 def cmd_sample(args) -> None:
     if args.seed is None:
         raise UsageError("--seed is mandatory for sampling")
+    if args.count < 0:
+        raise UsageError(f"--count must be non-negative, got {args.count}")
     net_rng, rng = spawn_rngs(args.seed, 2)  # network draw and sampling own split streams
     if args.unitary:
         u = _load_unitary(args.unitary)

@@ -7,9 +7,11 @@ probabilities, and the per-detector response:
     P_out(m) = sum_s P_D(m|s) sum_n P_U(s|n) P_I(n).
 
 Two independent evaluation routes are provided. ``output_click_distribution``
-performs the literal triple sum (desk scale only). ``click_pattern_prob`` and
-``distance_parts`` instead fold the detector weights into small permanents:
-for factorised per-mode weights x_l the network satisfies
+performs the literal triple sum (desk scale only). The other route is one
+evaluator, ``_pattern_probs``, which folds the detector weights into small
+permanents for a batch of click patterns; ``click_pattern_prob`` (and so the
+round-trip test) and ``distance_parts`` both run on it. For factorised
+per-mode weights x_l the network satisfies
 
     sum_s P_U(s|n) prod_l x_l^(s_l) = per(W(x)) / mu(n),
     W(x)[a, b] = sum_l x_l conj(U[k_a, l]) U[k_b, l],
@@ -225,25 +227,15 @@ def output_click_distribution(
     return DistributionTable(outcomes, pvec)
 
 
-def _subset_coeffs(n_clicked: int, dark_rate: float):
-    """Inclusion-exclusion coefficients over kept-click subsets T.
+def _gray_subset_walk(n_clicked: int, dark_rate: float):
+    """Kept-click subsets T in Gray order as (flip_bit, add, coeff) steps.
 
     Expanding prod_{clicked}(1 - e^-nu r^s) gives, for each subset T of
     clicked modes kept un-expanded, the sign (-1)^(clicked-|T|) and dark
-    factor e^(-(clicked-|T|) nu).
-    """
-    for bits in range(1 << n_clicked):
-        kept = [j for j in range(n_clicked) if bits >> j & 1]
-        dropped = n_clicked - len(kept)
-        yield kept, (-1.0) ** dropped * math.exp(-dropped * dark_rate)
-
-
-def _gray_subset_walk(n_clicked: int, dark_rate: float):
-    """Subsets T in Gray order as (flip_bit, add, coeff) steps.
-
-    The first step has flip_bit None (the empty subset); each later step
-    flips exactly one member in or out, so a running sum over T costs one
-    array update per subset.
+    factor e^(-(clicked-|T|) nu); ``coeff`` is their product. The first step
+    has flip_bit None (the empty subset); each later step flips exactly one
+    member in or out, so a running sum over T costs one array update per
+    subset.
     """
     coeffs = [
         (-1.0) ** (n_clicked - k) * math.exp(-(n_clicked - k) * dark_rate)
@@ -259,14 +251,57 @@ def _gray_subset_walk(n_clicked: int, dark_rate: float):
         prev = gray
 
 
+def _pattern_probs(u, n_sources, source, detector, cols):
+    """P_out for a batch of click patterns, each given by its clicked modes.
+
+    ``cols`` is a (batch, clicks) array of clicked mode indices, any click
+    count. The sum runs over inputs (rows, base, scale, weight), each adding
+    weight * per(base + scale * G_T) for every kept-click subset T, with G_T
+    the Gram matrix of its rows over T; the Gray walk makes that one batched
+    K x K permanent per subset. When the sources carry at most one photon,
+    the inputs collapse into one whose diagonal shift (p0 + p1 r) absorbs
+    every source that is empty or lost. Otherwise each input occupation is
+    its own input, with base r on the repeated-row diagonal; the vacuum
+    input (K = 0) needs no special case, since a 0 x 0 permanent is 1.
+    """
+    batch, clicks = cols.shape
+    r = detector.loss_prob
+    nu = detector.dark_rate
+    if source.kmax <= 1:
+        p0, p1 = source.p(0), source.p(1)
+        inputs = [(np.arange(n_sources), (p0 + p1 * r) * np.eye(n_sources), p1 * (1.0 - r), 1.0)]
+    else:
+        inputs = []
+        for occ, p_in in _input_support(source, n_sources):
+            rows = np.asarray(mode_indices(occ), dtype=np.intp)
+            delta = (rows[:, None] == rows[None, :]).astype(float)
+            inputs.append((rows, r * delta, 1.0 - r, p_in / mu(occ)))
+
+    pout = np.zeros(batch)
+    for rows, base, scale, weight in inputs:
+        # (batch, K, clicks): [b, a, j] = U[rows[a], cols[b, j]]
+        v = np.moveaxis(np.take(u[rows], cols, axis=1), 0, 1)
+        projs = [scale * (v[:, :, j].conj()[:, :, None] * v[:, None, :, j]) for j in range(clicks)]
+        g = np.zeros((batch,) + base.shape, dtype=complex)
+        g += base
+        for flip, add, coeff in _gray_subset_walk(clicks, nu):
+            if flip is not None:
+                if add:
+                    g += projs[flip]
+                else:
+                    g -= projs[flip]
+            pout += (weight * coeff) * _permanent_batch(g).real
+    pout *= math.exp(-(u.shape[0] - clicks) * nu)
+    return pout
+
+
 def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
     """Exact probability of one click pattern, any mode count.
 
-    Cost is 2^(clicks) permanents of K x K matrices per input occupation
+    Cost is 2^(clicks) permanents of K x K matrices per Gram-fold input
     (K = photon total), so it stays cheap even for very wide networks.
     Requires the network matrix to be numerically unitary.
     """
-    u = cfg.matrix
     modes = cfg.modes
     if len(pattern) != modes:
         raise DimensionError("pattern must have one bit per mode")
@@ -274,93 +309,20 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
         raise ValueError("pattern entries must be 0 or 1")
     clicked = [l for l, b in enumerate(pattern) if b]
     n_clicked = len(clicked)
-    support = list(_input_support(cfg.source, cfg.n_sources))
-    if (1 << n_clicked) * len(support) > 5_000_000:
+    n_inputs = sum(1 for _ in _input_support(cfg.source, cfg.n_sources))
+    if (1 << n_clicked) * n_inputs > 5_000_000:
         raise ResourceLimitError(
-            f"pattern with {n_clicked} clicks and {len(support)} inputs is over the term cap"
+            f"pattern with {n_clicked} clicks and {n_inputs} inputs is over the term cap"
         )
-
-    r = cfg.detector.loss_prob
-    nu = cfg.detector.dark_rate
-    terms = []
-    for occ, p_in in support:
-        k_rows = mode_indices(occ)
-        k = len(k_rows)
-        if k == 0:
-            # vacuum input: the permanents are all 1 by the empty convention
-            for kept, coeff in _subset_coeffs(n_clicked, nu):
-                terms.append(p_in * coeff)
-            continue
-        delta = (np.asarray(k_rows)[:, None] == np.asarray(k_rows)[None, :]).astype(float)
-        cols = u[np.ix_(k_rows, clicked)]  # (K, clicks)
-        projs = [np.outer(cols[:, j].conj(), cols[:, j]) for j in range(n_clicked)]
-        weight = p_in / mu(occ)
-        for kept, coeff in _subset_coeffs(n_clicked, nu):
-            g = sum((projs[j] for j in kept), start=np.zeros((k, k), dtype=complex))
-            w = r * delta + (1.0 - r) * g
-            terms.append(weight * coeff * _permanent_batch(w[None])[0].real)
-    total = math.exp(-(modes - n_clicked) * nu) * math.fsum(terms)
-    return max(total, 0.0)
+    cols = np.array([clicked], dtype=np.intp)
+    prob = _pattern_probs(cfg.matrix, cfg.n_sources, cfg.source, cfg.detector, cols)
+    return max(float(prob[0]), 0.0)
 
 
 class DistanceParts(NamedTuple):
     v1: float  # probability mass on patterns with a click count other than N
     v2: float  # L1 gap to the ideal device on the N-click patterns
     vb: float  # bunched-output mass of the ideal device
-
-
-def _chunk_pattern_probs(u, n_sources, source, detector, cols):
-    """P_out and ideal probabilities for a chunk of N-click patterns.
-
-    ``cols`` is a (batch, N) array of clicked mode indices. When the sources
-    carry at most one photon the sum over inputs collapses into a diagonal
-    shift of a single N x N permanent per subset; otherwise every input
-    occupation is summed explicitly.
-    """
-    n = n_sources
-    r = detector.loss_prob
-    nu = detector.dark_rate
-    batch = cols.shape[0]
-
-    vid = np.moveaxis(u[:n][:, cols], 0, 1)  # (batch, N, N): [b, i, j] = U[i, cols[b, j]]
-    p_ideal = np.abs(_permanent_batch(vid)) ** 2
-
-    pout = np.zeros(batch)
-    if source.kmax <= 1:
-        p0, p1 = source.p(0), source.p(1)
-        scale = p1 * (1.0 - r)
-        projs = [scale * (vid[:, :, j].conj()[:, :, None] * vid[:, None, :, j]) for j in range(n)]
-        g = np.zeros((batch, n, n), dtype=complex)
-        g[:, np.arange(n), np.arange(n)] = p0 + p1 * r
-        for flip, add, coeff in _gray_subset_walk(n, nu):
-            if flip is not None:
-                if add:
-                    g += projs[flip]
-                else:
-                    g -= projs[flip]
-            pout += coeff * _permanent_batch(g).real
-    else:
-        for occ, p_in in _input_support(source, n_sources):
-            k_rows = mode_indices(occ)
-            k = len(k_rows)
-            weight = p_in / mu(occ)
-            if k == 0:
-                pout += weight * sum(c for _, c in _subset_coeffs(n, nu))
-                continue
-            vn = np.moveaxis(u[k_rows][:, cols], 0, 1)  # (batch, K, N)
-            delta = (np.asarray(k_rows)[:, None] == np.asarray(k_rows)[None, :]).astype(float)
-            projs = [(1.0 - r) * (vn[:, :, j].conj()[:, :, None] * vn[:, None, :, j]) for j in range(n)]
-            g = np.zeros((batch, k, k), dtype=complex)
-            g += (r * delta)[None]
-            for flip, add, coeff in _gray_subset_walk(n, nu):
-                if flip is not None:
-                    if add:
-                        g += projs[flip]
-                    else:
-                        g -= projs[flip]
-                pout += (weight * coeff) * _permanent_batch(g).real
-    pout *= math.exp(-(u.shape[0] - n) * nu)
-    return pout, p_ideal
 
 
 def collision_free_patterns(modes: int, n_clicks: int, *, max_patterns: int = MAX_PATTERNS) -> np.ndarray:
@@ -400,7 +362,8 @@ def distance_parts(
     sum_ideal = 0.0
     for lo in range(0, patterns.shape[0], chunk):
         cols = patterns[lo : lo + chunk]
-        pout, pideal = _chunk_pattern_probs(u, n, cfg.source, cfg.detector, cols)
+        pideal = np.abs(_permanent_batch(np.moveaxis(np.take(u[:n], cols, axis=1), 0, 1))) ** 2
+        pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols)
         sum_out += float(pout.sum())
         sum_gap += float(np.abs(pout - pideal).sum())
         sum_ideal += float(pideal.sum())

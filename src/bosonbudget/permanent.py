@@ -47,7 +47,10 @@ def _checked_square(a) -> np.ndarray:
 
 
 def permanent_ryser(a) -> complex:
-    """Permanent via the inclusion-exclusion subset walk, O(N 2^N).
+    """Permanent via the inclusion-exclusion subset walk, O(N^2 2^N).
+
+    Each subset's row sums are rebuilt by a mask matmul (N^2 per subset),
+    not updated incrementally from the previous Gray-code subset.
 
     The empty 0x0 matrix has permanent 1 by convention (this keeps vacuum
     amplitudes normalised).

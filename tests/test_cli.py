@@ -183,6 +183,33 @@ def test_numeric_error_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "matrix, argv, code, needle",
+    [
+        (("u.json", '{"entries": [[[1, 0]]]}'), ["distribution", "--photons", "1"], 1, "modes"),
+        (("u.json", '{"modes": 1}'), ["distribution", "--photons", "1"], 1, "entries"),
+        (("u.csv", "re_0,im_0,re_1,im_1\n1,0,0,0\n0,0\n"), ["distribution", "--photons", "1"], 1, "square"),
+        (("u.csv", "re_0,im_0\nnan,0\n"), ["distribution", "--photons", "1"], 3, "non-finite"),
+        (None, ["sample", "--modes", "4", "--sources", "2", "--count", "-5", "--seed", "1",
+                "--samples-out", "s.txt"], 1, "--count"),
+    ],
+    ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count"],
+)
+def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, matrix, argv, code, needle):
+    monkeypatch.chdir(tmp_path)
+    if matrix is not None:
+        name, text = matrix
+        (tmp_path / name).write_text(text)
+        argv = argv + ["--unitary", name]
+    rc = _run(*argv, "--out", "r.json")
+    assert rc == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == {1: "usage", 3: "numeric"}[code]
+    assert needle in error["message"]
+
+
 def test_schema_rejects_malformed_report():
     schema = load_schema()
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -147,8 +148,14 @@ def test_output_distribution_resource_guard():
         output_click_distribution(cfg, max_terms=10)
 
 
-def test_click_pattern_prob_matches_table():
-    cfg = _noisy_cfg()
+@pytest.mark.parametrize(
+    "source",
+    [_noisy_cfg().source, SourceModel.single_photon(0.9), SourceModel((1.0,))],
+    ids=["multi_photon", "single_photon", "vacuum"],
+)
+def test_click_pattern_prob_matches_table(source):
+    # sources with at most one photon take the collapsed single-input path
+    cfg = dataclasses.replace(_noisy_cfg(), source=source)
     table = output_click_distribution(cfg).as_dict()
     for pattern, p_slow in table.items():
         assert click_pattern_prob(cfg, pattern) == pytest.approx(p_slow, abs=1e-12)
