@@ -64,8 +64,9 @@ def write_matrix_json(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_json(path: str | Path) -> np.ndarray:
-    data = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
     try:
+        data = json.loads(text)
         modes = int(data["modes"])
         entries = data["entries"]
         if len(entries) != modes or any(len(r) != modes for r in entries):
@@ -74,9 +75,11 @@ def read_matrix_json(path: str | Path) -> np.ndarray:
         for i, row in enumerate(entries):
             for j, (re, im) in enumerate(row):
                 out[i, j] = complex(re, im)
+    except UsageError:
+        raise
     except KeyError as exc:
         raise UsageError(f"matrix file {path} has no {exc} field") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"matrix file {path} is malformed: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise NumericError(f"matrix file {path} has non-finite entries")
@@ -490,6 +493,8 @@ def _device_params(args, modes: int) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # subcommand name -> its parser
+
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
         print(json.dumps({"error": {"kind": "usage", "message": message}}), file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -544,31 +549,53 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(p)
     p.set_defaults(func=cmd_bench)
 
+    parser.commands = sub.choices
     return parser
 
 
-def _apply_config(args) -> None:
+def _apply_config(args, parser: argparse.ArgumentParser) -> None:
+    """Fill options left unset from the ``--config`` JSON object.
+
+    Each value goes through its option's argparse ``type`` and ``choices``,
+    as if it had been typed on the command line.
+    """
     if not getattr(args, "config", None):
         return
     data = json.loads(Path(args.config).read_text())
     if not isinstance(data, dict):
         raise UsageError("--config must hold a JSON object")
+    actions = {a.dest: a for a in parser._actions}
     aliases = {"photons": "sources"}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             attr = aliases.get(attr, attr)
-        if not hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr):
             raise UsageError(f"unknown config key {key!r}")
+        value = _config_value(actions[attr], key, value)
         if getattr(args, attr) in (None, False):
             setattr(args, attr, value)
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    if value is None:
+        return None
+    if isinstance(value, (dict, list)):
+        raise UsageError(f"config key {key!r} must be a single value, got {value!r}")
+    try:
+        out = (action.type or str)(str(value))
+    except ValueError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and out not in action.choices:
+        raise UsageError(f"config key {key!r} must be one of {sorted(action.choices)}, got {out!r}")
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser.commands[args.command])
         if getattr(args, "sources", None) is None and getattr(args, "sources_alias", None) is not None:
             args.sources = args.sources_alias
         if args.threads < 1:

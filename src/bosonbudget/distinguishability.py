@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PhotonCountError, ResourceLimitError
+from .errors import DimensionError, PhotonCountError, ResourceLimitError
 from .fock import mode_indices, mu, total_photons
-from .permanent import permanent_ryser
+from .permanent import _permanent_batch
 from .random_ensembles import as_matrix
 
 MAX_CYCLE_N = 30
@@ -186,7 +186,42 @@ def permutation_overlap(indist: Indistinguishability, sigma: Sequence[int]) -> f
     return out
 
 
-def prob_mismatch(u, n: Sequence[int], s: Sequence[int], indist: Indistinguishability) -> float:
+class SigmaTable(NamedTuple):
+    """The relative permutations of N photons that carry weight."""
+
+    overlaps: np.ndarray  # (count,) J(sigma), every entry non-zero
+    inverses: np.ndarray  # (count, N) sigma^-1 in one-line notation
+
+
+def sigma_table(photons: int, indist: Indistinguishability) -> SigmaTable:
+    """J(sigma) and sigma^-1 for every sigma in S_N whose overlap is non-zero.
+
+    Depends only on the photon count and the overlaps, so a caller that
+    evaluates many outputs builds it once and passes it to ``prob_mismatch``.
+    """
+    if photons > MAX_MISMATCH_PHOTONS:
+        raise ResourceLimitError(
+            f"mismatch probability capped at {MAX_MISMATCH_PHOTONS} photons, got {photons}"
+        )
+    overlaps = []
+    inverses = []
+    for sigma in permutations(range(photons)):
+        j = permutation_overlap(indist, sigma)
+        if j == 0.0:
+            continue
+        overlaps.append(j)
+        inverses.append(np.argsort(sigma))
+    return SigmaTable(np.array(overlaps), np.array(inverses, dtype=np.intp).reshape(-1, photons))
+
+
+def prob_mismatch(
+    u,
+    n: Sequence[int],
+    s: Sequence[int],
+    indist: Indistinguishability,
+    *,
+    sigmas: SigmaTable | None = None,
+) -> float:
     """Output probability with partially distinguishable photons.
 
     The double sum over permutation pairs is folded into a single sum over
@@ -195,35 +230,32 @@ def prob_mismatch(u, n: Sequence[int], s: Sequence[int], indist: Indistinguishab
         P = (1 / mu(s) mu(n)) * sum_sigma J(sigma) * per(B(sigma)),
         B(sigma)[i, a] = conj(V[i, a]) * V[i, sigma^-1(a)],
 
-    with V the row/column-repeated submatrix of the network. Reduces to the
+    with V the row/column-repeated submatrix of the network. All B(sigma)
+    go through the batched permanent kernel in one call. Reduces to the
     ideal probability when every g_k = 1, and to the permanent of the
-    entrywise |V|^2 matrix when every g_k = 0.
+    entrywise |V|^2 matrix when every g_k = 0. Pass ``sigmas`` (from
+    ``sigma_table`` for the same photon count and ``indist``) when
+    evaluating many outputs.
     """
     m = as_matrix(u)
     if total_photons(n) != total_photons(s):
         raise PhotonCountError("photon totals differ")
     photons = total_photons(n)
-    if photons > MAX_MISMATCH_PHOTONS:
-        raise ResourceLimitError(
-            f"mismatch probability capped at {MAX_MISMATCH_PHOTONS} photons, got {photons}"
-        )
     if photons == 0:
         return 1.0
-    rows = mode_indices(n)
-    cols = mode_indices(s)
-    v = m[np.ix_(rows, cols)]
-    v_conj = v.conj()
-
-    total = 0.0
-    for sigma in permutations(range(photons)):
-        j = permutation_overlap(indist, sigma)
-        if j == 0.0:
-            continue
-        inv = [0] * photons
-        for a, img in enumerate(sigma):
-            inv[img] = a
-        b = v_conj * v[:, inv]
-        total += j * permanent_ryser(b).real
+    if sigmas is None:
+        sigmas = sigma_table(photons, indist)  # enforces the photon cap
+    if sigmas.inverses.shape[1] != photons:
+        raise DimensionError(
+            f"sigma table is for {sigmas.inverses.shape[1]} photons, the output has {photons}"
+        )
+    v = m[np.ix_(mode_indices(n), mode_indices(s))]
+    # c[a, i, k] = B(sigma_k)[i, a], built in the kernel's column-major
+    # layout so that the kernel reads it without a copy
+    c = np.empty((photons, photons, len(sigmas.overlaps)), dtype=np.complex128)
+    for a in range(photons):
+        np.multiply(v[:, sigmas.inverses[:, a]], v[:, a, None].conj(), out=c[a])
+    total = math.fsum(sigmas.overlaps * _permanent_batch(c.transpose(2, 1, 0)).real)
     total /= mu(n) * mu(s)
     # The underlying quadratic form is positive; tiny negatives are roundoff.
     return max(total, 0.0)

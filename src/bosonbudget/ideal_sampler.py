@@ -15,11 +15,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .fock import enumerate_outputs, mu, total_photons
-from .permanent import permanent_repeated
+from .fock import enumerate_outputs, mode_indices, mu, total_photons
+from .permanent import _permanent_batch, permanent_repeated
 from .random_ensembles import as_matrix
 
 Outcome = tuple[int, ...]
+
+# Outcomes per kernel call in ``full_distribution``: big enough that numpy
+# steps dominate, small enough that the gathered stack does not raise the
+# process's peak memory.
+_TABLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -71,17 +76,26 @@ def full_distribution(u, n: Sequence[int], *, max_outcomes: int = 2_000_000) -> 
     """Exact table over every output with the same photon total as ``n``.
 
     Outcomes follow the deterministic descending-lexicographic enumeration
-    order; the total mass is 1 up to floating-point roundoff.
+    order; the total mass is 1 up to floating-point roundoff. The
+    permanents run through the batched kernel, ``_TABLE_CHUNK`` outcomes
+    per call.
     """
     m = as_matrix(u)
     modes = m.shape[0]
+    if len(n) != modes:
+        raise DimensionError("occupation vectors must have one entry per mode")
     photons = total_photons(n)
-    outcomes = []
-    probs = []
-    for s in enumerate_outputs(modes, photons, max_outcomes=max_outcomes):
-        outcomes.append(s)
-        probs.append(prob_ideal(m, n, s))
-    return DistributionTable(tuple(outcomes), np.array(probs))
+    outcomes = tuple(enumerate_outputs(modes, photons, max_outcomes=max_outcomes))
+    factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=np.float64)
+    sources = m[mode_indices(n)]
+    probs = np.empty(len(outcomes))
+    for lo in range(0, len(outcomes), _TABLE_CHUNK):
+        occ = np.array(outcomes[lo : lo + _TABLE_CHUNK], dtype=np.intp)
+        # (chunk, photons): one column index per photon, ascending per outcome
+        cols = np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel()).reshape(len(occ), photons)
+        amps = _permanent_batch(np.moveaxis(np.take(sources, cols, axis=1), 0, 1))
+        probs[lo : lo + len(occ)] = np.abs(amps) ** 2 / (mu(n) * factorials[occ].prod(axis=1))
+    return DistributionTable(outcomes, probs)
 
 
 def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) -> list[Outcome]:

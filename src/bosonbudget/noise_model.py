@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DimensionError, ResourceLimitError
 from .fock import count_outputs, enumerate_outputs, mode_indices, mu, total_photons
 from .ideal_sampler import DistributionTable, prob_ideal
-from .permanent import _permanent_batch
+from .permanent import _gray_steps, _permanent_batch
 from .random_ensembles import as_matrix
 
 MAX_PATTERNS = 4_000_000
@@ -232,23 +232,32 @@ def _gray_subset_walk(n_clicked: int, dark_rate: float):
 
     Expanding prod_{clicked}(1 - e^-nu r^s) gives, for each subset T of
     clicked modes kept un-expanded, the sign (-1)^(clicked-|T|) and dark
-    factor e^(-(clicked-|T|) nu); ``coeff`` is their product. The first step
-    has flip_bit None (the empty subset); each later step flips exactly one
-    member in or out, so a running sum over T costs one array update per
-    subset.
+    factor e^(-(clicked-|T|) nu); ``coeff`` is their product. The steps are
+    ``_gray_steps``: the first has flip_bit None (the empty subset), each
+    later one flips exactly one member in or out.
     """
     coeffs = [
         (-1.0) ** (n_clicked - k) * math.exp(-(n_clicked - k) * dark_rate)
         for k in range(n_clicked + 1)
     ]
-    prev = 0
-    for k in range(1 << n_clicked):
-        gray = k ^ (k >> 1)
-        diff = gray ^ prev
-        flip = None if k == 0 else diff.bit_length() - 1
-        add = bool(gray & diff)
-        yield flip, add, coeffs[gray.bit_count()]
-        prev = gray
+    size = 0
+    for flip, add in _gray_steps(n_clicked):
+        if flip is not None:
+            size += 1 if add else -1
+        yield flip, add, coeffs[size]
+
+
+def _fold_inputs(n_sources, source, r):
+    """The inputs (rows, base, scale, weight) that ``_pattern_probs`` sums over."""
+    if source.kmax <= 1:
+        p0, p1 = source.p(0), source.p(1)
+        return [(np.arange(n_sources), (p0 + p1 * r) * np.eye(n_sources), p1 * (1.0 - r), 1.0)]
+    inputs = []
+    for occ, p_in in _input_support(source, n_sources):
+        rows = np.asarray(mode_indices(occ), dtype=np.intp)
+        delta = (rows[:, None] == rows[None, :]).astype(float)
+        inputs.append((rows, r * delta, 1.0 - r, p_in / mu(occ)))
+    return inputs
 
 
 def _pattern_probs(u, n_sources, source, detector, cols):
@@ -265,20 +274,9 @@ def _pattern_probs(u, n_sources, source, detector, cols):
     input (K = 0) needs no special case, since a 0 x 0 permanent is 1.
     """
     batch, clicks = cols.shape
-    r = detector.loss_prob
     nu = detector.dark_rate
-    if source.kmax <= 1:
-        p0, p1 = source.p(0), source.p(1)
-        inputs = [(np.arange(n_sources), (p0 + p1 * r) * np.eye(n_sources), p1 * (1.0 - r), 1.0)]
-    else:
-        inputs = []
-        for occ, p_in in _input_support(source, n_sources):
-            rows = np.asarray(mode_indices(occ), dtype=np.intp)
-            delta = (rows[:, None] == rows[None, :]).astype(float)
-            inputs.append((rows, r * delta, 1.0 - r, p_in / mu(occ)))
-
     pout = np.zeros(batch)
-    for rows, base, scale, weight in inputs:
+    for rows, base, scale, weight in _fold_inputs(n_sources, source, detector.loss_prob):
         # (batch, K, clicks): [b, a, j] = U[rows[a], cols[b, j]]
         v = np.moveaxis(np.take(u[rows], cols, axis=1), 0, 1)
         projs = [scale * (v[:, :, j].conj()[:, :, None] * v[:, None, :, j]) for j in range(clicks)]
@@ -309,7 +307,7 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
         raise ValueError("pattern entries must be 0 or 1")
     clicked = [l for l, b in enumerate(pattern) if b]
     n_clicked = len(clicked)
-    n_inputs = sum(1 for _ in _input_support(cfg.source, cfg.n_sources))
+    n_inputs = len(_fold_inputs(cfg.n_sources, cfg.source, cfg.detector.loss_prob))
     if (1 << n_clicked) * n_inputs > 5_000_000:
         raise ResourceLimitError(
             f"pattern with {n_clicked} clicks and {n_inputs} inputs is over the term cap"

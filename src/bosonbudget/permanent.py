@@ -4,9 +4,13 @@ The permanent is the unsigned sibling of the determinant: a sum over all
 permutations of products of matched entries. Multi-photon transition
 amplitudes through a linear network are permanents of submatrices built by
 repeating rows and columns of the network matrix, so this module also
-evaluates those repeated-index permanents directly. Two slow independent
-evaluators (brute-force permutation sum, contingency-table sum) are shipped
-for cross-validation of the fast inclusion-exclusion walk.
+evaluates those repeated-index permanents directly.
+
+Every fast evaluation runs through one kernel, ``_permanent_batch``: Ryser's
+inclusion-exclusion formula walked in Gray-code order over column subsets
+(Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978), vectorised over a
+batch of matrices. Two slow independent evaluators (brute-force permutation
+sum, contingency-table sum) are shipped for cross-validation of the walk.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ DEFAULT_MAX_N = 30
 NAIVE_MAX_N = 9
 CONTINGENCY_MAX_PHOTONS = 6
 
-# One chunk of the 2^N subset walk; partial sums are reduced in index order,
-# so results are reproducible for a fixed chunk size.
-_CHUNK = 1 << 16
+# The Gray walk is vectorised over batch x 2^h rows, h high columns taken as
+# fixed prefixes; h grows until a step touches at least this many rows, so a
+# single large matrix still runs whole-array steps.
+_MIN_ROWS = 4096
 
 
 def max_permanent_size() -> int:
@@ -47,32 +52,19 @@ def _checked_square(a) -> np.ndarray:
 
 
 def permanent_ryser(a) -> complex:
-    """Permanent via the inclusion-exclusion subset walk, O(N^2 2^N).
+    """Permanent of one square matrix by the batched Gray-code Ryser walk.
 
-    Each subset's row sums are rebuilt by a mask matmul (N^2 per subset),
-    not updated incrementally from the previous Gray-code subset.
-
-    The empty 0x0 matrix has permanent 1 by convention (this keeps vacuum
-    amplitudes normalised).
+    Costs O(N 2^N): each of the 2^N column subsets adds or removes one
+    column from the running row sums and forms one N-fold product (see
+    ``_permanent_batch``). The empty 0x0 matrix has permanent 1 by
+    convention (this keeps vacuum amplitudes normalised).
     """
     a = _checked_square(a)
     n = a.shape[0]
-    if n == 0:
-        return 1 + 0j
     cap = max_permanent_size()
     if n > cap:
         raise ResourceLimitError(f"matrix size {n} exceeds the permanent cap {cap}")
-    cols = np.arange(n, dtype=np.uint64)
-    total = 0j
-    for start in range(1, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        ks = np.arange(start, stop, dtype=np.uint64)
-        grays = ks ^ (ks >> np.uint64(1))
-        masks = ((grays[:, None] >> cols[None, :]) & np.uint64(1)).astype(np.float64)
-        rowsums = masks @ a.T  # (chunk, n): sum of the selected columns, per row
-        signs = 1.0 - 2.0 * (np.bitwise_count(grays) & np.uint64(1)).astype(np.float64)
-        total += complex((signs * rowsums.prod(axis=1)).sum())
-    return (-1.0 if n % 2 else 1.0) * total
+    return complex(_permanent_batch(a[None])[0])
 
 
 @lru_cache(maxsize=None)
@@ -197,11 +189,37 @@ def permanent_contingency(u, n, s) -> complex:
     return total
 
 
+def _gray_steps(n: int):
+    """All 2^n subsets of range(n) in Gray-code order, as (flip, add) steps.
+
+    The first step is the empty subset, with flip None; each later step
+    adds (add True) or removes member ``flip``, so a running sum over the
+    subset costs one update per step.
+    """
+    yield None, True
+    prev = 0
+    for k in range(1, 1 << n):
+        gray = k ^ (k >> 1)
+        flip = (gray ^ prev).bit_length() - 1
+        yield flip, bool(gray >> flip & 1)
+        prev = gray
+
+
 def _permanent_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a (batch, n, n) stack, vectorised over the batch.
 
-    Closed forms up to n=3, subset walk above; intended for the small
-    repeated-row matrices that appear in detector-weighted sums.
+    Closed forms up to n=3. Above, Ryser's formula
+
+        per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j]
+
+    is walked over the low n - h columns in Gray-code order, so each step
+    adds or removes one column from the running row sums and forms one
+    n-fold product: O(n 2^n) per matrix. The 2^h subsets of the h high
+    columns are fixed prefixes, walked alongside as extra rows; h is the
+    least that makes each step touch ``_MIN_ROWS`` rows (0 for large
+    batches). Row sums are held as a contiguous (n, rows) array so that
+    every step is a handful of whole-row numpy operations; a stack whose
+    ``transpose(2, 1, 0)`` is contiguous is read without a copy.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     b, n, n2 = mats.shape
@@ -220,10 +238,35 @@ def _permanent_batch(mats: np.ndarray) -> np.ndarray:
             + m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] + m[:, 1, 2] * m[:, 2, 0])
             + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] + m[:, 1, 1] * m[:, 2, 0])
         )
-    total = np.zeros(b, dtype=np.complex128)
-    for subset in range(1, 1 << n):
-        picked = [j for j in range(n) if subset >> j & 1]
-        rowsums = mats[:, :, picked].sum(axis=2)
-        sign = -1.0 if len(picked) % 2 else 1.0
-        total += sign * rowsums.prod(axis=1)
+    if b == 0:
+        return np.zeros(0, dtype=np.complex128)
+    h = 0
+    while h < n and b << h < _MIN_ROWS:
+        h += 1
+    low = n - h
+    # rs[i, P, k]: row i's sum over the high columns in prefix P (bit t of P
+    # selects column low + t) for matrix k, built by doubling the prefixes
+    rs = np.zeros((n, 1, b), dtype=np.complex128)
+    for t in range(low, n):
+        rs = np.concatenate((rs, rs + mats[:, :, t].T[:, None, :]), axis=1)
+    flat = rs.reshape(n, -1)
+    cols = np.ascontiguousarray(mats[:, :, :low].transpose(2, 1, 0))[:, :, None, :]
+    prod = np.empty(flat.shape[1], dtype=np.complex128)
+    total = np.zeros_like(prod)
+    for k, (flip, add) in enumerate(_gray_steps(low)):
+        if flip is not None:
+            if add:
+                rs += cols[flip]
+            else:
+                rs -= cols[flip]
+        np.multiply(flat[0], flat[1], out=prod)
+        for i in range(2, n):
+            prod *= flat[i]
+        # the low subset's size changes parity at every step
+        if k & 1:
+            total -= prod
+        else:
+            total += prod
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << h)) & 1)
+    total = (signs[:, None] * total.reshape(1 << h, b)).sum(axis=0)
     return (-1.0 if n % 2 else 1.0) * total

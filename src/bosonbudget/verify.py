@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .distinguishability import Indistinguishability, prob_mismatch
+from .distinguishability import Indistinguishability, prob_mismatch, sigma_table
 from .errors import DimensionError, ResourceLimitError
 from .fock import enumerate_outputs, mode_indices
-from .ideal_sampler import full_distribution, prob_ideal
+from .ideal_sampler import full_distribution
 from .noise_model import DeviceConfig, click_pattern_prob
 from .random_ensembles import as_matrix, fourier_matrix
 
@@ -75,38 +75,30 @@ def row_norm_witness(u, n0: Sequence[int], samples: Sequence[Sequence[int]]) -> 
     col_mass = np.abs(m[rows, :]) ** 2
     col_mass = col_mass.sum(axis=0)  # (modes,)
 
-    used = []
-    n_rejected = 0
-    for s in samples:
-        if len(s) != modes:
-            raise DimensionError("sample pattern length must equal the mode count")
-        if sum(int(b) for b in s) == n:
-            used.append([l for l, b in enumerate(s) if b])
-        else:
-            n_rejected += 1
-    n_used = len(used)
+    if any(len(s) != modes for s in samples):
+        raise DimensionError("sample pattern length must equal the mode count")
+    clicks = np.array(samples, dtype=np.int64).reshape(len(samples), modes) != 0
+    kept = clicks[clicks.sum(axis=1) == n]
+    n_used = len(kept)
+    n_rejected = len(samples) - n_used
 
     all_patterns = np.array(list(combinations(range(modes), n)), dtype=np.intp)
     w_all = _witness_values(col_mass, all_patterns, modes, n)
     ref_uniform = float(w_all.mean())
 
     dist = full_distribution(m, list(n0))
-    p_cf = []
-    w_cf = []
-    for outcome, p in zip(dist.outcomes, dist.probs):
-        if max(outcome) <= 1:
-            p_cf.append(p)
-            w_cf.append(
-                float(_witness_values(col_mass, np.array(mode_indices(outcome)), modes, n))
-            )
+    occ = np.array(dist.outcomes, dtype=np.intp)
+    collision_free = occ.max(axis=1) <= 1
+    p_cf = dist.probs[collision_free]
+    w_cf = _witness_values(col_mass, np.nonzero(occ[collision_free])[1].reshape(-1, n), modes, n)
     cf_mass = math.fsum(p_cf)
-    ref_device = math.fsum(p * w for p, w in zip(p_cf, w_cf)) / cf_mass
+    ref_device = math.fsum(p_cf * w_cf) / cf_mass
     midpoint = 0.5 * (ref_uniform + ref_device)
 
     if n_used == 0:
         return WitnessResult(math.nan, math.inf, ref_uniform, ref_device, midpoint,
                              "inconclusive", 0, n_rejected)
-    w_samples = _witness_values(col_mass, np.array(used, dtype=np.intp), modes, n)
+    w_samples = _witness_values(col_mass, np.nonzero(kept)[1].reshape(n_used, n), modes, n)
     mean = float(w_samples.mean())
     se = float(w_samples.std(ddof=1) / math.sqrt(n_used)) if n_used > 1 else math.inf
 
@@ -170,12 +162,11 @@ def suppression_test(n: int, indist: Indistinguishability) -> SuppressionResult:
         if weighted % n != 0:
             flagged.append(s)
 
-    violations = 0
-    for s in flagged:
-        if prob_ideal(u, n0, s) > SUPPRESSION_TOL:
-            violations += 1
+    ideal = full_distribution(u, n0).as_dict()
+    violations = sum(1 for s in flagged if ideal[s] > SUPPRESSION_TOL)
     if violations:
         return SuppressionResult(math.nan, violations, len(flagged), False)
 
-    mass = math.fsum(prob_mismatch(u, n0, s, indist) for s in flagged)
+    sigmas = sigma_table(n, indist)
+    mass = math.fsum(prob_mismatch(u, n0, s, indist, sigmas=sigmas) for s in flagged)
     return SuppressionResult(mass, 0, len(flagged), True)

@@ -184,23 +184,29 @@ def test_numeric_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "matrix, argv, code, needle",
+    "given, argv, code, needle",
     [
-        (("u.json", '{"entries": [[[1, 0]]]}'), ["distribution", "--photons", "1"], 1, "modes"),
-        (("u.json", '{"modes": 1}'), ["distribution", "--photons", "1"], 1, "entries"),
-        (("u.csv", "re_0,im_0,re_1,im_1\n1,0,0,0\n0,0\n"), ["distribution", "--photons", "1"], 1, "square"),
-        (("u.csv", "re_0,im_0\nnan,0\n"), ["distribution", "--photons", "1"], 3, "non-finite"),
+        (("--unitary", "u.json", '{"entries": [[[1, 0]]]}'), ["distribution", "--photons", "1"], 1, "modes"),
+        (("--unitary", "u.json", '{"modes": 1}'), ["distribution", "--photons", "1"], 1, "entries"),
+        (("--unitary", "u.csv", "re_0,im_0,re_1,im_1\n1,0,0,0\n0,0\n"), ["distribution", "--photons", "1"],
+         1, "square"),
+        (("--unitary", "u.csv", "re_0,im_0\nnan,0\n"), ["distribution", "--photons", "1"], 3, "non-finite"),
         (None, ["sample", "--modes", "4", "--sources", "2", "--count", "-5", "--seed", "1",
                 "--samples-out", "s.txt"], 1, "--count"),
+        (("--unitary", "u.json", '{"modes": 1, "entries": [[[1]]]}'), ["distribution", "--photons", "1"],
+         1, "matrix file u.json is malformed"),
+        (("--config", "c.json", '{"modes": "abc", "photons": 2, "seed": 1}'), ["distribution"], 1, "modes"),
+        (("--config", "c.json", '{"modes": 4, "photons": "x", "seed": 1}'), ["distribution"], 1, "photons"),
     ],
-    ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count"],
+    ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
+         "json-short-entry", "config-modes-not-int", "config-photons-not-int"],
 )
-def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, matrix, argv, code, needle):
+def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)
-    if matrix is not None:
-        name, text = matrix
+    if given is not None:
+        flag, name, text = given
         (tmp_path / name).write_text(text)
-        argv = argv + ["--unitary", name]
+        argv = argv + [flag, name]
     rc = _run(*argv, "--out", "r.json")
     assert rc == code
     lines = capsys.readouterr().err.splitlines()
@@ -208,6 +214,15 @@ def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, matrix, a
     error = json.loads(lines[0])["error"]
     assert error["kind"] == {1: "usage", 3: "numeric"}[code]
     assert needle in error["message"]
+
+
+def test_roundtrip_many_single_photon_sources(tmp_path):
+    # 12 clicks, each source empty with p0 > 0: one collapsed input, 4096 permanents
+    out = tmp_path / "r.json"
+    rc = _run("verify", "--test", "roundtrip", "--modes", "24", "--sources", "12",
+              "--p0", "0.02", "--p1", "0.98", "--seed", "1", "--out", str(out))
+    assert rc == 0
+    assert 0.0 < _report(out)["results"]["returnProbability"] <= 1.0
 
 
 def test_schema_rejects_malformed_report():

@@ -19,7 +19,9 @@ from bosonbudget import (
     prob_ideal,
     prob_mismatch,
 )
-from bosonbudget.fock import enumerate_outputs
+from bosonbudget.distinguishability import sigma_table
+from bosonbudget.fock import enumerate_outputs, mode_indices, mu
+from bosonbudget.permanent import permanent_naive
 
 from conftest import make_haar
 
@@ -261,3 +263,26 @@ def _random_occupation(rng, modes, total):
     for _ in range(total):
         occ[int(rng.integers(0, modes))] += 1
     return tuple(occ)
+
+
+def _mismatch_by_sigma_loop(u, n, s, indist):
+    v = u.matrix[np.ix_(mode_indices(n), mode_indices(s))]
+    total = 0.0
+    for sigma in permutations(range(len(v))):
+        b = v.conj() * v[:, np.argsort(sigma)]
+        total += permutation_overlap(indist, sigma) * permanent_naive(b).real
+    return total / (mu(n) * mu(s))
+
+
+@pytest.mark.parametrize(
+    "orders", [(0.9, 0.8, 0.7), (0.6, 0.0, 0.4)], ids=["all-nonzero", "zero-g3"]
+)
+def test_prob_mismatch_matches_sigma_loop(orders):
+    u = make_haar(5, 23)
+    ind = Indistinguishability(orders)
+    # g_3 = 0 drops the eight permutations of S_4 with a 3-cycle
+    assert len(sigma_table(4, ind).overlaps) == (16 if orders[1] == 0.0 else 24)
+    n = (2, 1, 1, 0, 0)
+    for s in [(0, 1, 1, 2, 0), (1, 1, 1, 1, 0), (0, 0, 0, 0, 4), (2, 0, 1, 0, 1)]:
+        want = _mismatch_by_sigma_loop(u, n, s, ind)
+        assert prob_mismatch(u, n, s, ind) == pytest.approx(want, rel=1e-10, abs=1e-15)

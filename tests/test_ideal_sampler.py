@@ -12,6 +12,8 @@ from bosonbudget import (
     sample_ideal,
     variational_distance,
 )
+from bosonbudget.fock import enumerate_outputs, mu
+from bosonbudget.permanent import permanent_contingency
 
 from conftest import make_haar
 
@@ -138,3 +140,13 @@ def test_haar_average_transition_probability():
     target = math.factorial(n) / m**n
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 3.0 * se
+
+
+def test_full_distribution_repeated_rows_match_contingency():
+    u = make_haar(5, 17)
+    n = (2, 1, 0, 0, 0)
+    dist = full_distribution(u, n)
+    assert dist.outcomes == tuple(enumerate_outputs(5, 3))
+    for s, p in zip(dist.outcomes, dist.probs):
+        want = abs(permanent_contingency(u, n, s)) ** 2 / (mu(n) * mu(s))
+        assert p == pytest.approx(want, abs=1e-14)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,22 @@ def test_batch_matches_scalar():
         vals = _permanent_batch(mats)
         for k in range(3):
             assert vals[k] == pytest.approx(permanent_ryser(mats[k]), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 5000])
+@pytest.mark.parametrize("n", range(10))
+def test_batch_kernel_matches_naive(n, batch):
+    # batch 1 and 3 split off high-column prefixes, batch 5000 walks plainly
+    rng = np.random.default_rng(100 * n + batch)
+    mats = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
+    vals = _permanent_batch(mats)
+    assert vals.shape == (batch,)
+    for k in sorted({0, batch // 2, batch - 1}):
+        want = permanent_naive(mats[k])
+        assert abs(vals[k] - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("n, tol", [(16, 5e-9), (20, 5e-7)])
+def test_all_ones_relative_error(n, tol):
+    exact = math.factorial(n)
+    assert abs(permanent_ryser(np.ones((n, n))) - exact) <= tol * exact
