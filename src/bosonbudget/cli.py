@@ -187,6 +187,10 @@ def _sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # a list of plain ints or finite floats is already JSON-safe
+        kinds = set(map(type, obj))
+        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, obj))):
+            return list(obj)
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -315,7 +319,7 @@ def cmd_distribution(args) -> None:
     dist = full_distribution(u, n0)
     results = {
         "outcomes": [list(o) for o in dist.outcomes],
-        "probs": list(dist.probs),
+        "probs": dist.probs.tolist(),
         "totalMass": dist.total_mass,
         "unitarityDefect": u.unitarity_defect,
     }
@@ -343,6 +347,8 @@ def cmd_sample(args) -> None:
     n = args.sources
     if n is None:
         raise UsageError("--sources is required")
+    if not 0 <= n <= modes:
+        raise UsageError(f"--sources must be between 0 and the mode count {modes}, got {n}")
     if args.population == "uniform":
         from .noise_model import collision_free_patterns
 

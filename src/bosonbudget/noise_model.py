@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +38,11 @@ from .random_ensembles import as_matrix
 
 MAX_PATTERNS = 4_000_000
 MAX_CLICK_TABLE_MODES = 16
+
+# Patterns per chunk in ``distance_parts`` (the sweep's counterpart of
+# ``ideal_sampler._TABLE_CHUNK``): small enough that a chunk's Gram stacks
+# stay in cache. The chunk fixes the summation order, so it is pinned.
+_SWEEP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -277,18 +282,20 @@ def _pattern_probs(u, n_sources, source, detector, cols):
     nu = detector.dark_rate
     pout = np.zeros(batch)
     for rows, base, scale, weight in _fold_inputs(n_sources, source, detector.loss_prob):
-        # (batch, K, clicks): [b, a, j] = U[rows[a], cols[b, j]]
-        v = np.moveaxis(np.take(u[rows], cols, axis=1), 0, 1)
-        projs = [scale * (v[:, :, j].conj()[:, :, None] * v[:, None, :, j]) for j in range(clicks)]
-        g = np.zeros((batch,) + base.shape, dtype=complex)
-        g += base
+        # Entry-major stacks, batch last, so that every matrix entry is one
+        # contiguous row: v[j, a, b] = U[rows[a], cols[b, j]],
+        # projs[j, a, c, b] = scale conj(v[j, a, b]) v[j, c, b], g[a, c, b]
+        v = np.take(u[rows], cols.T, axis=1).transpose(1, 0, 2)
+        projs = scale * (v.conj()[:, :, None, :] * v[:, None, :, :])
+        g = np.empty(base.shape + (batch,), dtype=complex)
+        g[...] = base[:, :, None]
         for flip, add, coeff in _gray_subset_walk(clicks, nu):
             if flip is not None:
                 if add:
                     g += projs[flip]
                 else:
                     g -= projs[flip]
-            pout += (weight * coeff) * _permanent_batch(g).real
+            pout += (weight * coeff) * _permanent_batch(g.transpose(2, 0, 1)).real
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
@@ -324,19 +331,30 @@ class DistanceParts(NamedTuple):
 
 
 def collision_free_patterns(modes: int, n_clicks: int, *, max_patterns: int = MAX_PATTERNS) -> np.ndarray:
-    """Index array (count, n_clicks) of every pattern with exactly n_clicks clicks."""
+    """Index array (count, n_clicks) of every pattern with exactly n_clicks clicks.
+
+    Rows are the n_clicks-subsets of range(modes) in lexicographic order,
+    the order of ``itertools.combinations``. The table is grown one column
+    at a time: a prefix ending in mode c continues with every mode from
+    c + 1 up to the last that still leaves room for the remaining clicks.
+    """
+    if not 0 <= n_clicks <= modes:
+        raise ValueError(f"n_clicks must be in [0, modes={modes}], got {n_clicks}")
     n_pat = math.comb(modes, n_clicks)
     if n_pat > max_patterns:
         raise ResourceLimitError(f"{n_pat} patterns exceed the cap of {max_patterns}")
-    return np.array(list(combinations(range(modes), n_clicks)), dtype=np.intp)
+    table = np.zeros((1, 0), dtype=np.intp)
+    last = np.full(1, -1, dtype=np.intp)
+    for t in range(n_clicks):
+        counts = modes - n_clicks + t - last
+        starts = np.cumsum(counts) - counts
+        table = np.repeat(table, counts, axis=0)
+        last = np.arange(len(table), dtype=np.intp) + np.repeat(last + 1 - starts, counts)
+        table = np.column_stack((table, last))
+    return table
 
 
-def distance_parts(
-    cfg: DeviceConfig,
-    *,
-    patterns: np.ndarray | None = None,
-    chunk: int = 1 << 17,
-) -> DistanceParts:
+def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> DistanceParts:
     """Exact decomposition of the distance between the device and its ideal twin.
 
     v1 collects the output mass that lands on patterns with the wrong click
@@ -345,6 +363,12 @@ def distance_parts(
     exactly; pass a precomputed ``patterns`` array when sweeping many
     networks of the same shape. Truncated source mass, if any, is unmodelled
     output and is excluded from v1.
+
+    The sweep runs in chunks of ``_SWEEP_CHUNK`` (4096) patterns, summed in
+    order; that order is part of the reproducibility contract. A sweep of at
+    most 4096 patterns is one chunk and gives the same bytes as one pass over
+    the whole table. Larger sweeps agree with earlier 131072-pattern chunks
+    to 1e-12 absolute (rounding in the order of the partial sums only).
     """
     u = cfg.matrix
     n = cfg.n_sources
@@ -358,9 +382,9 @@ def distance_parts(
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
-    for lo in range(0, patterns.shape[0], chunk):
-        cols = patterns[lo : lo + chunk]
-        pideal = np.abs(_permanent_batch(np.moveaxis(np.take(u[:n], cols, axis=1), 0, 1))) ** 2
+    for lo in range(0, patterns.shape[0], _SWEEP_CHUNK):
+        cols = patterns[lo : lo + _SWEEP_CHUNK]
+        pideal = np.abs(_permanent_batch(np.take(u[:n], cols.T, axis=1).transpose(2, 0, 1))) ** 2
         pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols)
         sum_out += float(pout.sum())
         sum_gap += float(np.abs(pout - pideal).sum())

@@ -197,9 +197,12 @@ def test_numeric_error_exit_code(tmp_path):
          1, "matrix file u.json is malformed"),
         (("--config", "c.json", '{"modes": "abc", "photons": 2, "seed": 1}'), ["distribution"], 1, "modes"),
         (("--config", "c.json", '{"modes": 4, "photons": "x", "seed": 1}'), ["distribution"], 1, "photons"),
+        (None, ["sample", "--modes", "5", "--sources", "7", "--population", "uniform", "--count", "3",
+                "--seed", "1", "--samples-out", "s.txt"], 1, "--sources"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
-         "json-short-entry", "config-modes-not-int", "config-photons-not-int"],
+         "json-short-entry", "config-modes-not-int", "config-photons-not-int",
+         "uniform-sources-over-modes"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,6 @@
 import dataclasses
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from bosonbudget import (
     ResourceLimitError,
     SourceModel,
     click_pattern_prob,
+    collision_free_patterns,
     detector_prob,
     distance_parts,
     full_distribution,
@@ -20,6 +21,8 @@ from bosonbudget import (
     output_click_distribution,
     prob_ideal,
 )
+from bosonbudget.noise_model import _SWEEP_CHUNK, _pattern_probs
+from bosonbudget.permanent import _permanent_batch
 
 from conftest import make_haar
 
@@ -179,6 +182,39 @@ def test_click_pattern_prob_brute_force():
 
 
 # ------------------------------------------------------------ distance parts
+
+
+def test_collision_free_patterns_matches_itertools():
+    for m in range(13):
+        for k in range(m + 1):
+            got = collision_free_patterns(m, k)
+            want = np.array(list(combinations(range(m), k)), dtype=np.intp)
+            assert got.dtype == np.intp
+            assert got.shape == want.shape == (math.comb(m, k), k)
+            np.testing.assert_array_equal(got, want)
+    with pytest.raises(ResourceLimitError):
+        collision_free_patterns(20, 10, max_patterns=1000)
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match="n_clicks"):
+            collision_free_patterns(5, k)
+
+
+@pytest.mark.parametrize(
+    "source", [SourceModel((0.02, 0.98)), SourceModel((0.02, 0.97, 0.01))], ids=["kmax1", "p2"]
+)
+def test_distance_parts_chunked_matches_one_pass(source):
+    cfg = DeviceConfig(make_haar(40, 31), 3, source, DetectorModel(0.01, 1e-4))
+    patterns = collision_free_patterns(40, 3)
+    assert math.ceil(len(patterns) / _SWEEP_CHUNK) == 3  # 9880 patterns, three chunks
+    u = cfg.matrix
+    pout = _pattern_probs(u, 3, source, cfg.detector, patterns)
+    # one pass, pattern-major stack: [b, a, j] = U[a, patterns[b, j]]
+    pideal = np.abs(_permanent_batch(np.moveaxis(np.take(u[:3], patterns, axis=1), 0, 1))) ** 2
+    parts = distance_parts(cfg)
+    modelled = (1.0 - source.truncated_mass) ** 3
+    assert parts.v1 == pytest.approx(max(modelled - math.fsum(pout), 0.0), abs=1e-13)
+    assert parts.v2 == pytest.approx(math.fsum(np.abs(pout - pideal)), abs=1e-13)
+    assert parts.vb == pytest.approx(max(1.0 - math.fsum(pideal), 0.0), abs=1e-13)
 
 
 def test_distance_parts_matches_slow_route():
