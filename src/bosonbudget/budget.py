@@ -198,6 +198,8 @@ def invert_budget(
         "loss_prob": 3.0 * n,
         "p1_deficit": 4.0 * n,
     }[free_param]
+    if coeff == 0.0:
+        return math.inf  # no mode without a source: dark counts enter no term
     return residual / coeff
 
 

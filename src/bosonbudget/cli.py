@@ -30,7 +30,7 @@ from .permanent import permanent_ryser
 from .random_ensembles import NetworkUnitary, haar_unitary, spawn_rngs
 from .verify import row_norm_witness, suppression_test, unitarity_roundtrip
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,7 +100,10 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     lines = Path(path).read_text().strip().splitlines()
     n = len(lines[0].split(",")) // 2 if lines else 0
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    try:
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        raise UsageError(f"matrix file {path} is malformed: {exc}") from exc
     if n == 0 or len(rows) != n or any(len(vals) != 2 * n for vals in rows):
         raise UsageError(f"matrix file {path} does not hold a square matrix of re,im column pairs")
     out = np.empty((n, n), dtype=np.complex128)
@@ -210,7 +213,6 @@ def emit_report(command: str, args, results: dict, parameters: dict) -> dict:
         "schemaVersion": SCHEMA_VERSION,
         "command": command,
         "seed": args.seed,
-        "threads": args.threads,
         "parameters": _sanitize(parameters),
         "results": _sanitize(results),
     }
@@ -227,10 +229,9 @@ def emit_report(command: str, args, results: dict, parameters: dict) -> dict:
 # shared argument handling
 
 
-def _device_args(p: argparse.ArgumentParser, photons_flag: bool = False) -> None:
+def _device_args(p: argparse.ArgumentParser, source_flags: tuple[str, ...] = ("--sources",)) -> None:
     p.add_argument("--modes", type=int, help="mode count M")
-    p.add_argument("--sources" if not photons_flag else "--photons", type=int, dest="sources",
-                   help="number of single-photon inputs N")
+    p.add_argument(*source_flags, type=int, dest="sources", help="number of single-photon inputs N")
     p.add_argument("--unitary", help="path to a network matrix file (.json or .csv)")
     p.add_argument("--p0", type=float, default=None, help="source vacuum probability")
     p.add_argument("--p1", type=float, default=1.0, help="source single-photon probability")
@@ -242,10 +243,7 @@ def _device_args(p: argparse.ArgumentParser, photons_flag: bool = False) -> None
 def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default values for any option")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for stochastic commands)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (evaluation is deterministic for a fixed value)")
     p.add_argument("--out", help="report path (stdout when omitted)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="csv additionally writes plot-ready tables next to the report")
 
 
 def _load_unitary(path: str) -> NetworkUnitary:
@@ -253,19 +251,14 @@ def _load_unitary(path: str) -> NetworkUnitary:
     return NetworkUnitary.from_matrix(m, max_defect=1e-8)
 
 
-def _resolve_unitary(args, rng_needed_msg: str) -> tuple[NetworkUnitary, np.random.Generator | None]:
+def _resolve_unitary(args) -> NetworkUnitary:
     if args.unitary:
-        return _load_unitary(args.unitary), _maybe_rng(args)
+        return _load_unitary(args.unitary)
     if args.modes is None:
         raise UsageError("either --unitary or --modes is required")
     if args.seed is None:
-        raise UsageError(f"--seed is mandatory: {rng_needed_msg}")
-    rng = np.random.default_rng(args.seed)
-    return haar_unitary(args.modes, rng), rng
-
-
-def _maybe_rng(args) -> np.random.Generator | None:
-    return np.random.default_rng(args.seed) if args.seed is not None else None
+        raise UsageError("--seed is mandatory: a random network must be drawn")
+    return haar_unitary(args.modes, np.random.default_rng(args.seed))
 
 
 def _source_model(args) -> SourceModel:
@@ -276,8 +269,8 @@ def _source_model(args) -> SourceModel:
     return SourceModel(probs)
 
 
-def _device_config(args, rng_msg: str) -> DeviceConfig:
-    u, _ = _resolve_unitary(args, rng_msg)
+def _device_config(args) -> DeviceConfig:
+    u = _resolve_unitary(args)
     if args.sources is None:
         raise UsageError("--sources is required")
     return DeviceConfig(u, args.sources, _source_model(args), DetectorModel(args.loss, args.dark))
@@ -302,6 +295,9 @@ def _indist(args, n: int) -> Indistinguishability:
 
 
 def _occupation_first_n(modes: int, n: int) -> tuple[int, ...]:
+    if not 0 <= n <= modes:
+        raise UsageError(f"the photon count (--sources or --photons) must be between 0 and the mode count "
+                         f"{modes}, got {n}")
     return (1,) * n + (0,) * (modes - n)
 
 
@@ -310,7 +306,7 @@ def _occupation_first_n(modes: int, n: int) -> tuple[int, ...]:
 
 
 def cmd_distribution(args) -> None:
-    u, _ = _resolve_unitary(args, "a random network must be drawn")
+    u = _resolve_unitary(args)
     modes = u.modes
     n = args.sources
     if n is None:
@@ -347,8 +343,7 @@ def cmd_sample(args) -> None:
     n = args.sources
     if n is None:
         raise UsageError("--sources is required")
-    if not 0 <= n <= modes:
-        raise UsageError(f"--sources must be between 0 and the mode count {modes}, got {n}")
+    n0 = _occupation_first_n(modes, n)
     if args.population == "uniform":
         from .noise_model import collision_free_patterns
 
@@ -361,7 +356,7 @@ def cmd_sample(args) -> None:
                 p[c] = 1
             patterns.append(tuple(p))
     else:
-        dist = full_distribution(u, _occupation_first_n(modes, n))
+        dist = full_distribution(u, n0)
         draws = sample_ideal(dist, args.count, rng)
         patterns = [tuple(1 if x else 0 for x in s) for s in draws]
     write_samples(args.samples_out, patterns)
@@ -378,7 +373,7 @@ def cmd_sample(args) -> None:
 
 
 def cmd_distance(args) -> None:
-    cfg = _device_config(args, "a random network must be drawn")
+    cfg = _device_config(args)
     parts = distance_parts(cfg)
     nb = noise_bound(cfg.n_sources, cfg.modes, cfg.source, cfg.detector)
     results = {
@@ -443,10 +438,10 @@ def cmd_verify(args) -> None:
         }
         params = {"unitary": args.unitary, "samples": args.samples, "nSources": args.sources}
     elif args.test == "roundtrip":
-        cfg = _device_config(args, "a random network must be drawn")
+        cfg = _device_config(args)
         results = {"test": "roundtrip", "returnProbability": unitarity_roundtrip(cfg)}
         params = _device_params(args, cfg.modes)
-    elif args.test == "suppression":
+    else:  # suppression; argparse allows no other --test
         if args.sources is None:
             raise UsageError("--photons is required")
         indist = _indist(args, args.sources)
@@ -458,9 +453,7 @@ def cmd_verify(args) -> None:
             "nSuppressed": res.n_suppressed,
             "lawValid": res.law_valid,
         }
-        params = {"photons": args.sources, "g": getattr(args, "g", None)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown test {args.test}")
+        params = {"photons": args.sources, "g": args.g}
     emit_report("verify", args, results, params)
 
 
@@ -468,17 +461,21 @@ def cmd_bench(args) -> None:
     if args.seed is None:
         raise UsageError("--seed is mandatory for bench")
     sizes = [int(x) for x in args.sizes.split(",")]
+    if min(sizes) < 0:
+        raise UsageError(f"--sizes must be non-negative, got {args.sizes}")
     rng = np.random.default_rng(args.seed)
     rows = []
+    timings = []
     for n in sizes:
         a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
         t0 = time.perf_counter()
         val = permanent_ryser(a)
-        dt = time.perf_counter() - t0
-        # timings go to stderr only, so the report stays byte-identical across runs
-        print(f"bench n={n}: {dt * 1e3:.3f} ms", file=sys.stderr)
+        timings.append(f"bench n={n}: {(time.perf_counter() - t0) * 1e3:.3f} ms")
         rows.append({"n": n, "absPermanent": abs(val)})
     emit_report("bench", args, {"sizes": sizes, "values": rows}, {"sizes": args.sizes})
+    # timings go to stderr only, so the report stays byte-identical across runs;
+    # they follow the report, so a refused run writes only its error line
+    print("\n".join(timings), file=sys.stderr)
 
 
 def _device_params(args, modes: int) -> dict:
@@ -498,11 +495,15 @@ def _device_params(args, modes: int) -> dict:
 # parser
 
 
+def _write_error(kind: str, message: str) -> None:
+    print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     commands: dict[str, argparse.ArgumentParser]  # subcommand name -> its parser
 
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
-        print(json.dumps({"error": {"kind": "usage", "message": message}}), file=sys.stderr)
+        _write_error("usage", message)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("distribution", parents=[], help="exact ideal output distribution")
-    _device_args(p, photons_flag=True)
+    _device_args(p, ("--photons",))
     _common_args(p)
     p.set_defaults(func=cmd_distribution)
 
@@ -542,9 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="witness, roundtrip, or suppression test")
     p.add_argument("--test", choices=("witness", "roundtrip", "suppression"), required=True)
-    _device_args(p, photons_flag=False)
-    p.add_argument("--photons", type=int, dest="sources_alias",
-                   help="alias for --sources (suppression test)")
+    _device_args(p, ("--sources", "--photons"))
     p.add_argument("--samples", help="click-pattern file for the witness test")
     p.add_argument("--g", help="exchange overlaps: one value or comma list")
     _common_args(p)
@@ -555,37 +554,35 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(p)
     p.set_defaults(func=cmd_bench)
 
+    for name in ("distribution", "budget"):  # the commands that write csv tables
+        sub.choices[name].add_argument("--format", choices=("json", "csv"), default="json",
+                                       help="csv additionally writes plot-ready tables next to the report")
     parser.commands = sub.choices
     return parser
 
 
-def _apply_config(args, parser: argparse.ArgumentParser) -> None:
-    """Fill options left unset from the ``--config`` JSON object.
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Option defaults read from the ``--config`` JSON object.
 
     Each value goes through its option's argparse ``type`` and ``choices``,
-    as if it had been typed on the command line.
+    as if it had been typed on the command line; a null value keeps the
+    option's own default.
     """
-    if not getattr(args, "config", None):
-        return
-    data = json.loads(Path(args.config).read_text())
+    data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise UsageError("--config must hold a JSON object")
-    actions = {a.dest: a for a in parser._actions}
-    aliases = {"photons": "sources"}
+    actions = {a.dest: a for a in parser._actions if a.default is not argparse.SUPPRESS}
+    defaults = {}
     for key, value in data.items():
-        attr = key.replace("-", "_")
+        attr = {"photons": "sources"}.get(key, key.replace("-", "_"))
         if attr not in actions:
-            attr = aliases.get(attr, attr)
-        if attr not in actions or not hasattr(args, attr):
             raise UsageError(f"unknown config key {key!r}")
-        value = _config_value(actions[attr], key, value)
-        if getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
+        if value is not None:
+            defaults[attr] = _config_value(actions[attr], key, value)
+    return defaults
 
 
 def _config_value(action: argparse.Action, key: str, value):
-    if value is None:
-        return None
     if isinstance(value, (dict, list)):
         raise UsageError(f"config key {key!r} must be a single value, got {value!r}")
     try:
@@ -597,29 +594,31 @@ def _config_value(action: argparse.Action, key: str, value):
     return out
 
 
+# (exception class, error kind, exit code); the first match wins
+_ERRORS = (
+    (ResourceLimitError, "resource", EXIT_RESOURCE),
+    (NumericError, "numeric", EXIT_NUMERIC),
+    ((BosonBudgetError, ValueError, OSError), "usage", EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser.commands[args.command])
-        if getattr(args, "sources", None) is None and getattr(args, "sources_alias", None) is not None:
-            args.sources = args.sources_alias
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
+        if args.config:
+            # the file supplies defaults, so the command line still wins
+            command = parser.commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)
         args.func(args)
-        return EXIT_OK
-    except (UsageError, FileNotFoundError) as exc:
-        print(json.dumps({"error": {"kind": "usage", "message": str(exc)}}), file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(json.dumps({"error": {"kind": "resource", "message": str(exc)}}), file=sys.stderr)
-        return EXIT_RESOURCE
-    except NumericError as exc:
-        print(json.dumps({"error": {"kind": "numeric", "message": str(exc)}}), file=sys.stderr)
-        return EXIT_NUMERIC
-    except (BosonBudgetError, ValueError) as exc:
-        print(json.dumps({"error": {"kind": "usage", "message": str(exc)}}), file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for cls, kind, code in _ERRORS:
+            if isinstance(exc, cls):
+                _write_error(kind, str(exc))
+                return code
+        raise
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from .random_ensembles import as_matrix
 
 MAX_PATTERNS = 4_000_000
 MAX_CLICK_TABLE_MODES = 16
+MAX_TERMS = 5_000_000
 
 # Patterns per chunk in ``distance_parts`` (the sweep's counterpart of
 # ``ideal_sampler._TABLE_CHUNK``): small enough that a chunk's Gram stacks
@@ -60,7 +61,7 @@ class SourceModel:
         probs = tuple(float(p) for p in self.photon_probs)
         if not probs:
             raise ValueError("photon_probs must be non-empty")
-        if any(p < 0 for p in probs):
+        if not all(p >= 0.0 for p in probs):  # NaN fails too
             raise ValueError("photon probabilities must be non-negative")
         if math.fsum(probs) > 1.0 + 1e-12:
             raise ValueError(f"photon probabilities sum to {math.fsum(probs)} > 1")
@@ -109,7 +110,7 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError("loss_prob must be in [0, 1]")
-        if self.dark_rate < 0.0:
+        if not self.dark_rate >= 0.0:  # NaN fails too
             raise ValueError("dark_rate must be non-negative")
 
     def no_click_prob(self, photons: int) -> float:
@@ -194,7 +195,7 @@ def _input_support(source: SourceModel, n_sources: int):
 
 
 def output_click_distribution(
-    cfg: DeviceConfig, *, max_terms: int = 5_000_000
+    cfg: DeviceConfig, *, max_terms: int = MAX_TERMS
 ) -> DistributionTable:
     """Exact distribution over all 2^M click patterns by the literal triple sum.
 
@@ -250,6 +251,11 @@ def _gray_subset_walk(n_clicked: int, dark_rate: float):
         if flip is not None:
             size += 1 if add else -1
         yield flip, add, coeffs[size]
+
+
+def _fold_input_count(n_sources, source):
+    """len(_fold_inputs(...)) without building them; an upper bound if a product underflows."""
+    return 1 if source.kmax <= 1 else sum(p > 0.0 for p in source.photon_probs) ** n_sources
 
 
 def _fold_inputs(n_sources, source, r):
@@ -314,8 +320,8 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
         raise ValueError("pattern entries must be 0 or 1")
     clicked = [l for l, b in enumerate(pattern) if b]
     n_clicked = len(clicked)
-    n_inputs = len(_fold_inputs(cfg.n_sources, cfg.source, cfg.detector.loss_prob))
-    if (1 << n_clicked) * n_inputs > 5_000_000:
+    n_inputs = _fold_input_count(cfg.n_sources, cfg.source)
+    if (1 << n_clicked) * n_inputs > MAX_TERMS:
         raise ResourceLimitError(
             f"pattern with {n_clicked} clicks and {n_inputs} inputs is over the term cap"
         )

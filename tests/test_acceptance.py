@@ -382,7 +382,7 @@ def test_c12_verification_suite():
 
 
 def test_c13_deterministic_reports(tmp_path):
-    """Same seed and thread count give byte-identical reports."""
+    """Same seed gives byte-identical reports."""
     commands = {
         "sample": ["sample", "--modes", "6", "--sources", "2", "--count", "200",
                    "--seed", "5", "--samples-out", None, "--out", None],

@@ -119,6 +119,11 @@ def test_invert_single_photon_fidelity_unbounded():
     assert invert_budget(1, 100, 0.1, 0.1, "fidelity_deficit") == math.inf
 
 
+def test_invert_dark_rate_unbounded_without_spare_modes():
+    # M = N: the additive bound's dark-count term 3 (M - N) nu vanishes
+    assert invert_budget(1, 1, 2.0, 0.99, "dark_rate") == math.inf
+
+
 def test_thresholds_monotone_in_targets():
     base = dict(dark_rate=1e-9, loss_prob=1e-5, p1=0.99995)
     for free in ("dark_rate", "loss_prob", "p1_deficit", "fidelity_deficit"):

@@ -1,7 +1,14 @@
+import contextlib
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonbudget import haar_unitary
 from bosonbudget.cli import (
@@ -199,23 +206,33 @@ def test_numeric_error_exit_code(tmp_path):
         (("--config", "c.json", '{"modes": 4, "photons": "x", "seed": 1}'), ["distribution"], 1, "photons"),
         (None, ["sample", "--modes", "5", "--sources", "7", "--population", "uniform", "--count", "3",
                 "--seed", "1", "--samples-out", "s.txt"], 1, "--sources"),
+        (("--unitary", "u.json", None), ["distribution", "--photons", "1"], 1, "Is a directory"),
+        (("--config", "c.json", None), ["distribution", "--modes", "3", "--photons", "1", "--seed", "1"],
+         1, "Is a directory"),
+        (("--out", "r.json", None), ["distribution", "--modes", "3", "--photons", "1", "--seed", "1"],
+         1, "Is a directory"),
+        (None, ["verify", "--test", "suppression", "--photons", "8", "--g", "0.9"], 2, "capped at 7 photons"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
-         "uniform-sources-over-modes"],
+         "uniform-sources-over-modes", "unitary-is-directory", "config-is-directory", "out-is-directory",
+         "suppression-over-photon-cap"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)
-    if given is not None:
+    if given is not None:  # a file with this text, or a directory when the text is None
         flag, name, text = given
-        (tmp_path / name).write_text(text)
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text)
         argv = argv + [flag, name]
     rc = _run(*argv, "--out", "r.json")
     assert rc == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])["error"]
-    assert error["kind"] == {1: "usage", 3: "numeric"}[code]
+    assert error["kind"] == {1: "usage", 2: "resource", 3: "numeric"}[code]
     assert needle in error["message"]
 
 
@@ -228,13 +245,191 @@ def test_roundtrip_many_single_photon_sources(tmp_path):
     assert 0.0 < _report(out)["results"]["returnProbability"] <= 1.0
 
 
+def test_verify_photons_beats_config(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sources": 4}))
+    out = tmp_path / "v.json"
+    rc = _run("verify", "--test", "suppression", "--photons", "3", "--g", "0.9",
+              "--config", str(cfg), "--out", str(out))
+    assert rc == 0
+    assert _report(out)["parameters"]["photons"] == 3
+
+
+def test_config_fills_options_that_have_defaults(tmp_path):
+    # --p1 defaults to 1.0 and --seed 0 is falsy: the file sets the one, the command line keeps the other
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"p1": 0.9, "seed": 3}))
+    out = tmp_path / "d.json"
+    rc = _run("distance", "--modes", "4", "--sources", "2", "--seed", "0", "--config", str(cfg),
+              "--out", str(out))
+    assert rc == 0
+    report = _report(out)
+    assert report["parameters"]["p1"] == 0.9
+    assert report["seed"] == 0
+
+
+def test_threads_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        _run("bench", "--seed", "1", "--threads", "2")
+    assert err.value.code == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 def test_schema_rejects_malformed_report():
     schema = load_schema()
     with pytest.raises(ValueError):
-        validate_report({"schemaVersion": "1"}, schema)
+        validate_report({"schemaVersion": "2"}, schema)
+    with pytest.raises(ValueError):  # version 1, with its threads key
+        validate_report(
+            {"schemaVersion": "1", "command": "bench", "seed": 1, "threads": 1,
+             "parameters": {}, "results": {}},
+            schema,
+        )
     with pytest.raises(ValueError):
         validate_report(
             {"schemaVersion": "2", "command": "bench", "seed": 1, "threads": 1,
              "parameters": {}, "results": {}},
             schema,
         )
+    validate_report({"schemaVersion": "2", "command": "bench", "seed": 1, "parameters": {}, "results": {}}, schema)
+
+
+# ------------------------------------------------------- the error contract
+
+_KINDS = {1: "usage", 2: "resource", 3: "numeric"}
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.sampled_from([0.5, 1e300, float("nan")]),
+    st.sampled_from(["", "x", "1", "csv", "uniform", "witness", "2,3"]),
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["modes", "entries", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+_CONFIG_KEYS = ["modes", "photons", "sources", "seed", "count", "p1", "loss", "dark", "threads",
+                "format", "population", "sizes", "test", "g", "epsilon", "delta", "samples-out", "bogus"]
+
+
+def _mostly(good, bad):
+    """Valid values three times as often as invalid ones, so runs get past the checks."""
+    return st.sampled_from(good * 3 + bad)
+
+
+_SIZES = _mostly([1, 2, 3, 4, 5, 6, 7, 8], [-3, -1, 0])
+_PHOTONS = _mostly([1, 2, 3, 4, 5], [-3, -1, 0, 8])  # suppression at 6 or 7 photons takes seconds
+_PROBS = _mostly(["0", "1e-4", "0.03", "0.5", "0.97", "1"], ["-0.5", "2", "nan", "inf", "x"])
+
+
+@functools.cache
+def _unitary_text(modes: int, csv: bool) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "u"
+        (write_matrix_csv if csv else write_matrix_json)(path, haar_unitary(modes, np.random.default_rng(modes)).matrix)
+        return path.read_bytes()
+
+
+def _lines(alphabet, length):
+    return st.lists(st.text(alphabet, min_size=length, max_size=length), max_size=8).map("\n".join)
+
+
+def _matrix_bytes(name, modes):
+    valid = st.just(_unitary_text(modes, name.endswith(".csv")))
+    return st.one_of(st.binary(max_size=48), _JSON.map(lambda v: json.dumps(v).encode()), valid, valid)
+
+
+def _sample_bytes(modes):
+    return st.one_of(
+        st.binary(max_size=48),
+        _lines("01", modes).map(str.encode),
+        _lines("01", modes).map(str.encode),
+        st.integers(1, 6).flatmap(lambda n: _lines("01 x", n)).map(str.encode),
+    )
+
+
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_SCALARS, max_size=3).map(lambda v: json.dumps(v).encode()),
+)
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, files): one command line with small sizes, and the files it names."""
+    files = {}
+
+    def present(p):
+        return draw(st.integers(0, 9)) < 10 * p
+
+    def maybe(flag, values, p=0.5):
+        return [flag, str(draw(values))] if present(p) else []
+
+    def file_flag(flag, name, content, p=0.5):
+        if not present(p):
+            return []
+        files[name] = draw(content)
+        return [flag, name]
+
+    modes = draw(st.integers(1, 6))  # of the network file, if one is written
+    command = draw(st.sampled_from(["distribution", "sample", "distance", "budget", "verify", "bench"]))
+    argv = [command]
+    test = draw(st.sampled_from(["witness", "roundtrip", "suppression"])) if command == "verify" else None
+    if test:
+        argv += ["--test", test]
+    if command != "bench":
+        sources = draw(_PHOTONS if test == "suppression" else _SIZES)
+        flag = "--photons" if command == "distribution" or test == "suppression" else "--sources"
+        has_sources = present(0.9)
+        argv += [flag, str(sources)] if has_sources else []
+        if test != "suppression":
+            if test != "witness" and draw(st.booleans()):
+                argv += maybe("--modes", _SIZES, 0.9)
+            else:
+                name = draw(st.sampled_from(["u.json", "u.csv"]))
+                argv += file_flag("--unitary", name, _matrix_bytes(name, modes), 0.9)
+            for option in ("--p0", "--p1", "--loss", "--dark"):
+                argv += maybe(option, _PROBS, 0.3)
+            if has_sources and sources <= 3:  # a two-photon source multiplies the inputs by 3^N
+                argv += maybe("--p2", _PROBS, 0.3)
+    argv += maybe("--seed", _mostly([0, 1, 7], [-1]), 0.8)
+    if command == "sample":
+        argv += ["--count", str(draw(_mostly([0, 1, 20, 50], [-3, -1]))), "--samples-out", "s.txt"]
+        argv += maybe("--population", st.sampled_from(["device", "uniform"]))
+    if command == "budget":
+        argv += ["--modes", str(draw(_SIZES)), "--epsilon", draw(_PROBS), "--delta", draw(_PROBS)]
+        argv += maybe("--fidelity", _PROBS, 0.2)
+        argv += maybe("--sigma-omega", _PROBS, 0.2) + maybe("--sigma-tau", _PROBS, 0.2)
+        argv += maybe("--scaling", st.sampled_from(["2,4", "3,30", "0", "-1", "a"]), 0.3)
+    if command in ("budget", "verify"):
+        argv += maybe("--g", _mostly(["0.9", "0.9,0.8", "1,1,1,1"], ["1.5", "-0.2", "x", ""]), 0.5)
+    if command in ("distribution", "budget"):
+        argv += maybe("--format", st.sampled_from(["json", "csv"]))
+    if test == "witness":
+        argv += file_flag("--samples", "s.txt", _sample_bytes(modes), 0.9)
+    if command == "bench":
+        argv += maybe("--sizes", st.lists(_SIZES, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))))
+    argv += file_flag("--config", "c.json", _CONFIG_BYTES, 0.2)
+    return argv + ["--out", "r.json"], files
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_invocations())
+def test_every_run_exits_cleanly(invocation):
+    # in-process, as a user runs the CLI: exit 0-3 or the parser's SystemExit(1),
+    # and a refusal writes exactly one JSON error line whose kind matches its code
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, content in files.items():
+            Path(name).write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 1, argv
+                rc = 1
+    assert rc in (0, 1, 2, 3), argv
+    if rc:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert json.loads(lines[0])["error"]["kind"] == _KINDS[rc], (argv, lines)

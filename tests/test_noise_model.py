@@ -21,7 +21,8 @@ from bosonbudget import (
     output_click_distribution,
     prob_ideal,
 )
-from bosonbudget.noise_model import _SWEEP_CHUNK, _pattern_probs
+from bosonbudget import noise_model
+from bosonbudget.noise_model import _SWEEP_CHUNK, _fold_input_count, _fold_inputs, _pattern_probs
 from bosonbudget.permanent import _permanent_batch
 
 from conftest import make_haar
@@ -35,6 +36,8 @@ def test_source_validation():
         SourceModel((0.5, 0.6))
     with pytest.raises(ValueError):
         SourceModel((-0.1, 1.0))
+    with pytest.raises(ValueError):
+        SourceModel((0.0, math.nan))
     src = SourceModel((0.1, 0.8, 0.05))
     assert src.kmax == 2
     assert src.truncated_mass == pytest.approx(0.05)
@@ -46,6 +49,8 @@ def test_detector_validation():
         DetectorModel(loss_prob=1.5)
     with pytest.raises(ValueError):
         DetectorModel(dark_rate=-1.0)
+    with pytest.raises(ValueError):
+        DetectorModel(dark_rate=math.nan)
 
 
 def test_device_config_validation():
@@ -179,6 +184,28 @@ def test_click_pattern_prob_brute_force():
                 cfg.detector, pattern, s
             )
     assert click_pattern_prob(cfg, pattern) == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [SourceModel((1.0,)), SourceModel.single_photon(0.9), SourceModel((0.02, 0.97, 0.01)),
+     SourceModel((0.0, 0.97, 0.03))],
+    ids=["vacuum", "single_photon", "p2", "p0_zero"],
+)
+def test_fold_input_count_matches_inputs(source):
+    for n_sources in (1, 2, 4):
+        assert _fold_input_count(n_sources, source) == len(_fold_inputs(n_sources, source, 0.1))
+
+
+def test_term_cap_refuses_before_building_inputs(monkeypatch):
+    # 3^13 inputs x 2^13 kept-click subsets: refused from the count alone
+    def fail(*args):
+        raise AssertionError("inputs built before the term cap was checked")
+
+    monkeypatch.setattr(noise_model, "_input_support", fail)
+    cfg = DeviceConfig(np.eye(20), 13, SourceModel((0.02, 0.97, 0.01)), DetectorModel())
+    with pytest.raises(ResourceLimitError):
+        click_pattern_prob(cfg, (1,) * 13 + (0,) * 7)
 
 
 # ------------------------------------------------------------ distance parts

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bosonbudget import (
     DetectorModel,
     DeviceConfig,
     Indistinguishability,
+    ResourceLimitError,
     SourceModel,
     collision_free_patterns,
     full_distribution,
@@ -74,6 +77,22 @@ def test_witness_reference_order(witness_unitary):
     # device reference sits above the uniform one: its outputs favour heavy columns
     assert res.reference_device > res.reference_uniform
     assert res.reference_uniform == pytest.approx(1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("modes, n", [(9, 3), (12, 4), (20, 2), (7, 7), (5, 1)])
+def test_witness_uniform_reference_is_the_mean_over_all_patterns(modes, n):
+    # to the last bit: the table's collision-free rows are the N-subsets in combinations order
+    u = make_haar(modes, 2)
+    col_mass = (np.abs(u.matrix[:n]) ** 2).sum(axis=0)
+    patterns = np.array(list(combinations(range(modes), n)))
+    want = float(np.prod((modes / n) * col_mass[patterns], axis=-1).mean())
+    assert row_norm_witness(u, (1,) * n + (0,) * (modes - n), []).reference_uniform == want
+
+
+def test_witness_refused_by_the_table_cap():
+    # C(64, 5) outcomes exceed full_distribution's cap, which bounds the calibration
+    with pytest.raises(ResourceLimitError):
+        row_norm_witness(make_haar(60, 1), (1,) * 5 + (0,) * 55, [])
 
 
 def test_roundtrip_ideal_is_one():
