@@ -17,15 +17,18 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
-from .errors import BosonBudgetError, NumericError, ResourceLimitError
+from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
 from .ideal_sampler import full_distribution, sample_ideal
-from .noise_model import DetectorModel, DeviceConfig, SourceModel, distance_parts, noise_bound, noise_bound_additive
+from .noise_model import (DetectorModel, DeviceConfig, SourceModel, collision_free_patterns, distance_parts,
+                          noise_bound, noise_bound_additive)
 from .permanent import permanent_ryser
 from .random_ensembles import NetworkUnitary, haar_unitary, spawn_rngs
 from .verify import row_norm_witness, suppression_test, unitarity_roundtrip
@@ -51,6 +54,13 @@ def _fmt(x: float) -> str:
 # matrix and sample file I/O
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"file {path} is not UTF-8 text: {exc}") from exc
+
+
 def write_matrix_json(path: str | Path, matrix: np.ndarray) -> None:
     """Serialise a complex matrix as row-major [re, im] pairs."""
     m = np.asarray(matrix, dtype=np.complex128)
@@ -64,7 +74,7 @@ def write_matrix_json(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_json(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         data = json.loads(text)
         modes = int(data["modes"])
@@ -98,7 +108,7 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
+    lines = _read_text(path).strip().splitlines()
     n = len(lines[0].split(",")) // 2 if lines else 0
     try:
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
@@ -115,20 +125,60 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
 
 
 def write_samples(path: str | Path, patterns) -> None:
-    """One click pattern per line as a 0/1 string."""
-    Path(path).write_text("\n".join("".join(str(int(b)) for b in p) for p in patterns) + "\n")
+    """One click pattern per line as a 0/1 string; a file with no patterns holds one newline.
+
+    ``patterns`` is a ``(count, modes)`` array of 0/1 entries, or anything
+    ``np.asarray`` makes one of.
+    """
+    bits = np.asarray(patterns, dtype=np.uint8)
+    if not len(bits):
+        Path(path).write_bytes(b"\n")
+        return
+    text = np.full((len(bits), bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    np.add(bits, ord("0"), out=text[:, :-1])
+    Path(path).write_bytes(text.tobytes())
 
 
-def read_samples(path: str | Path) -> list[tuple[int, ...]]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if any(c not in "01" for c in line):
-            raise UsageError(f"sample line is not a 0/1 string: {line!r}")
-        out.append(tuple(int(c) for c in line))
-    return out
+# Character classes of the sample-file reader, indexed by code point; every
+# code point past the table is _OTHER. Whitespace is what ``str.strip``
+# removes, and line breaks are where ``str.splitlines`` splits.
+_SPACE, _BREAK, _ZERO, _ONE, _OTHER = range(5)
+_WHITESPACE = [0x09, 0x20, 0x1F, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000]
+_LINE_BREAKS = [0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029]
+_CHAR_CLASS = np.full(0x3002, _OTHER, dtype=np.uint8)
+_CHAR_CLASS[_WHITESPACE] = _SPACE
+_CHAR_CLASS[_LINE_BREAKS] = _BREAK
+_CHAR_CLASS[ord("0")] = _ZERO
+_CHAR_CLASS[ord("1")] = _ONE
+
+
+def read_samples(path: str | Path) -> np.ndarray:
+    """The click patterns of a sample file as a ``(count, modes)`` uint8 array.
+
+    Blank lines and whitespace around a pattern are ignored, and any line
+    break is accepted. A line holding anything else than one 0/1 string is
+    a usage error quoting the line; lines of different lengths are refused
+    as patterns that cannot all match the mode count. A file with no
+    patterns gives a ``(0, 0)`` array.
+    """
+    text = _read_text(path)
+    kind = _CHAR_CLASS[np.minimum(np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32),
+                                  len(_CHAR_CLASS) - 1)]
+    line = np.cumsum(kind == _BREAK)  # the line of each character; a break opens the next line
+    shown = np.flatnonzero(kind >= _ZERO)  # everything but whitespace
+    shown_line = line[shown]
+    # a line is bad if it holds a character other than 0/1, or whitespace between two that are shown
+    gaps = (np.diff(shown) > 1) & (np.diff(shown_line) == 0)
+    bad = np.concatenate([shown_line[kind[shown] == _OTHER], shown_line[1:][gaps]])
+    if bad.size:
+        chars = np.flatnonzero(line == bad.min())
+        text_line = text[chars[0] : chars[-1] + 1].strip()
+        raise UsageError(f"sample line is not a 0/1 string: {text_line!r}")
+    lengths = np.bincount(shown_line)
+    lengths = lengths[lengths > 0]
+    if np.any(lengths != lengths[:1]):
+        raise DimensionError("sample pattern length must equal the mode count")
+    return (kind[shown] - _ZERO).reshape(len(lengths), lengths[0] if lengths.size else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +236,11 @@ def _validate_node(value, schema: dict, where: str) -> None:
 
 
 def _sanitize(obj):
-    """Make results JSON-safe and deterministic (no NaN/Inf, plain types)."""
+    """Make results JSON-safe and deterministic (no NaN/Inf, plain types).
+
+    numpy arrays are kept as they are for the report writer, unless they
+    hold a non-finite float.
+    """
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -195,6 +249,10 @@ def _sanitize(obj):
         if kinds == {int} or (kinds == {float} and all(map(math.isfinite, obj))):
             return list(obj)
         return [_sanitize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            return _sanitize(obj.tolist())
+        return obj
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -208,6 +266,112 @@ def _sanitize(obj):
     return obj
 
 
+def report_text(obj) -> str:
+    """JSON text of ``obj`` with sorted keys and two-space indentation, and a final newline.
+
+    The text is byte for byte what the standard library's ``json.dumps``
+    gives with ``sort_keys=True``, that indentation and ``allow_nan=False``;
+    dict keys must be strings. numpy arrays are leaves: a 1-D float array
+    and a 2-D integer array are written from their elements, as the lists
+    ``tolist()`` would give, without building those lists; other arrays go
+    through ``tolist()``. A non-finite float raises ``ValueError``, as
+    ``allow_nan=False`` does. The standard library's indented encoder runs
+    in pure Python, element by element, which is what this writer avoids.
+    """
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(obj, newline: str, out: list[str]) -> None:
+    # ``newline`` is a line break plus the indentation of the line that holds obj
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, np.ndarray):
+        out.append(_array_text(obj, newline))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for i, item in enumerate(obj):
+            out.append("," + inner if i else inner)
+            _encode(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_NON_FINITE = "Out of range float values are not JSON compliant"
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"{_NON_FINITE}: {x!r}")
+    return float.__repr__(x)
+
+
+def _array_text(a: np.ndarray, newline: str) -> str:
+    inner = newline + "  "
+    if a.ndim == 1 and a.dtype.kind == "f" and a.size:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{_NON_FINITE}: {float(a[~np.isfinite(a)][0])!r}")
+        body = ("," + inner).join(map(float.__repr__, a.tolist()))
+    elif a.ndim == 2 and a.dtype.kind in "iu" and a.size and a.min() >= 0:
+        row = inner + "  "
+        body = _int_table(a, "," + row, "[" + row, inner + "]", "," + inner)
+    else:
+        out: list[str] = []
+        _encode(a.tolist(), newline, out)
+        return "".join(out)
+    return "[" + inner + body + newline + "]"
+
+
+def _int_table(table: np.ndarray, sep: str, head: str = "", tail: str = "", row_sep: str = "\n") -> str:
+    """A non-negative integer table as text, built as one byte array.
+
+    Each row is its entries in decimal joined by ``sep``, between ``head``
+    and ``tail``; rows are joined by ``row_sep``.
+    """
+    rows, cols = table.shape
+    width = len(str(table.max()))
+    # every entry gets a slot of `width` bytes; the zeros leading a shorter entry become NUL and are dropped
+    layout = (head + sep.join(["\0" * width] * cols) + tail + row_sep).encode()
+    text = np.tile(np.frombuffer(layout, dtype=np.uint8), rows)
+    slots = as_strided(text[len(head) :], shape=(rows, cols, width), strides=(len(layout), width + len(sep), 1))
+    q = table.astype(np.min_scalar_type(table.max()))
+    for k in reversed(range(width)):
+        q, digit = np.divmod(q, 10)
+        digit += ord("0")
+        slots[:, :, k] = digit if k == width - 1 else np.where(table >= 10 ** (width - 1 - k), digit, 0)
+    text = text[: text.size - len(row_sep)]
+    return (text[text != 0] if width > 1 else text).tobytes().decode("ascii")
+
+
 def emit_report(command: str, args, results: dict, parameters: dict) -> dict:
     report = {
         "schemaVersion": SCHEMA_VERSION,
@@ -217,7 +381,7 @@ def emit_report(command: str, args, results: dict, parameters: dict) -> dict:
         "results": _sanitize(results),
     }
     validate_report(report)
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = report_text(report)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -314,16 +478,16 @@ def cmd_distribution(args) -> None:
     n0 = _occupation_first_n(modes, n)
     dist = full_distribution(u, n0)
     results = {
-        "outcomes": [list(o) for o in dist.outcomes],
-        "probs": dist.probs.tolist(),
+        "outcomes": dist.outcomes,
+        "probs": dist.probs,
         "totalMass": dist.total_mass,
         "unitarityDefect": u.unitarity_defect,
     }
     if args.format == "csv" and args.out:
-        lines = [",".join(f"n_{j}" for j in range(modes)) + ",prob"]
-        for o, p in zip(dist.outcomes, dist.probs):
-            lines.append(",".join(str(x) for x in o) + "," + _fmt(p))
-        Path(args.out).with_suffix(".csv").write_text("\n".join(lines) + "\n")
+        header = ",".join(f"n_{j}" for j in range(modes)) + ",prob"
+        occupations = _int_table(dist.outcomes, ",").split("\n")
+        rows = [f"{o},{_fmt(p)}" for o, p in zip(occupations, dist.probs.tolist())]
+        Path(args.out).with_suffix(".csv").write_text("\n".join([header, *rows]) + "\n")
     emit_report("distribution", args, results, _device_params(args, modes))
 
 
@@ -345,29 +509,20 @@ def cmd_sample(args) -> None:
         raise UsageError("--sources is required")
     n0 = _occupation_first_n(modes, n)
     if args.population == "uniform":
-        from .noise_model import collision_free_patterns
-
         pats = collision_free_patterns(modes, n)
         idx = rng.integers(0, len(pats), args.count)
-        patterns = []
-        for i in idx:
-            p = [0] * modes
-            for c in pats[i]:
-                p[c] = 1
-            patterns.append(tuple(p))
+        patterns = np.zeros((args.count, modes), dtype=np.uint8)
+        patterns[np.arange(args.count)[:, None], pats[idx]] = 1
     else:
-        dist = full_distribution(u, n0)
-        draws = sample_ideal(dist, args.count, rng)
-        patterns = [tuple(1 if x else 0 for x in s) for s in draws]
+        draws = sample_ideal(full_distribution(u, n0), args.count, rng)
+        patterns = (draws != 0).astype(np.uint8)
     write_samples(args.samples_out, patterns)
-    click_counts: dict[int, int] = {}
-    for p in patterns:
-        click_counts[sum(p)] = click_counts.get(sum(p), 0) + 1
+    click_counts = np.bincount(patterns.sum(axis=1, dtype=np.intp))
     results = {
         "count": args.count,
         "population": args.population,
         "samplesPath": args.samples_out,
-        "clickCounts": {str(k): v for k, v in sorted(click_counts.items())},
+        "clickCounts": {str(k): int(v) for k, v in enumerate(click_counts) if v},
     }
     emit_report("sample", args, results, _device_params(args, modes))
 
@@ -568,7 +723,10 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     as if it had been typed on the command line; a null value keeps the
     option's own default.
     """
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("--config must hold a JSON object")
     actions = {a.dest: a for a in parser._actions if a.default is not argparse.SUPPRESS}

@@ -1,15 +1,18 @@
 """Occupation-vector combinatorics for M-mode photon states.
 
 Occupation vectors are plain sequences of non-negative integers, one entry
-per mode; click patterns are the 0/1 special case. Enumeration is lazy so
-distribution builders never hold more than one vector unless they choose to.
+per mode; click patterns are the 0/1 special case. ``enumerate_outputs``
+returns every vector of a photon total as one ``(count, modes)`` integer
+table, which distribution builders slice instead of converting tuples.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, combinations_with_replacement
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, combinations, combinations_with_replacement
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ResourceLimitError
 
@@ -68,34 +71,30 @@ def enumerate_outputs(
     collision_free: bool = False,
     *,
     max_outcomes: int = DEFAULT_MAX_OUTCOMES,
-) -> Iterator[tuple[int, ...]]:
-    """Lazily yield every occupation vector with ``photons`` photons.
+) -> np.ndarray:
+    """Every occupation vector with ``photons`` photons, as a ``(count, modes)`` intp table.
 
-    Order is descending-lexicographic on the occupation tuple, i.e. photons
-    fill the lowest-index modes first. With ``collision_free`` occupations
-    are restricted to 0/1.
+    Rows are in descending-lexicographic order on the occupation vector,
+    i.e. photons fill the lowest-index modes first. With ``collision_free``
+    occupations are restricted to 0/1.
 
     Raises
     ------
     ResourceLimitError
         If the outcome count exceeds ``max_outcomes`` (the count is named
-        in the message).
+        in the message); raised before any row is built.
     """
     n_out = count_outputs(modes, photons, collision_free)
     if n_out > max_outcomes:
         raise ResourceLimitError(
             f"enumeration of {n_out} outcomes exceeds the budget of {max_outcomes}"
         )
-    return _generate_outputs(modes, photons, collision_free)
-
-
-def _generate_outputs(modes: int, photons: int, collision_free: bool) -> Iterator[tuple[int, ...]]:
     chooser = combinations if collision_free else combinations_with_replacement
-    for positions in chooser(range(modes), photons):
-        occ = [0] * modes
-        for p in positions:
-            occ[p] += 1
-        yield tuple(occ)
+    # one row of occupied mode indices per outcome, ascending, in the chooser's order
+    positions = np.fromiter(chain.from_iterable(chooser(range(modes), photons)), dtype=np.intp,
+                            count=n_out * photons).reshape(n_out, photons)
+    flat = positions + modes * np.arange(n_out)[:, None]
+    return np.bincount(flat.ravel(), minlength=n_out * modes).reshape(n_out, modes)
 
 
 class BirthdayBound(NamedTuple):

@@ -29,22 +29,32 @@ _TABLE_CHUNK = 4096
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Explicit finite distribution over occupation vectors or click patterns."""
+    """Explicit finite distribution over occupation vectors or click patterns.
 
-    outcomes: tuple[Outcome, ...]
+    ``outcomes`` is a read-only ``(count, modes)`` intp table, one outcome
+    per row; any sequence of equal-length rows is accepted and converted.
+    """
+
+    outcomes: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
+        o = np.asarray(self.outcomes, dtype=np.intp).view()
         p = np.array(self.probs, dtype=np.float64)
-        if p.ndim != 1 or len(p) != len(self.outcomes):
-            raise DimensionError("probs must be a vector matching outcomes")
+        if o.ndim != 2 or p.ndim != 1 or len(p) != len(o):
+            raise DimensionError("outcomes must be a (count, modes) table and probs a vector matching it")
         if p.size and p.min() < -1e-12:
             raise ValueError(f"negative probability {p.min()}")
         np.clip(p, 0.0, None, out=p)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-        if len(set(self.outcomes)) != len(self.outcomes):
+        # equal rows are adjacent once the table is sorted; the narrowest dtype sorts fastest
+        keys = o.astype(np.result_type(np.min_scalar_type(o.min(initial=0)), np.min_scalar_type(o.max(initial=0))))
+        ranked = keys[np.lexsort(keys.T)] if o.shape[1] else keys
+        if (ranked[1:] == ranked[:-1]).all(axis=1).any():
             raise ValueError("outcomes must be unique")
+        o.setflags(write=False)
+        p.setflags(write=False)
+        object.__setattr__(self, "outcomes", o)
+        object.__setattr__(self, "probs", p)
 
     @property
     def total_mass(self) -> float:
@@ -54,7 +64,7 @@ class DistributionTable:
         return abs(self.total_mass - 1.0) <= tol
 
     def as_dict(self) -> dict[Outcome, float]:
-        return {o: float(p) for o, p in zip(self.outcomes, self.probs)}
+        return dict(zip(map(tuple, self.outcomes.tolist()), self.probs.tolist()))
 
 
 def prob_ideal(u, n: Sequence[int], s: Sequence[int]) -> float:
@@ -85,12 +95,12 @@ def full_distribution(u, n: Sequence[int], *, max_outcomes: int = 2_000_000) -> 
     if len(n) != modes:
         raise DimensionError("occupation vectors must have one entry per mode")
     photons = total_photons(n)
-    outcomes = tuple(enumerate_outputs(modes, photons, max_outcomes=max_outcomes))
+    outcomes = enumerate_outputs(modes, photons, max_outcomes=max_outcomes)
     factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=np.float64)
     sources = m[mode_indices(n)]
     probs = np.empty(len(outcomes))
     for lo in range(0, len(outcomes), _TABLE_CHUNK):
-        occ = np.array(outcomes[lo : lo + _TABLE_CHUNK], dtype=np.intp)
+        occ = outcomes[lo : lo + _TABLE_CHUNK]
         # (chunk, photons): one column index per photon, ascending per outcome
         cols = np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel()).reshape(len(occ), photons)
         amps = _permanent_batch(np.moveaxis(np.take(sources, cols, axis=1), 0, 1))
@@ -98,8 +108,8 @@ def full_distribution(u, n: Sequence[int], *, max_outcomes: int = 2_000_000) -> 
     return DistributionTable(outcomes, probs)
 
 
-def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) -> list[Outcome]:
-    """i.i.d. draws by inverse CDF over the materialised table.
+def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. draws by inverse CDF over the materialised table, one row of ``dist.outcomes`` each.
 
     Zero-probability outcomes are never drawn. Requires a complete table
     (total mass 1 within 1e-8).
@@ -114,7 +124,7 @@ def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) 
     if idx.size and idx.max() >= len(cum):
         last = int(np.flatnonzero(dist.probs > 0)[-1])
         idx = np.where(idx >= len(cum), last, idx)
-    return [dist.outcomes[i] for i in idx]
+    return dist.outcomes[idx]
 
 
 def _prob_map(d) -> Mapping[Outcome, float]:

@@ -217,7 +217,7 @@ def output_click_distribution(
     pvec = np.zeros(1 << modes)
     for occ, p_in in _input_support(cfg.source, cfg.n_sources):
         n_full = tuple(occ) + (0,) * (modes - cfg.n_sources)
-        for s in enumerate_outputs(modes, total_photons(occ)):
+        for s in enumerate_outputs(modes, total_photons(occ)).tolist():
             p_us = prob_ideal(u, n_full, s)
             if p_us == 0.0:
                 continue
@@ -227,9 +227,8 @@ def output_click_distribution(
                 w = np.kron(w, np.array([p0, 1.0 - p0]))
             pvec += (p_in * p_us) * w
 
-    outcomes = tuple(
-        tuple((i >> (modes - 1 - j)) & 1 for j in range(modes)) for i in range(1 << modes)
-    )
+    # pattern i has bit j at mode j, the first mode most significant
+    outcomes = (np.arange(1 << modes)[:, None] >> np.arange(modes - 1, -1, -1)) & 1
     return DistributionTable(outcomes, pvec)
 
 

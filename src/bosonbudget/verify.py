@@ -45,8 +45,11 @@ def _witness_values(col_mass: np.ndarray, clicked: np.ndarray, modes: int, n: in
     return np.prod((modes / n) * col_mass[clicked], axis=-1)
 
 
-def row_norm_witness(u, n0: Sequence[int], samples: Sequence[Sequence[int]]) -> WitnessResult:
+def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     """Classify samples as device output vs uniform noise.
+
+    ``samples`` is a ``(count, modes)`` array of click patterns (a table with
+    no rows may have any width), or a sequence of patterns.
 
     Each N-click sample m scores W(m) = prod_alpha (M/N) sum_{i<=N} |U_{i,l_alpha}|^2
     over its clicked columns; real device output is biased toward columns the
@@ -72,16 +75,20 @@ def row_norm_witness(u, n0: Sequence[int], samples: Sequence[Sequence[int]]) -> 
     col_mass = np.abs(m[rows, :]) ** 2
     col_mass = col_mass.sum(axis=0)  # (modes,)
 
-    if any(len(s) != modes for s in samples):
+    if not isinstance(samples, np.ndarray):
+        if any(len(s) != modes for s in samples):
+            raise DimensionError("sample pattern length must equal the mode count")
+        samples = np.array(samples, dtype=np.int64).reshape(len(samples), modes)
+    elif samples.ndim != 2 or (len(samples) and samples.shape[1] != modes):
         raise DimensionError("sample pattern length must equal the mode count")
-    clicks = np.array(samples, dtype=np.int64).reshape(len(samples), modes) != 0
+    clicks = samples.reshape(len(samples), modes) != 0
     kept = clicks[clicks.sum(axis=1) == n]
     n_used = len(kept)
     n_rejected = len(samples) - n_used
 
     # the collision-free rows are every N-subset of the modes, lexicographically
     dist = full_distribution(m, list(n0))
-    occ = np.array(dist.outcomes, dtype=np.intp)
+    occ = dist.outcomes
     collision_free = occ.max(axis=1) <= 1
     p_cf = dist.probs[collision_free]
     w_cf = _witness_values(col_mass, np.nonzero(occ[collision_free])[1].reshape(-1, n), modes, n)
@@ -151,12 +158,12 @@ def suppression_test(n: int, indist: Indistinguishability) -> SuppressionResult:
     n0 = (1,) * n
 
     ideal = full_distribution(u, n0)
-    flagged = (np.array(ideal.outcomes, dtype=np.intp) @ np.arange(n)) % n != 0
+    flagged = (ideal.outcomes @ np.arange(n)) % n != 0
     n_flagged = int(np.count_nonzero(flagged))
     violations = int(np.count_nonzero(ideal.probs[flagged] > SUPPRESSION_TOL))
     if violations:
         return SuppressionResult(math.nan, violations, n_flagged, False)
 
-    outputs = (s for s, f in zip(ideal.outcomes, flagged) if f)
+    outputs = ideal.outcomes[flagged].tolist()
     mass = math.fsum(prob_mismatch(u, n0, s, indist, sigmas=sigmas) for s in outputs)
     return SuppressionResult(mass, 0, n_flagged, True)

@@ -9,14 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from bosonbudget import haar_unitary
+from bosonbudget import DimensionError, haar_unitary
 from bosonbudget.cli import (
+    _CHAR_CLASS,
+    _BREAK,
+    _ONE,
+    _OTHER,
+    _SPACE,
+    _ZERO,
+    UsageError,
+    _fmt,
     load_schema,
     main,
     read_matrix_csv,
     read_matrix_json,
     read_samples,
+    report_text,
     validate_report,
     write_matrix_csv,
     write_matrix_json,
@@ -62,7 +72,7 @@ def test_sample_file_roundtrip(tmp_path):
     path = tmp_path / "s.txt"
     write_samples(path, patterns)
     assert path.read_text() == "101\n000\n111\n"
-    assert read_samples(path) == patterns
+    assert read_samples(path).tolist() == [list(p) for p in patterns]
 
 
 def test_sample_file_rejects_garbage(tmp_path):
@@ -70,6 +80,73 @@ def test_sample_file_rejects_garbage(tmp_path):
     path.write_text("10x\n")
     with pytest.raises(Exception):
         read_samples(path)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(hnp.arrays(np.uint8, st.tuples(st.integers(0, 20), st.integers(1, 8)), elements=st.integers(0, 1)))
+def test_sample_file_roundtrip_any_table(patterns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.txt"
+        write_samples(path, patterns)
+        got = read_samples(path)
+        text = path.read_text()
+    lines = "".join("".join(map(str, p)) + "\n" for p in patterns.tolist())
+    assert text == (lines or "\n")  # a file with no patterns holds one newline
+    assert got.dtype == np.uint8
+    assert got.shape == (patterns.shape if len(patterns) else (0, 0))
+    assert np.array_equal(got, patterns.reshape(got.shape))
+
+
+def _line_parser(text):
+    # the line-by-line sample reader that the array reader replaced, kept as its oracle
+    out = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if any(c not in "01" for c in line):
+            raise UsageError(f"sample line is not a 0/1 string: {line!r}")
+        out.append(tuple(int(c) for c in line))
+    return out
+
+
+def _decorated_lines(width):
+    """Files of equal-width 0/1 lines with blank lines, whitespace and mixed line ends."""
+    line = st.tuples(st.sampled_from(["", " ", "\t", " \t"]), st.text("01", min_size=width, max_size=width),
+                     st.sampled_from(["", " ", "\t"]), st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \n"]))
+    return st.lists(line.map("".join), max_size=6).map("".join)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.one_of(st.text("01 \t\r\nx", max_size=40), st.integers(1, 5).flatmap(_decorated_lines)))
+def test_read_samples_matches_line_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.txt"
+        path.write_bytes(text.encode())
+        try:
+            want = _line_parser(path.read_text())
+        except UsageError as exc:
+            with pytest.raises(UsageError) as err:
+                read_samples(path)
+            assert str(err.value) == str(exc)
+            return
+        if len({len(p) for p in want}) > 1:  # the witness refused these before the reader did
+            with pytest.raises(DimensionError, match="sample pattern length must equal the mode count"):
+                read_samples(path)
+            return
+        got = read_samples(path)
+    assert got.dtype == np.uint8
+    assert got.shape == (len(want), len(want[0]) if want else 0)
+    assert got.tolist() == [list(p) for p in want]
+
+
+def test_sample_reader_character_classes_match_str():
+    # whitespace is what str.strip removes, line breaks where str.splitlines splits
+    for code in range(0x110000):
+        c = chr(code)
+        want = (_ZERO if c == "0" else _ONE if c == "1" else _BREAK if len(f"a{c}a".splitlines()) == 2
+                else _SPACE if c.isspace() else _OTHER)
+        assert _CHAR_CLASS[min(code, len(_CHAR_CLASS) - 1)] == want, hex(code)
 
 
 # ----------------------------------------------------------------- commands
@@ -97,6 +174,9 @@ def test_distribution_csv_table(tmp_path):
     table = (tmp_path / "report.csv").read_text().splitlines()
     assert table[0] == "n_0,n_1,n_2,n_3,prob"
     assert len(table) == 1 + 10  # C(5,2) outcomes
+    res = _report(out)["results"]
+    rows = [",".join(map(str, o)) + "," + _fmt(p) for o, p in zip(res["outcomes"], res["probs"])]
+    assert (tmp_path / "report.csv").read_text() == "\n".join([table[0], *rows]) + "\n"
 
 
 def test_distance_ideal_device(tmp_path):
@@ -145,6 +225,18 @@ def test_verify_witness_pipeline(tmp_path):
     assert res["decision"] == "bs-like"
 
 
+def test_witness_on_an_empty_sample_file(tmp_path):
+    upath, spath, out = tmp_path / "u.json", tmp_path / "s.txt", tmp_path / "w.json"
+    write_matrix_json(upath, haar_unitary(6, np.random.default_rng(3)).matrix)
+    spath.write_text("")
+    rc = _run("verify", "--test", "witness", "--unitary", str(upath), "--sources", "2",
+              "--samples", str(spath), "--out", str(out))
+    assert rc == 0
+    res = _report(out)["results"]
+    assert res["decision"] == "inconclusive"
+    assert res["nUsed"] == 0 and res["nRejected"] == 0
+
+
 def test_bench_report_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert _run("bench", "--sizes", "2,4,6", "--seed", "1", "--out", str(a)) == 0
@@ -159,6 +251,82 @@ def test_config_file_supplies_defaults(tmp_path):
     rc = _run("distribution", "--config", str(cfg), "--out", str(out))
     assert rc == 0
     assert _report(out)["results"]["totalMass"] == pytest.approx(1.0, abs=1e-10)
+
+
+# ------------------------------------------------------------ report writer
+
+
+def _plain(obj):
+    """obj with every numpy array replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_STRINGS = st.text() | st.text(st.sampled_from("\x00\x1f\x7f\"\\/\n\t\u00e9\u2028\ud800\U0001f600a"))
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), _FLOATS, _STRINGS,
+    hnp.arrays(np.float64, st.integers(0, 5), elements=_FLOATS),
+    hnp.arrays(np.intp, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=st.integers(0, 12)),
+    hnp.arrays(np.int64, st.tuples(st.integers(0, 3), st.integers(0, 3))),
+    hnp.arrays(np.intp, st.tuples(st.integers(0, 3), st.integers(0, 3)), elements=st.integers(0, 10**18)),
+)
+_REPORTS = st.recursive(
+    _REPORT_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_REPORTS)
+def test_report_text_matches_json_dumps(obj):
+    want = json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert report_text(obj) == want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_text_refuses_non_finite_floats(bad):
+    for obj in (bad, {"a": [1.0, bad]}, {"a": np.array([0.5, bad])}):
+        with pytest.raises(ValueError):
+            json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            report_text(obj)
+
+
+def test_reports_reencode_to_the_same_text(tmp_path):
+    # every report is exactly the standard library's indented, key-sorted JSON of itself
+    write_matrix_json(tmp_path / "u.json", haar_unitary(8, np.random.default_rng(9)).matrix)
+    net = ["--unitary", str(tmp_path / "u.json"), "--sources", "3"]
+    commands = {
+        "sample": ["sample", "--modes", "6", "--sources", "2", "--count", "200", "--seed", "5",
+                   "--samples-out", str(tmp_path / "c13.txt")],
+        "distribution": ["distribution", "--modes", "5", "--photons", "2", "--seed", "6"],
+        "distance": ["distance", "--modes", "10", "--sources", "2", "--p1", "0.99", "--p0", "0.01",
+                     "--loss", "0.01", "--dark", "1e-5", "--seed", "7"],
+        "budget": ["budget", "--sources", "10", "--modes", "4000", "--epsilon", "0.1", "--delta", "0.1",
+                   "--g", "0.99", "--scaling", "5,10,20"],
+        "suppression": ["verify", "--test", "suppression", "--photons", "4", "--g", "0.95"],
+        "bench": ["bench", "--sizes", "2,4,8", "--seed", "8"],
+        "distribution_m8": ["distribution", "--unitary", str(tmp_path / "u.json"), "--photons", "3"],
+        "sample_device": ["sample", *net, "--count", "2000", "--seed", "1", "--samples-out", str(tmp_path / "d.txt")],
+        "sample_uniform": ["sample", *net, "--count", "2000", "--seed", "2", "--population", "uniform",
+                           "--samples-out", str(tmp_path / "n.txt")],
+        "witness_device": ["verify", "--test", "witness", *net, "--samples", str(tmp_path / "d.txt")],
+        "witness_uniform": ["verify", "--test", "witness", *net, "--samples", str(tmp_path / "n.txt")],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        assert _run(*argv, "--out", str(out)) == 0, name
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
 
 
 # ------------------------------------------------------------------- errors
@@ -190,6 +358,10 @@ def test_numeric_error_exit_code(tmp_path):
     assert rc == 3
 
 
+_UNIT = ("--unitary", "u.json", '{"modes": 1, "entries": [[[1, 0]]]}')  # a valid 1 x 1 network
+_WITNESS = ["verify", "--test", "witness", "--sources", "1"]
+
+
 @pytest.mark.parametrize(
     "given, argv, code, needle",
     [
@@ -212,18 +384,27 @@ def test_numeric_error_exit_code(tmp_path):
         (("--out", "r.json", None), ["distribution", "--modes", "3", "--photons", "1", "--seed", "1"],
          1, "Is a directory"),
         (None, ["verify", "--test", "suppression", "--photons", "8", "--g", "0.9"], 2, "capped at 7 photons"),
+        (("--config", "c.json", b"\xff{}"), ["distribution"], 1, "file c.json is not UTF-8 text"),
+        (("--unitary", "u.json", b"\xff{}"), ["distribution", "--photons", "1"], 1, "file u.json is not UTF-8 text"),
+        ((_UNIT, ("--samples", "s.txt", b"1\n\xff\n")), _WITNESS, 1, "file s.txt is not UTF-8 text"),
+        (("--config", "c.json", '{"modes": 4,}'), ["distribution"], 1, "config file c.json is not valid JSON"),
+        ((_UNIT, ("--samples", "s.txt", "1\n10\n")), _WITNESS, 1, "sample pattern length must equal the mode count"),
+        ((_UNIT, ("--samples", "s.txt", "1\n 1x \n")), _WITNESS, 1, "sample line is not a 0/1 string: '1x'"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
          "uniform-sources-over-modes", "unitary-is-directory", "config-is-directory", "out-is-directory",
-         "suppression-over-photon-cap"],
+         "suppression-over-photon-cap", "config-not-utf8", "unitary-not-utf8", "samples-not-utf8",
+         "config-not-json", "samples-ragged", "samples-not-01"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)
-    if given is not None:  # a file with this text, or a directory when the text is None
-        flag, name, text = given
+    files = [] if given is None else [given] if isinstance(given[0], str) else given
+    for flag, name, text in files:  # a file with this text or these bytes, or a directory when None
         if text is None:
             (tmp_path / name).mkdir()
+        elif isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
         else:
             (tmp_path / name).write_text(text)
         argv = argv + [flag, name]

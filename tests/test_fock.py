@@ -1,5 +1,7 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from bosonbudget import (
@@ -36,13 +38,13 @@ def test_mode_indices():
 
 
 def test_enumerate_collision_free_example():
-    got = list(enumerate_outputs(3, 2, collision_free=True))
-    assert got == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    got = enumerate_outputs(3, 2, collision_free=True).tolist()
+    assert got == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
 
 
 def test_enumerate_all_example():
-    got = list(enumerate_outputs(2, 2))
-    assert got == [(2, 0), (1, 1), (0, 2)]
+    got = enumerate_outputs(2, 2).tolist()
+    assert got == [[2, 0], [1, 1], [0, 2]]
 
 
 def test_enumerate_count_examples():
@@ -60,10 +62,30 @@ def test_counts_match_binomials(modes, photons):
     )
 
 
-def test_enumeration_is_lazy_and_budgeted():
-    it = enumerate_outputs(6, 2)
-    assert not isinstance(it, list)
-    assert next(iter(it)) == (2, 0, 0, 0, 0, 0)
+def _tuple_outputs(modes, photons, collision_free):
+    # the tuple-at-a-time generator the table replaced, kept as the order oracle
+    chooser = combinations if collision_free else combinations_with_replacement
+    for positions in chooser(range(modes), photons):
+        occ = [0] * modes
+        for p in positions:
+            occ[p] += 1
+        yield tuple(occ)
+
+
+@pytest.mark.parametrize("collision_free", [False, True])
+def test_enumerate_matches_tuple_generator(collision_free):
+    for modes in range(1, 8):
+        for photons in range(0, 6):
+            want = [list(o) for o in _tuple_outputs(modes, photons, collision_free)]
+            got = enumerate_outputs(modes, photons, collision_free)
+            assert got.shape == (len(want), modes)
+            assert got.tolist() == want
+
+
+def test_enumeration_is_an_array_and_budgeted():
+    table = enumerate_outputs(6, 2)
+    assert table.dtype == np.intp and table.shape == (21, 6)
+    assert table[0].tolist() == [2, 0, 0, 0, 0, 0]
     with pytest.raises(ResourceLimitError) as err:
         enumerate_outputs(500, 5)
     assert str(count_outputs(500, 5)) in str(err.value)

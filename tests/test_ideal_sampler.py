@@ -52,7 +52,7 @@ def test_full_distribution_beamsplitter(beamsplitter):
 def test_full_distribution_vacuum():
     u = make_haar(4, 1)
     dist = full_distribution(u, (0, 0, 0, 0))
-    assert dist.outcomes == ((0, 0, 0, 0),)
+    assert dist.outcomes.tolist() == [[0, 0, 0, 0]]
     assert dist.probs[0] == pytest.approx(1.0)
 
 
@@ -72,13 +72,13 @@ def test_full_distribution_budget():
 def test_sampling_degenerate_table():
     dist = DistributionTable(((0, 2), (1, 1)), np.array([0.0, 1.0]))
     draws = sample_ideal(dist, 100, np.random.default_rng(0))
-    assert all(d == (1, 1) for d in draws)
+    assert draws.tolist() == [[1, 1]] * 100
 
 
 def test_sampling_never_hits_zero_outcome(beamsplitter):
     dist = full_distribution(beamsplitter, (1, 1))
     draws = sample_ideal(dist, 100_000, np.random.default_rng(1))
-    assert (1, 1) not in draws
+    assert [1, 1] not in draws.tolist()
 
 
 def test_sampling_incomplete_rejected():
@@ -93,11 +93,11 @@ def test_sampling_chi_square_fit():
     rng = np.random.default_rng(4)
     draws = sample_ideal(dist, 100_000, rng)
     counts = {}
-    for d in draws:
+    for d in map(tuple, draws.tolist()):
         counts[d] = counts.get(d, 0) + 1
     observed = []
     expected = []
-    for outcome, p in zip(dist.outcomes, dist.probs):
+    for outcome, p in zip(map(tuple, dist.outcomes.tolist()), dist.probs):
         if p * len(draws) >= 5:  # chi-square validity
             observed.append(counts.get(outcome, 0))
             expected.append(p * len(draws))
@@ -146,7 +146,7 @@ def test_full_distribution_repeated_rows_match_contingency():
     u = make_haar(5, 17)
     n = (2, 1, 0, 0, 0)
     dist = full_distribution(u, n)
-    assert dist.outcomes == tuple(enumerate_outputs(5, 3))
+    assert dist.outcomes.tolist() == enumerate_outputs(5, 3).tolist()
     for s, p in zip(dist.outcomes, dist.probs):
         want = abs(permanent_contingency(u, n, s)) ** 2 / (mu(n) * mu(s))
         assert p == pytest.approx(want, abs=1e-14)
