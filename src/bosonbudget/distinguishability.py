@@ -250,12 +250,12 @@ def prob_mismatch(
             f"sigma table is for {sigmas.inverses.shape[1]} photons, the output has {photons}"
         )
     v = m[np.ix_(mode_indices(n), mode_indices(s))]
-    # c[a, i, k] = B(sigma_k)[i, a], built in the kernel's column-major
-    # layout so that the kernel reads it without a copy
+    # c[a, i, k] = B(sigma_k)[i, a]: the rows of B(sigma_k)^T, entry-major,
+    # which the kernel reads without a copy (per(B^T) = per(B))
     c = np.empty((photons, photons, len(sigmas.overlaps)), dtype=np.complex128)
     for a in range(photons):
         np.multiply(v[:, sigmas.inverses[:, a]], v[:, a, None].conj(), out=c[a])
-    total = math.fsum(sigmas.overlaps * _permanent_batch(c.transpose(2, 1, 0)).real)
+    total = math.fsum(sigmas.overlaps * _permanent_batch(c.transpose(2, 0, 1)).real)
     total /= mu(n) * mu(s)
     # The underlying quadratic form is positive; tiny negatives are roundoff.
     return max(total, 0.0)

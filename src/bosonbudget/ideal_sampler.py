@@ -103,7 +103,8 @@ def full_distribution(u, n: Sequence[int], *, max_outcomes: int = 2_000_000) -> 
         occ = outcomes[lo : lo + _TABLE_CHUNK]
         # (chunk, photons): one column index per photon, ascending per outcome
         cols = np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel()).reshape(len(occ), photons)
-        amps = _permanent_batch(np.moveaxis(np.take(sources, cols, axis=1), 0, 1))
+        # entry-major (photons, photons, chunk) stack, read by the kernel without a copy
+        amps = _permanent_batch(np.take(sources, cols.T, axis=1).transpose(2, 0, 1))
         probs[lo : lo + len(occ)] = np.abs(amps) ** 2 / (mu(n) * factorials[occ].prod(axis=1))
     return DistributionTable(outcomes, probs)
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DimensionError, ResourceLimitError
 from .fock import count_outputs, enumerate_outputs, mode_indices, mu, total_photons
 from .ideal_sampler import DistributionTable, prob_ideal
-from .permanent import _gray_steps, _permanent_batch
+from .permanent import _MIN_ROWS, _gray_steps, _permanent_batch
 from .random_ensembles import as_matrix
 
 MAX_PATTERNS = 4_000_000
@@ -277,7 +277,9 @@ def _pattern_probs(u, n_sources, source, detector, cols):
     count. The sum runs over inputs (rows, base, scale, weight), each adding
     weight * per(base + scale * G_T) for every kept-click subset T, with G_T
     the Gram matrix of its rows over T; the Gray walk makes that one batched
-    K x K permanent per subset. When the sources carry at most one photon,
+    K x K permanent per subset. A small batch stacks consecutive subsets,
+    up to ``_MIN_ROWS`` rows, into one kernel call; the terms are still
+    added in subset order. When the sources carry at most one photon,
     the inputs collapse into one whose diagonal shift (p0 + p1 r) absorbs
     every source that is empty or lost. Otherwise each input occupation is
     its own input, with base r on the repeated-row diagonal; the vacuum
@@ -285,22 +287,32 @@ def _pattern_probs(u, n_sources, source, detector, cols):
     """
     batch, clicks = cols.shape
     nu = detector.dark_rate
+    n_subsets = 1 << clicks
+    stack = min(n_subsets, max(1, _MIN_ROWS // batch))
     pout = np.zeros(batch)
     for rows, base, scale, weight in _fold_inputs(n_sources, source, detector.loss_prob):
         # Entry-major stacks, batch last, so that every matrix entry is one
         # contiguous row: v[j, a, b] = U[rows[a], cols[b, j]],
-        # projs[j, a, c, b] = scale conj(v[j, a, b]) v[j, c, b], g[a, c, b]
+        # projs[j, a, c, b] = scale conj(v[j, a, b]) v[j, c, b], and
+        # g[a, c, s, b] the Gram matrix of the s-th stacked subset
         v = np.take(u[rows], cols.T, axis=1).transpose(1, 0, 2)
         projs = scale * (v.conj()[:, :, None, :] * v[:, None, :, :])
-        g = np.empty(base.shape + (batch,), dtype=complex)
-        g[...] = base[:, :, None]
-        for flip, add, coeff in _gray_subset_walk(clicks, nu):
+        k = len(rows)
+        g = np.empty((k, k, stack, batch), dtype=complex)
+        g[:, :, 0] = base[:, :, None]
+        coeffs = np.empty(stack)
+        for step, (flip, add, coeff) in enumerate(_gray_subset_walk(clicks, nu)):
+            slot = step % stack
             if flip is not None:
-                if add:
-                    g += projs[flip]
-                else:
-                    g -= projs[flip]
-            pout += (weight * coeff) * _permanent_batch(g.transpose(2, 0, 1)).real
+                prev = g[:, :, (step - 1) % stack]
+                (np.add if add else np.subtract)(prev, projs[flip], out=g[:, :, slot])
+            coeffs[slot] = weight * coeff
+            if slot == stack - 1 or step == n_subsets - 1:
+                filled = slot + 1
+                stacked = g[:, :, :filled].reshape(k, k, filled * batch)
+                perms = _permanent_batch(stacked.transpose(2, 0, 1)).real.reshape(filled, batch)
+                for s in range(filled):
+                    pout += coeffs[s] * perms[s]
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 

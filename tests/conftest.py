@@ -1,3 +1,10 @@
+import os
+
+# Pin numpy's BLAS pool to one thread before numpy is first imported, so
+# the suite's time does not depend on what else runs on the machine.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

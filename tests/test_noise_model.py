@@ -186,6 +186,21 @@ def test_click_pattern_prob_brute_force():
     assert click_pattern_prob(cfg, pattern) == pytest.approx(total, rel=1e-12)
 
 
+def test_pattern_probs_independent_of_subset_stacking():
+    # 4 clicks, 16 kept-click subsets: 700 patterns stack 5 subsets per
+    # kernel call (the last call takes one), one pattern stacks all 16, and
+    # 4200 patterns stack none; multi-photon inputs reach K = 4
+    cfg = _noisy_cfg(seed=5, modes=13, sources=2)
+    cols = collision_free_patterns(13, 4)[:700]
+    args = (cfg.matrix, cfg.n_sources, cfg.source, cfg.detector)
+    stacked = _pattern_probs(*args, cols)
+    unstacked = _pattern_probs(*args, np.tile(cols, (6, 1)))[:700]
+    np.testing.assert_allclose(stacked, unstacked, rtol=1e-12, atol=0)
+    for i in (0, 350, 699):
+        one = _pattern_probs(*args, cols[i : i + 1])
+        assert one[0] == pytest.approx(stacked[i], rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "source",
     [SourceModel((1.0,)), SourceModel.single_photon(0.9), SourceModel((0.02, 0.97, 0.01)),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import fprod, fsum, mp, mpc, mpf
 
 from bosonbudget import (
     DimensionError,
@@ -201,7 +202,61 @@ def test_batch_kernel_matches_naive(n, batch):
         assert abs(vals[k] - want) <= 1e-10 * abs(want)
 
 
-@pytest.mark.parametrize("n, tol", [(16, 5e-9), (20, 5e-7)])
+def test_batch_layouts_agree():
+    # C-contiguous, entry-major (the kernel's own row layout) and transposed
+    # stacks of the same matrices, at sizes with and without prefix rows.
+    # The memory layout does not change the arithmetic; the transpose walks
+    # columns instead of rows, so it agrees to rounding, taken relative to
+    # per(|A|): the size the permanent would have without cancellation.
+    rng = np.random.default_rng(14)
+    for n in range(4, 9):
+        for batch in (1, 7, 5000):
+            mats = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
+            want = _permanent_batch(mats)
+            entry_major = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+            np.testing.assert_array_equal(_permanent_batch(entry_major), want)
+            scale = _permanent_batch(np.abs(mats)).real
+            assert np.all(np.abs(_permanent_batch(mats.transpose(0, 2, 1)) - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("n, tol", [(16, 1e-13), (20, 1e-12), (24, 1e-11)])
 def test_all_ones_relative_error(n, tol):
     exact = math.factorial(n)
     assert abs(permanent_ryser(np.ones((n, n))) - exact) <= tol * exact
+
+
+def _glynn_mp(a) -> complex:
+    """Permanent by Glynn's formula in 40-digit mpmath arithmetic, Gray-code order."""
+    n = a.shape[0]
+    num = mpc if np.iscomplexobj(a) else mpf
+    with mp.workdps(40):
+        rows = [[num(x.item()) for x in row] for row in a]
+        twice = [[2 * x for x in row] for row in rows]
+        sums = [fsum(col) for col in zip(*rows)]
+        total = fprod(sums)
+        prev = 0
+        for k in range(1, 1 << (n - 1)):
+            gray = k ^ (k >> 1)
+            bit = (gray ^ prev).bit_length() - 1
+            prev = gray
+            if gray >> bit & 1:
+                sums = [c - r for c, r in zip(sums, twice[bit + 1])]
+            else:
+                sums = [c + r for c, r in zip(sums, twice[bit + 1])]
+            term = fprod(sums)
+            total = total - term if k & 1 else total + term
+        return complex(total / 2 ** (n - 1))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "haar_abs2", "ones"])
+@pytest.mark.parametrize("n", range(12, 17))
+def test_kernel_matches_40_digit_oracle(n, kind):
+    if kind == "gaussian":
+        a = random_complex(np.random.default_rng(n), n)
+    elif kind == "haar_abs2":
+        # the distinguishable-photon matrix |V|^2, all entries positive
+        a = np.abs(make_haar(4 * n, n).matrix[:n, :n]) ** 2
+    else:
+        a = np.ones((n, n))
+    want = _glynn_mp(a)
+    assert abs(permanent_ryser(a) - want) <= 1e-13 * abs(want)
