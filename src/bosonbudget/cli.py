@@ -441,21 +441,43 @@ def _device_config(args) -> DeviceConfig:
 
 
 def _indist(args, n: int) -> Indistinguishability:
-    if getattr(args, "g", None):
-        vals = [float(x) for x in args.g.split(",")]
+    g = getattr(args, "g", None)
+    fidelity = getattr(args, "fidelity", None)
+    omega, tau = getattr(args, "sigma_omega", None), getattr(args, "sigma_tau", None)
+    if (omega is None) != (tau is None):
+        raise UsageError("--sigma-omega and --sigma-tau make one jitter model: give both or neither")
+    models = [flag for flag, value in (("--g", g), ("--fidelity", fidelity), ("--sigma-omega/--sigma-tau", omega))
+              if value is not None]
+    if len(models) > 1:
+        raise UsageError(f"{' and '.join(models)} are alternative overlap models: give one")
+    if g is not None:
+        vals = [float(x) for x in g.split(",")]
         if len(vals) == 1:
             return Indistinguishability.constant(vals[0], n)
-        if len(vals) != max(n - 1, 1):
+        if n < 2:
+            raise UsageError(f"--g takes a single value at N = {n}, got {len(vals)}")
+        if len(vals) != n - 1:
             raise UsageError(f"--g needs one value or g_2..g_{n} ({n - 1} values)")
         return Indistinguishability(tuple(vals))
-    if getattr(args, "sigma_omega", None) is not None and getattr(args, "sigma_tau", None) is not None:
-        spec = JitterSourceSpec(args.sigma_omega, args.sigma_tau)
-        return Indistinguishability.from_jitter(spec, max(n, 2))
-    if getattr(args, "fidelity", None) is not None:
+    if omega is not None:
+        return Indistinguishability.from_jitter(JitterSourceSpec(omega, tau), max(n, 2))
+    if fidelity is not None:
         # small-mismatch linearisation of the exchange overlaps
-        orders = tuple(max(1.0 - k * (1.0 - args.fidelity), 0.0) for k in range(2, n + 1))
-        return Indistinguishability(orders, avg_fidelity=args.fidelity)
+        orders = tuple(max(1.0 - k * (1.0 - fidelity), 0.0) for k in range(2, n + 1))
+        return Indistinguishability(orders, avg_fidelity=fidelity)
     return Indistinguishability.perfect(n)
+
+
+# the source and detector of the ideal device, which distribution and sample compute
+_IDEAL_DEVICE = {"p0": 0.0, "p1": 1.0, "p2": 0.0, "loss": 0.0, "dark": 0.0}
+
+
+def _require_ideal_device(args, command: str) -> None:
+    for name, ideal in _IDEAL_DEVICE.items():
+        value = getattr(args, name)
+        if value is not None and value != ideal:
+            raise UsageError(f"{command} computes the ideal device only: --{name} {value!r} is not modelled "
+                             f"(leave it at {ideal!r})")
 
 
 def _occupation_first_n(modes: int, n: int) -> tuple[int, ...]:
@@ -470,6 +492,7 @@ def _occupation_first_n(modes: int, n: int) -> tuple[int, ...]:
 
 
 def cmd_distribution(args) -> None:
+    _require_ideal_device(args, "distribution")
     u = _resolve_unitary(args)
     modes = u.modes
     n = args.sources
@@ -492,6 +515,7 @@ def cmd_distribution(args) -> None:
 
 
 def cmd_sample(args) -> None:
+    _require_ideal_device(args, "sample")
     if args.seed is None:
         raise UsageError("--seed is mandatory for sampling")
     if args.count < 0:
@@ -546,6 +570,8 @@ def cmd_distance(args) -> None:
 def cmd_budget(args) -> None:
     if args.sources is None or args.modes is None:
         raise UsageError("--sources and --modes are required")
+    if args.unitary is not None:
+        raise UsageError("budget bounds the Haar ensemble and reads no network: --unitary is not used")
     source = _source_model(args)
     detector = DetectorModel(args.loss, args.dark)
     indist = _indist(args, args.sources)

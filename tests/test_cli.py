@@ -2,6 +2,9 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -360,6 +363,7 @@ def test_numeric_error_exit_code(tmp_path):
 
 _UNIT = ("--unitary", "u.json", '{"modes": 1, "entries": [[[1, 0]]]}')  # a valid 1 x 1 network
 _WITNESS = ["verify", "--test", "witness", "--sources", "1"]
+_BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--delta", "0.5"]
 
 
 @pytest.mark.parametrize(
@@ -390,12 +394,32 @@ _WITNESS = ["verify", "--test", "witness", "--sources", "1"]
         (("--config", "c.json", '{"modes": 4,}'), ["distribution"], 1, "config file c.json is not valid JSON"),
         ((_UNIT, ("--samples", "s.txt", "1\n10\n")), _WITNESS, 1, "sample pattern length must equal the mode count"),
         ((_UNIT, ("--samples", "s.txt", "1\n 1x \n")), _WITNESS, 1, "sample line is not a 0/1 string: '1x'"),
+        (None, _BUDGET + ["--sigma-omega", "1.0"], 1, "--sigma-omega and --sigma-tau"),
+        (None, _BUDGET + ["--sigma-tau", "0.1"], 1, "--sigma-omega and --sigma-tau"),
+        (None, _BUDGET + ["--g", "0.9", "--fidelity", "0.5"], 1, "--g and --fidelity are alternative"),
+        (None, _BUDGET + ["--fidelity", "0.99", "--sigma-omega", "1", "--sigma-tau", "0.1"], 1,
+         "--fidelity and --sigma-omega/--sigma-tau are alternative"),
+        (None, ["budget", "--sources", "1", "--modes", "10", "--epsilon", "0.1", "--delta", "0.5",
+                "--g", "0.5,0.4"], 1, "--g takes a single value at N = 1"),
+        (_UNIT, _BUDGET, 1, "--unitary is not used"),
+        (None, ["distribution", "--modes", "3", "--photons", "1", "--seed", "1", "--loss", "0.5"], 1, "--loss 0.5"),
+        (("--config", "c.json", '{"p0": 0.1}'), ["distribution", "--modes", "3", "--photons", "1", "--seed", "1"],
+         1, "--p0 0.1"),
+        (None, ["sample", "--modes", "4", "--sources", "2", "--count", "3", "--seed", "1", "--samples-out", "s.txt",
+                "--p1", "0.9"], 1, "--p1 0.9"),
+        (None, ["sample", "--modes", "4", "--sources", "2", "--count", "3", "--seed", "1", "--samples-out", "s.txt",
+                "--p2", "0.1"], 1, "--p2 0.1"),
+        (None, ["sample", "--modes", "4", "--sources", "2", "--count", "3", "--seed", "1", "--samples-out", "s.txt",
+                "--dark", "1e-5"], 1, "--dark 1e-05"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
          "uniform-sources-over-modes", "unitary-is-directory", "config-is-directory", "out-is-directory",
          "suppression-over-photon-cap", "config-not-utf8", "unitary-not-utf8", "samples-not-utf8",
-         "config-not-json", "samples-ragged", "samples-not-01"],
+         "config-not-json", "samples-ragged", "samples-not-01",
+         "jitter-without-tau", "jitter-without-omega", "g-and-fidelity", "fidelity-and-jitter",
+         "g-list-at-one-photon", "budget-unitary", "distribution-loss", "distribution-config-p0",
+         "sample-p1", "sample-p2", "sample-dark"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)
@@ -415,6 +439,26 @@ def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, ar
     error = json.loads(lines[0])["error"]
     assert error["kind"] == {1: "usage", 2: "resource", 3: "numeric"}[code]
     assert needle in error["message"]
+
+
+def test_ideal_device_flags_at_their_ideal_values_are_accepted(tmp_path):
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    argv = ["distribution", "--modes", "4", "--photons", "2", "--seed", "3"]
+    assert _run(*argv, "--out", str(plain)) == 0
+    assert _run(*argv, "--p1", "1", "--p2", "0", "--loss", "0", "--dark", "0", "--out", str(flagged)) == 0
+    assert plain.read_bytes() == flagged.read_bytes()
+
+
+def test_python_m_writes_the_cli_report(tmp_path):
+    argv = ["budget", "--sources", "9", "--modes", "900", "--epsilon", "0.1", "--delta", "0.5", "--g", "0.98",
+            "--scaling", "9,10"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "bosonbudget", *argv, "--out", str(tmp_path / "m.json")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert _run(*argv, "--out", str(tmp_path / "main.json")) == 0
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
 def test_roundtrip_many_single_photon_sources(tmp_path):

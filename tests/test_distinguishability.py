@@ -225,7 +225,7 @@ def test_mismatch_cap():
 
 
 def test_bound_zero_for_perfect_photons():
-    for n in (2, 3, 6, 12):
+    for n in range(1, 31):
         assert mismatch_bound(n, Indistinguishability.perfect(n)) == 0.0
 
 
@@ -238,6 +238,48 @@ def test_bound_two_photon_closed_form():
 def test_bound_three_photon_distinguishable():
     ind = Indistinguishability.constant(0.0, 3)
     assert mismatch_bound(3, ind) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def _cycle_type_sum_50_digits(n, indist):
+    """The bound's sum over cycle types, term by term, at 50 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for counts, _size in cycle_types(n):
+            overlap, denom = mpmath.mpf(1), 1
+            for k, c in enumerate(counts, start=1):
+                denom *= k**c * math.factorial(c)
+                if k >= 2 and c:
+                    overlap *= mpmath.mpf(indist.overlap(k)) ** c
+            total += arrangement_count(counts[0]) * (1 - overlap) ** 2 / denom
+        return total
+
+
+_OVERLAP_FAMILIES = {
+    "g=0.97": lambda n, rng: Indistinguishability.constant(0.97, n),
+    "g=1-1e-7": lambda n, rng: Indistinguishability.constant(1.0 - 1e-7, n),
+    "g=0": lambda n, rng: Indistinguishability.constant(0.0, n),
+    "g-uniform-0.9-1": lambda n, rng: Indistinguishability(tuple(rng.uniform(0.9, 1.0, n - 1))),
+    # budget --fidelity 0.97: the small-mismatch linearisation g_k = max(1 - k (1 - F), 0)
+    "fidelity=0.97": lambda n, rng: Indistinguishability(tuple(max(1.0 - k * (1.0 - 0.97), 0.0)
+                                                              for k in range(2, n + 1))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_OVERLAP_FAMILIES))
+def test_mismatch_bound_matches_50_digit_cycle_type_sum(family):
+    rng = np.random.default_rng(8)
+    for n in range(2, 31):
+        indist = _OVERLAP_FAMILIES[family](n, rng)
+        want = _cycle_type_sum_50_digits(n, indist)
+        got = mismatch_bound(n, indist)
+        assert abs(got - want) <= 1e-14 * want, (n, got, want)
+
+
+def test_mismatch_bound_cap():
+    assert mismatch_bound(30, Indistinguishability.constant(0.9, 30)) > 0.0
+    with pytest.raises(ResourceLimitError):
+        mismatch_bound(31, Indistinguishability.constant(0.9, 31))
 
 
 def test_small_mismatch_bound_vanishes_at_one_photon():
