@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 usage error, 2 resource error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
+import shutil
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -393,21 +395,26 @@ def emit_report(command: str, args, results: dict, parameters: dict) -> dict:
 # shared argument handling
 
 
-def _device_args(p: argparse.ArgumentParser, source_flags: tuple[str, ...] = ("--sources",)) -> None:
-    p.add_argument("--modes", type=int, help="mode count M")
-    p.add_argument(*source_flags, type=int, dest="sources", help="number of single-photon inputs N")
-    p.add_argument("--unitary", help="path to a network matrix file (.json or .csv)")
-    p.add_argument("--p0", type=float, default=None, help="source vacuum probability")
-    p.add_argument("--p1", type=float, default=1.0, help="source single-photon probability")
-    p.add_argument("--p2", type=float, default=0.0, help="source two-photon probability")
-    p.add_argument("--loss", type=float, default=0.0, help="per-photon detection loss probability")
-    p.add_argument("--dark", type=float, default=0.0, help="integral dark-count rate per detector")
-
-
-def _common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default values for any option")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for stochastic commands)")
-    p.add_argument("--out", help="report path (stdout when omitted)")
+# the options that several commands read; each command's parser declares the ones it reads
+_OPTIONS = {
+    "--modes": {"type": int, "help": "mode count M"},
+    "--unitary": {"help": "path to a network matrix file (.json or .csv)"},
+    "--sources": {"type": int, "dest": "sources", "help": "number of single-photon inputs N"},
+    "--p0": {"type": float, "help": "source vacuum probability"},
+    "--p1": {"type": float, "default": 1.0, "help": "source single-photon probability"},
+    "--p2": {"type": float, "default": 0.0, "help": "source two-photon probability"},
+    "--loss": {"type": float, "default": 0.0, "help": "per-photon detection loss probability"},
+    "--dark": {"type": float, "default": 0.0, "help": "integral dark-count rate per detector"},
+    "--g": {"help": "exchange overlaps: one value or comma list g_2..g_N"},
+    "--format": {"choices": ("json", "csv"), "default": "json",
+                 "help": "csv additionally writes plot-ready tables next to the report"},
+    "--config": {"help": "JSON file with default values for the command's options"},
+    "--seed": {"type": int, "help": "RNG seed (mandatory for stochastic commands)"},
+    "--out": {"help": "report path (stdout when omitted)"},
+}
+_OPTIONS["--photons"] = _OPTIONS["--sources"]
+_NETWORK = ("--modes", "--unitary")
+_NOISE = ("--p0", "--p1", "--p2", "--loss", "--dark")
 
 
 def _load_unitary(path: str) -> NetworkUnitary:
@@ -468,18 +475,6 @@ def _indist(args, n: int) -> Indistinguishability:
     return Indistinguishability.perfect(n)
 
 
-# the source and detector of the ideal device, which distribution and sample compute
-_IDEAL_DEVICE = {"p0": 0.0, "p1": 1.0, "p2": 0.0, "loss": 0.0, "dark": 0.0}
-
-
-def _require_ideal_device(args, command: str) -> None:
-    for name, ideal in _IDEAL_DEVICE.items():
-        value = getattr(args, name)
-        if value is not None and value != ideal:
-            raise UsageError(f"{command} computes the ideal device only: --{name} {value!r} is not modelled "
-                             f"(leave it at {ideal!r})")
-
-
 def _occupation_first_n(modes: int, n: int) -> tuple[int, ...]:
     if not 0 <= n <= modes:
         raise UsageError(f"the photon count (--sources or --photons) must be between 0 and the mode count "
@@ -492,7 +487,6 @@ def _occupation_first_n(modes: int, n: int) -> tuple[int, ...]:
 
 
 def cmd_distribution(args) -> None:
-    _require_ideal_device(args, "distribution")
     u = _resolve_unitary(args)
     modes = u.modes
     n = args.sources
@@ -511,11 +505,10 @@ def cmd_distribution(args) -> None:
         occupations = _int_table(dist.outcomes, ",").split("\n")
         rows = [f"{o},{_fmt(p)}" for o, p in zip(occupations, dist.probs.tolist())]
         Path(args.out).with_suffix(".csv").write_text("\n".join([header, *rows]) + "\n")
-    emit_report("distribution", args, results, _device_params(args, modes))
+    emit_report("distribution", args, results, _network_params(args, modes))
 
 
 def cmd_sample(args) -> None:
-    _require_ideal_device(args, "sample")
     if args.seed is None:
         raise UsageError("--seed is mandatory for sampling")
     if args.count < 0:
@@ -548,7 +541,7 @@ def cmd_sample(args) -> None:
         "samplesPath": args.samples_out,
         "clickCounts": {str(k): int(v) for k, v in enumerate(click_counts) if v},
     }
-    emit_report("sample", args, results, _device_params(args, modes))
+    emit_report("sample", args, results, _network_params(args, modes))
 
 
 def cmd_distance(args) -> None:
@@ -570,8 +563,6 @@ def cmd_distance(args) -> None:
 def cmd_budget(args) -> None:
     if args.sources is None or args.modes is None:
         raise UsageError("--sources and --modes are required")
-    if args.unitary is not None:
-        raise UsageError("budget bounds the Haar ensemble and reads no network: --unitary is not used")
     source = _source_model(args)
     detector = DetectorModel(args.loss, args.dark)
     indist = _indist(args, args.sources)
@@ -592,50 +583,53 @@ def cmd_budget(args) -> None:
                 )
             Path(args.out).with_suffix(".csv").write_text("\n".join(lines) + "\n")
     emit_report("budget", args, results, {
-        "nSources": args.sources, "modes": args.modes, "p1": args.p1, "p2": args.p2,
+        "nSources": args.sources, "modes": args.modes, "p0": args.p0, "p1": args.p1, "p2": args.p2,
         "loss": args.loss, "dark": args.dark, "epsilon": args.epsilon, "delta": args.delta,
+        "g": args.g, "fidelity": args.fidelity, "sigmaOmega": args.sigma_omega, "sigmaTau": args.sigma_tau,
+        "scaling": args.scaling,
     })
 
 
-def cmd_verify(args) -> None:
-    if args.test == "witness":
-        if not args.unitary or not args.samples:
-            raise UsageError("witness needs --unitary and --samples")
-        u = _load_unitary(args.unitary)
-        if args.sources is None:
-            raise UsageError("--sources is required")
-        samples = read_samples(args.samples)
-        res = row_norm_witness(u, _occupation_first_n(u.modes, args.sources), samples)
-        results = {
-            "test": "witness",
-            "sampleMean": res.sample_mean,
-            "sampleSe": res.sample_se,
-            "referenceUniform": res.reference_uniform,
-            "referenceDevice": res.reference_device,
-            "midpoint": res.midpoint,
-            "decision": res.decision,
-            "nUsed": res.n_used,
-            "nRejected": res.n_rejected,
-        }
-        params = {"unitary": args.unitary, "samples": args.samples, "nSources": args.sources}
-    elif args.test == "roundtrip":
-        cfg = _device_config(args)
-        results = {"test": "roundtrip", "returnProbability": unitarity_roundtrip(cfg)}
-        params = _device_params(args, cfg.modes)
-    else:  # suppression; argparse allows no other --test
-        if args.sources is None:
-            raise UsageError("--photons is required")
-        indist = _indist(args, args.sources)
-        res = suppression_test(args.sources, indist)
-        results = {
-            "test": "suppression",
-            "suppressedMass": res.suppressed_mass,
-            "lawViolations": res.law_violations,
-            "nSuppressed": res.n_suppressed,
-            "lawValid": res.law_valid,
-        }
-        params = {"photons": args.sources, "g": args.g}
-    emit_report("verify", args, results, params)
+def cmd_witness(args) -> None:
+    if not args.unitary or not args.samples:
+        raise UsageError("witness needs --unitary and --samples")
+    u = _load_unitary(args.unitary)
+    if args.sources is None:
+        raise UsageError("--sources is required")
+    samples = read_samples(args.samples)
+    res = row_norm_witness(u, _occupation_first_n(u.modes, args.sources), samples)
+    results = {
+        "test": "witness",
+        "sampleMean": res.sample_mean,
+        "sampleSe": res.sample_se,
+        "referenceUniform": res.reference_uniform,
+        "referenceDevice": res.reference_device,
+        "midpoint": res.midpoint,
+        "decision": res.decision,
+        "nUsed": res.n_used,
+        "nRejected": res.n_rejected,
+    }
+    emit_report("verify", args, results, {"unitary": args.unitary, "samples": args.samples, "nSources": args.sources})
+
+
+def cmd_roundtrip(args) -> None:
+    cfg = _device_config(args)
+    results = {"test": "roundtrip", "returnProbability": unitarity_roundtrip(cfg)}
+    emit_report("verify", args, results, _device_params(args, cfg.modes))
+
+
+def cmd_suppression(args) -> None:
+    if args.sources is None:
+        raise UsageError("--photons is required")
+    res = suppression_test(args.sources, _indist(args, args.sources))
+    results = {
+        "test": "suppression",
+        "suppressedMass": res.suppressed_mass,
+        "lawViolations": res.law_violations,
+        "nSuppressed": res.n_suppressed,
+        "lawValid": res.law_valid,
+    }
+    emit_report("verify", args, results, {"photons": args.sources, "g": args.g})
 
 
 def cmd_bench(args) -> None:
@@ -659,17 +653,13 @@ def cmd_bench(args) -> None:
     print("\n".join(timings), file=sys.stderr)
 
 
+def _network_params(args, modes: int) -> dict:
+    return {"modes": modes, "nSources": args.sources, "unitary": args.unitary}
+
+
 def _device_params(args, modes: int) -> dict:
-    return {
-        "modes": modes,
-        "nSources": args.sources,
-        "unitary": args.unitary,
-        "p0": args.p0,
-        "p1": getattr(args, "p1", None),
-        "p2": getattr(args, "p2", None),
-        "loss": getattr(args, "loss", None),
-        "dark": getattr(args, "dark", None),
-    }
+    return {**_network_params(args, modes), "p0": args.p0, "p1": args.p1, "p2": args.p2, "loss": args.loss,
+            "dark": args.dark}
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +671,13 @@ def _write_error(kind: str, message: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, argparse.ArgumentParser]  # subcommand name -> its parser
+    commands: dict  # command function -> the parser of its options
+
+    def __init__(self, **kwargs):
+        # No abbreviations: a prefix of one option could pass for an option the command does not read.
+        # The help width is looked up once per parser, not once per option as argparse does.
+        width = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+        super().__init__(allow_abbrev=False, formatter_class=width, **kwargs)
 
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
         _write_error("usage", message)
@@ -689,65 +685,67 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser: one parser per command, and per ``verify --test``, holding the options it reads."""
     parser = _Parser(prog="bosonbudget", description=__doc__)
+    parser.commands = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("distribution", parents=[], help="exact ideal output distribution")
-    _device_args(p, ("--photons",))
-    _common_args(p)
-    p.set_defaults(func=cmd_distribution)
+    def command(group, name, func, help, *flags):
+        # "--sources/--photons" declares one option under two names
+        p = group.add_parser(name, help=help)
+        for flag in (*flags, "--config", "--seed", "--out"):
+            names = flag.split("/")
+            p.add_argument(*names, **_OPTIONS[names[0]])
+        p.set_defaults(func=func)
+        parser.commands[func] = p
+        return p
 
-    p = sub.add_parser("sample", help="draw seeded samples; writes a click-pattern file")
-    _device_args(p)
+    command(sub, "distribution", cmd_distribution, "exact ideal output distribution", *_NETWORK, "--photons",
+            "--format")
+
+    p = command(sub, "sample", cmd_sample, "draw seeded samples; writes a click-pattern file", *_NETWORK, "--sources")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--samples-out", required=True, help="output click-pattern file")
     p.add_argument("--population", choices=("device", "uniform"), default="device")
-    _common_args(p)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("distance", help="exact distance decomposition of a noisy device")
-    _device_args(p)
-    _common_args(p)
-    p.set_defaults(func=cmd_distance)
+    command(sub, "distance", cmd_distance, "exact distance decomposition of a noisy device", *_NETWORK, "--sources",
+            *_NOISE)
 
-    p = sub.add_parser("budget", help="evaluate bounds, verdicts, and tolerances")
-    _device_args(p)
+    p = command(sub, "budget", cmd_budget, "evaluate bounds, verdicts, and tolerances", "--modes", "--sources",
+                *_NOISE, "--g", "--format")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--g", help="exchange overlaps: one value or comma list g_2..g_N")
     p.add_argument("--fidelity", type=float, help="mean pair fidelity (small-mismatch overlaps)")
     p.add_argument("--sigma-omega", type=float, help="spectral width of the jitter model")
     p.add_argument("--sigma-tau", type=float, help="arrival-time jitter of the jitter model")
     p.add_argument("--scaling", help="comma list of N values for the scaling table")
-    _common_args(p)
-    p.set_defaults(func=cmd_budget)
 
-    p = sub.add_parser("verify", help="witness, roundtrip, or suppression test")
-    p.add_argument("--test", choices=("witness", "roundtrip", "suppression"), required=True)
-    _device_args(p, ("--sources", "--photons"))
-    p.add_argument("--samples", help="click-pattern file for the witness test")
-    p.add_argument("--g", help="exchange overlaps: one value or comma list")
-    _common_args(p)
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", help="witness, roundtrip, or suppression test")
+    # each test is a parser of its own, which reads the arguments that follow its name
+    tests = verify.add_argument("--test", action=argparse._SubParsersAction, required=True,
+                                prog=f"{verify.prog} --test", parser_class=_Parser,
+                                help="the test to run; its options follow its name")
+    p = command(tests, "witness", cmd_witness, "row-norm witness on a click-pattern file", "--unitary",
+                "--sources/--photons")
+    p.add_argument("--samples", help="click-pattern file")
+    command(tests, "roundtrip", cmd_roundtrip, "unitarity round trip of a noisy device", *_NETWORK, "--sources",
+            *_NOISE)
+    command(tests, "suppression", cmd_suppression, "suppression law under partial distinguishability",
+            "--photons/--sources", "--g")
 
-    p = sub.add_parser("bench", help="time the permanent on seeded random matrices")
+    p = command(sub, "bench", cmd_bench, "time the permanent on seeded random matrices")
     p.add_argument("--sizes", default="2,4,8,12")
-    _common_args(p)
-    p.set_defaults(func=cmd_bench)
-
-    for name in ("distribution", "budget"):  # the commands that write csv tables
-        sub.choices[name].add_argument("--format", choices=("json", "csv"), default="json",
-                                       help="csv additionally writes plot-ready tables next to the report")
-    parser.commands = sub.choices
     return parser
 
 
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     """Option defaults read from the ``--config`` JSON object.
 
-    Each value goes through its option's argparse ``type`` and ``choices``,
-    as if it had been typed on the command line; a null value keeps the
-    option's own default.
+    A key is the name of one of the command's options without its leading
+    dashes (``"samples-out"``); any other key, ``config`` included, is
+    refused. Each value goes through its option's argparse ``type`` and
+    ``choices``, as if it had been typed on the command line; a null value
+    keeps the option's own default.
     """
     try:
         data = json.loads(_read_text(path))
@@ -755,14 +753,13 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("--config must hold a JSON object")
-    actions = {a.dest: a for a in parser._actions if a.default is not argparse.SUPPRESS}
     defaults = {}
     for key, value in data.items():
-        attr = {"photons": "sources"}.get(key, key.replace("-", "_"))
-        if attr not in actions:
+        action = parser._option_string_actions.get("--" + key)
+        if action is None or action.dest in ("help", "config"):  # a config file names no other one
             raise UsageError(f"unknown config key {key!r}")
         if value is not None:
-            defaults[attr] = _config_value(actions[attr], key, value)
+            defaults[action.dest] = _config_value(action, key, value)
     return defaults
 
 
@@ -792,7 +789,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # the file supplies defaults, so the command line still wins
-            command = parser.commands[args.command]
+            command = parser.commands[args.func]
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
         args.func(args)

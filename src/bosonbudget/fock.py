@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-DEFAULT_MAX_OUTCOMES = 5_000_000
+MAX_OUTCOMES = 2_000_000
 
 
 def mu(occupations: Sequence[int]) -> int:
@@ -65,13 +65,7 @@ def count_outputs(modes: int, photons: int, collision_free: bool = False) -> int
     return math.comb(modes + photons - 1, photons)
 
 
-def enumerate_outputs(
-    modes: int,
-    photons: int,
-    collision_free: bool = False,
-    *,
-    max_outcomes: int = DEFAULT_MAX_OUTCOMES,
-) -> np.ndarray:
+def enumerate_outputs(modes: int, photons: int, collision_free: bool = False) -> np.ndarray:
     """Every occupation vector with ``photons`` photons, as a ``(count, modes)`` intp table.
 
     Rows are in descending-lexicographic order on the occupation vector,
@@ -81,14 +75,12 @@ def enumerate_outputs(
     Raises
     ------
     ResourceLimitError
-        If the outcome count exceeds ``max_outcomes`` (the count is named
+        If the outcome count exceeds ``MAX_OUTCOMES`` (the count is named
         in the message); raised before any row is built.
     """
     n_out = count_outputs(modes, photons, collision_free)
-    if n_out > max_outcomes:
-        raise ResourceLimitError(
-            f"enumeration of {n_out} outcomes exceeds the budget of {max_outcomes}"
-        )
+    if n_out > MAX_OUTCOMES:
+        raise ResourceLimitError(f"enumeration of {n_out} outcomes exceeds the budget of {MAX_OUTCOMES}")
     chooser = combinations if collision_free else combinations_with_replacement
     # one row of occupied mode indices per outcome, ascending, in the chooser's order
     positions = np.fromiter(chain.from_iterable(chooser(range(modes), photons)), dtype=np.intp,

@@ -82,7 +82,7 @@ def prob_ideal(u, n: Sequence[int], s: Sequence[int]) -> float:
     return float(abs(amp) ** 2 / (mu(n) * mu(s)))
 
 
-def full_distribution(u, n: Sequence[int], *, max_outcomes: int = 2_000_000) -> DistributionTable:
+def full_distribution(u, n: Sequence[int]) -> DistributionTable:
     """Exact table over every output with the same photon total as ``n``.
 
     Outcomes follow the deterministic descending-lexicographic enumeration
@@ -95,7 +95,7 @@ def full_distribution(u, n: Sequence[int], *, max_outcomes: int = 2_000_000) -> 
     if len(n) != modes:
         raise DimensionError("occupation vectors must have one entry per mode")
     photons = total_photons(n)
-    outcomes = enumerate_outputs(modes, photons, max_outcomes=max_outcomes)
+    outcomes = enumerate_outputs(modes, photons)
     factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=np.float64)
     sources = m[mode_indices(n)]
     probs = np.empty(len(outcomes))

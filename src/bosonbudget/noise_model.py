@@ -194,9 +194,7 @@ def _input_support(source: SourceModel, n_sources: int):
             yield occ, p
 
 
-def output_click_distribution(
-    cfg: DeviceConfig, *, max_terms: int = MAX_TERMS
-) -> DistributionTable:
+def output_click_distribution(cfg: DeviceConfig) -> DistributionTable:
     """Exact distribution over all 2^M click patterns by the literal triple sum.
 
     Desk scale only (the table itself has 2^M entries); serves as the slow
@@ -210,8 +208,8 @@ def output_click_distribution(
         )
     totals = {total_photons(occ) for occ, _ in _input_support(cfg.source, cfg.n_sources)}
     n_terms = sum(count_outputs(modes, k) for k in totals) * (1 << modes)
-    if n_terms > max_terms:
-        raise ResourceLimitError(f"triple sum needs about {n_terms} terms, over the {max_terms} cap")
+    if n_terms > MAX_TERMS:
+        raise ResourceLimitError(f"triple sum needs about {n_terms} terms, over the {MAX_TERMS} cap")
 
     det = cfg.detector
     pvec = np.zeros(1 << modes)
@@ -347,7 +345,7 @@ class DistanceParts(NamedTuple):
     vb: float  # bunched-output mass of the ideal device
 
 
-def collision_free_patterns(modes: int, n_clicks: int, *, max_patterns: int = MAX_PATTERNS) -> np.ndarray:
+def collision_free_patterns(modes: int, n_clicks: int) -> np.ndarray:
     """Index array (count, n_clicks) of every pattern with exactly n_clicks clicks.
 
     Rows are the n_clicks-subsets of range(modes) in lexicographic order,
@@ -358,8 +356,8 @@ def collision_free_patterns(modes: int, n_clicks: int, *, max_patterns: int = MA
     if not 0 <= n_clicks <= modes:
         raise ValueError(f"n_clicks must be in [0, modes={modes}], got {n_clicks}")
     n_pat = math.comb(modes, n_clicks)
-    if n_pat > max_patterns:
-        raise ResourceLimitError(f"{n_pat} patterns exceed the cap of {max_patterns}")
+    if n_pat > MAX_PATTERNS:
+        raise ResourceLimitError(f"{n_pat} patterns exceed the cap of {MAX_PATTERNS}")
     table = np.zeros((1, 0), dtype=np.intp)
     last = np.full(1, -1, dtype=np.intp)
     for t in range(n_clicks):

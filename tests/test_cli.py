@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from bosonbudget.cli import (
     _ZERO,
     UsageError,
     _fmt,
+    build_parser,
     load_schema,
     main,
     read_matrix_csv,
@@ -39,6 +41,14 @@ from bosonbudget.cli import (
 
 def _run(*args) -> int:
     return main(list(args))
+
+
+def _exit_code(argv) -> int:
+    """main's return code, or the code of the parser's own SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _report(path):
@@ -401,16 +411,18 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
          "--fidelity and --sigma-omega/--sigma-tau are alternative"),
         (None, ["budget", "--sources", "1", "--modes", "10", "--epsilon", "0.1", "--delta", "0.5",
                 "--g", "0.5,0.4"], 1, "--g takes a single value at N = 1"),
-        (_UNIT, _BUDGET, 1, "--unitary is not used"),
-        (None, ["distribution", "--modes", "3", "--photons", "1", "--seed", "1", "--loss", "0.5"], 1, "--loss 0.5"),
+        (_UNIT, _BUDGET, 1, "unrecognized arguments: --unitary u.json"),
+        (None, ["distribution", "--modes", "3", "--photons", "1", "--seed", "1", "--loss", "0.5"], 1,
+         "unrecognized arguments: --loss 0.5"),
         (("--config", "c.json", '{"p0": 0.1}'), ["distribution", "--modes", "3", "--photons", "1", "--seed", "1"],
-         1, "--p0 0.1"),
+         1, "unknown config key 'p0'"),
         (None, ["sample", "--modes", "4", "--sources", "2", "--count", "3", "--seed", "1", "--samples-out", "s.txt",
-                "--p1", "0.9"], 1, "--p1 0.9"),
+                "--p1", "0.9"], 1, "unrecognized arguments: --p1 0.9"),
         (None, ["sample", "--modes", "4", "--sources", "2", "--count", "3", "--seed", "1", "--samples-out", "s.txt",
-                "--p2", "0.1"], 1, "--p2 0.1"),
+                "--p2", "0.1"], 1, "unrecognized arguments: --p2 0.1"),
         (None, ["sample", "--modes", "4", "--sources", "2", "--count", "3", "--seed", "1", "--samples-out", "s.txt",
-                "--dark", "1e-5"], 1, "--dark 1e-05"),
+                "--dark", "1e-5"], 1, "unrecognized arguments: --dark 1e-5"),
+        (("--config", "c.json", '{"config": "d.json"}'), ["distribution"], 1, "unknown config key 'config'"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
@@ -419,7 +431,7 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
          "config-not-json", "samples-ragged", "samples-not-01",
          "jitter-without-tau", "jitter-without-omega", "g-and-fidelity", "fidelity-and-jitter",
          "g-list-at-one-photon", "budget-unitary", "distribution-loss", "distribution-config-p0",
-         "sample-p1", "sample-p2", "sample-dark"],
+         "sample-p1", "sample-p2", "sample-dark", "config-names-config"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)
@@ -432,7 +444,7 @@ def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, ar
         else:
             (tmp_path / name).write_text(text)
         argv = argv + [flag, name]
-    rc = _run(*argv, "--out", "r.json")
+    rc = _exit_code(argv + ["--out", "r.json"])
     assert rc == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -441,12 +453,42 @@ def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, ar
     assert needle in error["message"]
 
 
-def test_ideal_device_flags_at_their_ideal_values_are_accepted(tmp_path):
-    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
-    argv = ["distribution", "--modes", "4", "--photons", "2", "--seed", "3"]
-    assert _run(*argv, "--out", str(plain)) == 0
-    assert _run(*argv, "--p1", "1", "--p2", "0", "--loss", "0", "--dark", "0", "--out", str(flagged)) == 0
-    assert plain.read_bytes() == flagged.read_bytes()
+# the options each command, and each verify test, reads besides --config, --seed and --out
+_READS = {
+    "distribution": {"--modes", "--unitary", "--photons", "--format"},
+    "sample": {"--modes", "--unitary", "--sources", "--count", "--samples-out", "--population"},
+    "distance": {"--modes", "--unitary", "--sources", "--p0", "--p1", "--p2", "--loss", "--dark"},
+    "budget": {"--modes", "--sources", "--p0", "--p1", "--p2", "--loss", "--dark", "--epsilon", "--delta", "--g",
+               "--fidelity", "--sigma-omega", "--sigma-tau", "--scaling", "--format"},
+    "verify --test witness": {"--unitary", "--sources", "--photons", "--samples"},
+    "verify --test roundtrip": {"--modes", "--unitary", "--sources", "--p0", "--p1", "--p2", "--loss", "--dark"},
+    "verify --test suppression": {"--photons", "--sources", "--g"},
+    "bench": {"--sizes"},
+}
+_ALL_OPTIONS = sorted(set().union(*_READS.values(), {"--test"}))
+_TESTS = ("witness", "roundtrip", "suppression")
+# the options that one verify test reads and another does not
+_VERIFY_UNREAD = {t: sorted(set().union(*(_READS[f"verify --test {u}"] for u in _TESTS)) - _READS[f"verify --test {t}"])
+                  for t in _TESTS}
+
+
+@pytest.mark.parametrize("via", ["argv", "config"])
+@pytest.mark.parametrize("test, option", [(t, o) for t, options in _VERIFY_UNREAD.items() for o in options])
+def test_verify_refuses_options_its_test_does_not_read(tmp_path, monkeypatch, capsys, test, option, via):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--test", test]
+    if via == "argv":
+        argv += [option, "1"]
+        needle = f"unrecognized arguments: {option} 1"
+    else:
+        Path("c.json").write_text(json.dumps({option[2:]: "1"}))
+        argv += ["--config", "c.json"]
+        needle = f"unknown config key {option[2:]!r}"
+    assert _exit_code(argv + ["--out", "r.json"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"kind": "usage", "message": needle}
+    assert not Path("r.json").exists()
 
 
 def test_python_m_writes_the_cli_report(tmp_path):
@@ -578,9 +620,29 @@ _CONFIG_BYTES = st.one_of(
 )
 
 
+def _declared_options() -> dict[str, set[str]]:
+    """The options of each command's parser besides --config, --seed, --out and --help."""
+    common = {"-h", "--help", "--config", "--seed", "--out"}
+    return {p.prog.removeprefix("bosonbudget "): {s for a in p._actions for s in a.option_strings} - common
+            for p in build_parser().commands.values()}
+
+
+def _readme_options() -> dict[str, set[str]]:
+    """The option table of README's "Command line" section: command -> the options in its row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return {command.strip("| `"): set(re.findall(r"--[a-z0-9-]+", options)) for command, options, _ in rows}
+
+
+def test_readme_option_table_matches_the_parser():
+    assert _readme_options() == _declared_options() == _READS
+
+
 @st.composite
 def _invocations(draw):
-    """(argv, files): one command line with small sizes, and the files it names."""
+    """(argv, files, unread): one command line with small sizes, the files it names, and the one option
+    that its command does not read, given in about 1 run in 10, or None."""
     files = {}
 
     def present(p):
@@ -589,8 +651,11 @@ def _invocations(draw):
     def maybe(flag, values, p=0.5):
         return [flag, str(draw(values))] if present(p) else []
 
+    def option(flag, values, p=0.5):  # drawn only when the command reads it
+        return maybe(flag, values, p) if flag in reads else []
+
     def file_flag(flag, name, content, p=0.5):
-        if not present(p):
+        if flag not in reads or not present(p):
             return []
         files[name] = draw(content)
         return [flag, name]
@@ -598,51 +663,56 @@ def _invocations(draw):
     modes = draw(st.integers(1, 6))  # of the network file, if one is written
     command = draw(st.sampled_from(["distribution", "sample", "distance", "budget", "verify", "bench"]))
     argv = [command]
-    test = draw(st.sampled_from(["witness", "roundtrip", "suppression"])) if command == "verify" else None
+    test = draw(st.sampled_from(_TESTS)) if command == "verify" else None
     if test:
         argv += ["--test", test]
-    if command != "bench":
-        sources = draw(_PHOTONS if test == "suppression" else _SIZES)
-        flag = "--photons" if command == "distribution" or test == "suppression" else "--sources"
-        has_sources = present(0.9)
-        argv += [flag, str(sources)] if has_sources else []
-        if test != "suppression":
-            if test != "witness" and draw(st.booleans()):
-                argv += maybe("--modes", _SIZES, 0.9)
-            else:
-                name = draw(st.sampled_from(["u.json", "u.csv"]))
-                argv += file_flag("--unitary", name, _matrix_bytes(name, modes), 0.9)
-            for option in ("--p0", "--p1", "--loss", "--dark"):
-                argv += maybe(option, _PROBS, 0.3)
-            if has_sources and sources <= 3:  # a two-photon source multiplies the inputs by 3^N
-                argv += maybe("--p2", _PROBS, 0.3)
+        command = f"verify --test {test}"
+    reads = _READS[command]
+    sources = draw(_PHOTONS if test == "suppression" else _SIZES)
+    has_sources = present(0.9)
+    if has_sources and reads & {"--sources", "--photons"}:
+        argv += [draw(st.sampled_from(sorted(reads & {"--sources", "--photons"}))), str(sources)]
+    if "--modes" in reads and ("--unitary" not in reads or draw(st.booleans())):
+        argv += option("--modes", _SIZES, 0.9)
+    else:
+        name = draw(st.sampled_from(["u.json", "u.csv"]))
+        argv += file_flag("--unitary", name, _matrix_bytes(name, modes), 0.9)
+    for flag in ("--p0", "--p1", "--loss", "--dark"):
+        argv += option(flag, _PROBS, 0.3)
+    if has_sources and sources <= 3:  # a two-photon source multiplies the inputs by 3^N
+        argv += option("--p2", _PROBS, 0.3)
     argv += maybe("--seed", _mostly([0, 1, 7], [-1]), 0.8)
     if command == "sample":
         argv += ["--count", str(draw(_mostly([0, 1, 20, 50], [-3, -1]))), "--samples-out", "s.txt"]
-        argv += maybe("--population", st.sampled_from(["device", "uniform"]))
     if command == "budget":
-        argv += ["--modes", str(draw(_SIZES)), "--epsilon", draw(_PROBS), "--delta", draw(_PROBS)]
-        argv += maybe("--fidelity", _PROBS, 0.2)
-        argv += maybe("--sigma-omega", _PROBS, 0.2) + maybe("--sigma-tau", _PROBS, 0.2)
-        argv += maybe("--scaling", st.sampled_from(["2,4", "3,30", "0", "-1", "a"]), 0.3)
-    if command in ("budget", "verify"):
-        argv += maybe("--g", _mostly(["0.9", "0.9,0.8", "1,1,1,1"], ["1.5", "-0.2", "x", ""]), 0.5)
-    if command in ("distribution", "budget"):
-        argv += maybe("--format", st.sampled_from(["json", "csv"]))
-    if test == "witness":
-        argv += file_flag("--samples", "s.txt", _sample_bytes(modes), 0.9)
-    if command == "bench":
-        argv += maybe("--sizes", st.lists(_SIZES, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))))
-    argv += file_flag("--config", "c.json", _CONFIG_BYTES, 0.2)
-    return argv + ["--out", "r.json"], files
+        argv += ["--epsilon", draw(_PROBS), "--delta", draw(_PROBS)]
+    argv += option("--population", st.sampled_from(["device", "uniform"]))
+    argv += option("--fidelity", _PROBS, 0.2)
+    argv += option("--sigma-omega", _PROBS, 0.2) + option("--sigma-tau", _PROBS, 0.2)
+    argv += option("--scaling", st.sampled_from(["2,4", "3,30", "0", "-1", "a"]), 0.3)
+    argv += option("--g", _mostly(["0.9", "0.9,0.8", "1,1,1,1"], ["1.5", "-0.2", "x", ""]), 0.5)
+    argv += option("--format", st.sampled_from(["json", "csv"]))
+    argv += file_flag("--samples", "s.txt", _sample_bytes(modes), 0.9)
+    argv += option("--sizes", st.lists(_SIZES, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))))
+    unread = draw(st.sampled_from([o for o in _ALL_OPTIONS if o not in reads])) if present(0.1) else None
+    if unread and draw(st.booleans()):
+        argv += [unread, "1"]
+    elif unread:
+        files["c.json"] = json.dumps({unread[2:]: 1}).encode()
+        argv += ["--config", "c.json"]
+    elif present(0.2):
+        files["c.json"] = draw(_CONFIG_BYTES)
+        argv += ["--config", "c.json"]
+    return argv + ["--out", "r.json"], files, unread
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
 @given(_invocations())
 def test_every_run_exits_cleanly(invocation):
     # in-process, as a user runs the CLI: exit 0-3 or the parser's SystemExit(1),
-    # and a refusal writes exactly one JSON error line whose kind matches its code
-    argv, files = invocation
+    # and a refusal writes exactly one JSON error line whose kind matches its code;
+    # an option the command does not read is always refused as a usage error
+    argv, files, unread = invocation
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, content in files.items():
             Path(name).write_bytes(content)
@@ -654,6 +724,8 @@ def test_every_run_exits_cleanly(invocation):
                 assert exc.code == 1, argv
                 rc = 1
     assert rc in (0, 1, 2, 3), argv
+    if unread:
+        assert rc == 1, argv
     if rc:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, (argv, lines)

@@ -64,9 +64,10 @@ def test_full_distribution_normalised(seed):
 
 
 def test_full_distribution_budget():
+    # C(41, 12) outcomes, refused before any row is built
     u = make_haar(30, 2)
-    with pytest.raises(ResourceLimitError):
-        full_distribution(u, (1,) * 12 + (0,) * 18, max_outcomes=10_000)
+    with pytest.raises(ResourceLimitError, match=f"{math.comb(41, 12)} outcomes"):
+        full_distribution(u, (1,) * 12 + (0,) * 18)
 
 
 def test_sampling_degenerate_table():

@@ -151,9 +151,11 @@ def test_output_distribution_ideal_matches_collapsed_ideal_table():
 
 
 def test_output_distribution_resource_guard():
-    cfg = DeviceConfig.ideal(make_haar(3, 7), 2)
-    with pytest.raises(ResourceLimitError):
-        output_click_distribution(cfg, max_terms=10)
+    with pytest.raises(ResourceLimitError, match="capped at 2\\^16 patterns"):
+        output_click_distribution(DeviceConfig.ideal(make_haar(17, 7), 2))
+    # 136 two-photon outcomes times 2^16 patterns: about 8.9M terms
+    with pytest.raises(ResourceLimitError, match=f"{136 * 2**16} terms"):
+        output_click_distribution(DeviceConfig.ideal(make_haar(16, 7), 2))
 
 
 @pytest.mark.parametrize(
@@ -234,8 +236,8 @@ def test_collision_free_patterns_matches_itertools():
             assert got.dtype == np.intp
             assert got.shape == want.shape == (math.comb(m, k), k)
             np.testing.assert_array_equal(got, want)
-    with pytest.raises(ResourceLimitError):
-        collision_free_patterns(20, 10, max_patterns=1000)
+    with pytest.raises(ResourceLimitError, match=f"{math.comb(40, 20)} patterns"):
+        collision_free_patterns(40, 20)
     for k in (-1, 6):
         with pytest.raises(ValueError, match="n_clicks"):
             collision_free_patterns(5, k)
