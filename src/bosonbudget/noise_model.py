@@ -16,9 +16,13 @@ per-mode weights x_l the network satisfies
     sum_s P_U(s|n) prod_l x_l^(s_l) = per(W(x)) / mu(n),
     W(x)[a, b] = sum_l x_l conj(U[k_a, l]) U[k_b, l],
 
-so a pattern's probability needs only 2^(clicks) permanents of K x K Gram
-matrices (K = photon total), independent of the mode count. That is what
-makes exact evaluation possible at hundreds of modes.
+so each kept-click subset of a pattern needs the permanent of one small
+matrix over the source rows, independent of the mode count. The sum over
+the sources' photon numbers folds into that same permanent: each source
+gets one row per linear factor of its generating function sum_k p_k z^k/k!,
+so the matrix is N x N for sources of at most one photon and N kmax x
+N kmax otherwise. A pattern with c clicks costs 2^c such permanents. That is
+what makes exact evaluation possible at hundreds of modes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, ResourceLimitError
-from .fock import count_outputs, enumerate_outputs, mode_indices, mu, total_photons
+from .fock import count_outputs, enumerate_outputs, total_photons
 from .ideal_sampler import DistributionTable, prob_ideal
 from .permanent import _MIN_ROWS, _gray_steps, _permanent_batch
 from .random_ensembles import as_matrix
@@ -251,66 +255,99 @@ def _gray_subset_walk(n_clicked: int, dark_rate: float):
 
 
 def _fold_input_count(n_sources, source):
-    """len(_fold_inputs(...)) without building them; an upper bound if a product underflows."""
+    """Input occupations that the term cap counts; an upper bound if a product underflows.
+
+    One when the sources carry at most one photon, else every occupation of
+    positive weight. ``_pattern_probs`` folds all of them into one slot
+    matrix, so for multi-photon sources the count overstates the work; it
+    is what the term cap has counted, so the cap refuses the same inputs.
+    """
     return 1 if source.kmax <= 1 else sum(p > 0.0 for p in source.photon_probs) ** n_sources
 
 
-def _fold_inputs(n_sources, source, r):
-    """The inputs (rows, base, scale, weight) that ``_pattern_probs`` sums over."""
-    if source.kmax <= 1:
-        p0, p1 = source.p(0), source.p(1)
-        return [(np.arange(n_sources), (p0 + p1 * r) * np.eye(n_sources), p1 * (1.0 - r), 1.0)]
-    inputs = []
-    for occ, p_in in _input_support(source, n_sources):
-        rows = np.asarray(mode_indices(occ), dtype=np.intp)
-        delta = (rows[:, None] == rows[None, :]).astype(float)
-        inputs.append((rows, r * delta, 1.0 - r, p_in / mu(occ)))
-    return inputs
+def _slot_factors(source):
+    """Linear factors of the source's generating function g(z) = sum_k p_k z^k / k!.
+
+    Returns (x, w) with g(z) = prod_j (x_j + w z): an array x with one entry
+    per degree of g (trailing zero probabilities dropped, at least one) and
+    one scalar w. At degree 1 the factor is (p0 + p1 z) itself. Above, the
+    leading coefficient is spread as w = lead^(1/d) over the d factors and
+    x_j = -z_j w for the roots z_j of g: a cancellation-free quadratic at
+    degree 2, ``np.roots`` above. Complex roots give complex x.
+    """
+    coeffs = [p / math.factorial(k) for k, p in enumerate(source.photon_probs)] + [0.0]
+    while len(coeffs) > 2 and coeffs[-1] == 0.0:
+        coeffs.pop()
+    d = len(coeffs) - 1
+    if d == 1:
+        return np.array(coeffs[:1]), coeffs[1]
+    if d == 2:
+        c, b, a = coeffs
+        q = -0.5 * (b + np.sqrt(complex(b * b - 4.0 * a * c)))  # b = p1 >= 0: no cancellation
+        roots = np.array([q / a, c / q if q else 0.0])
+    else:
+        roots = np.roots(coeffs[::-1])
+    w = coeffs[-1] ** (1.0 / d)
+    return -w * roots, w
 
 
 def _pattern_probs(u, n_sources, source, detector, cols):
     """P_out for a batch of click patterns, each given by its clicked modes.
 
     ``cols`` is a (batch, clicks) array of clicked mode indices, any click
-    count. The sum runs over inputs (rows, base, scale, weight), each adding
-    weight * per(base + scale * G_T) for every kept-click subset T, with G_T
-    the Gram matrix of its rows over T; the Gray walk makes that one batched
-    K x K permanent per subset. A small batch stacks consecutive subsets,
-    up to ``_MIN_ROWS`` rows, into one kernel call; the terms are still
-    added in subset order. When the sources carry at most one photon,
-    the inputs collapse into one whose diagonal shift (p0 + p1 r) absorbs
-    every source that is empty or lost. Otherwise each input occupation is
-    its own input, with base r on the repeated-row diagonal; the vacuum
-    input (K = 0) needs no special case, since a 0 x 0 permanent is 1.
+    count. For a kept-click subset T let A_T = r I + (1 - r) G_T, with G_T
+    the Gram matrix of the N source rows over T. The input occupation n,
+    of weight prod_i p_(n_i) / n_i!, contributes per(A_T[n|n]). Writing
+    g(z) = sum_k p_k z^k / k! as prod_j (x_j + w z) (``_slot_factors``)
+    and giving each source one slot per factor, with sigma mapping a slot
+    to its source and X the diagonal of the slots' x_j, the sum over every
+    occupation is one permanent,
+
+        per(X + w A_T[sigma|sigma]).
+
+    Expanding it over the slots that take their entry from X leaves, for
+    n_i slots of source i taken from w A_T, per(A_T[n|n]) times the z^(n_i)
+    coefficients of the factor products, which are the p_(n_i) / n_i!. When
+    the sources carry at most one photon the one factor is (p0 + p1 z), so
+    the matrix is (p0 + p1 r) I + p1 (1 - r) G_T. The Gray walk makes that
+    one batched K x K permanent per subset, K = N times the degree of g. A
+    small batch stacks consecutive subsets, up to ``_MIN_ROWS`` rows, into
+    one kernel call; the terms are still added in subset order.
     """
     batch, clicks = cols.shape
     nu = detector.dark_rate
+    r = detector.loss_prob
+    # one block of N slots per factor: slot a has source rows[a], factor (xs[a] + w z)
+    x, w = _slot_factors(source)
+    xs = np.repeat(x, n_sources)
+    rows = np.tile(np.arange(n_sources), len(x))
+    k = len(rows)
+    scale = w * (1.0 - r)
+    base = np.diag(xs) + (w * r) * (rows[:, None] == rows[None, :])
     n_subsets = 1 << clicks
     stack = min(n_subsets, max(1, _MIN_ROWS // batch))
     pout = np.zeros(batch)
-    for rows, base, scale, weight in _fold_inputs(n_sources, source, detector.loss_prob):
-        # Entry-major stacks, batch last, so that every matrix entry is one
-        # contiguous row: v[j, a, b] = U[rows[a], cols[b, j]],
-        # projs[j, a, c, b] = scale conj(v[j, a, b]) v[j, c, b], and
-        # g[a, c, s, b] the Gram matrix of the s-th stacked subset
-        v = np.take(u[rows], cols.T, axis=1).transpose(1, 0, 2)
-        projs = scale * (v.conj()[:, :, None, :] * v[:, None, :, :])
-        k = len(rows)
-        g = np.empty((k, k, stack, batch), dtype=complex)
-        g[:, :, 0] = base[:, :, None]
-        coeffs = np.empty(stack)
-        for step, (flip, add, coeff) in enumerate(_gray_subset_walk(clicks, nu)):
-            slot = step % stack
-            if flip is not None:
-                prev = g[:, :, (step - 1) % stack]
-                (np.add if add else np.subtract)(prev, projs[flip], out=g[:, :, slot])
-            coeffs[slot] = weight * coeff
-            if slot == stack - 1 or step == n_subsets - 1:
-                filled = slot + 1
-                stacked = g[:, :, :filled].reshape(k, k, filled * batch)
-                perms = _permanent_batch(stacked.transpose(2, 0, 1)).real.reshape(filled, batch)
-                for s in range(filled):
-                    pout += coeffs[s] * perms[s]
+    # Entry-major stacks, batch last, so that every matrix entry is one
+    # contiguous row: v[j, a, b] = U[rows[a], cols[b, j]],
+    # projs[j, a, c, b] = scale conj(v[j, a, b]) v[j, c, b], and
+    # g[a, c, s, b] the slot matrix of the s-th stacked subset
+    v = np.take(u[rows], cols.T, axis=1).transpose(1, 0, 2)
+    projs = scale * (v.conj()[:, :, None, :] * v[:, None, :, :])
+    g = np.empty((k, k, stack, batch), dtype=complex)
+    g[:, :, 0] = base[:, :, None]
+    coeffs = np.empty(stack)
+    for step, (flip, add, coeff) in enumerate(_gray_subset_walk(clicks, nu)):
+        pos = step % stack
+        if flip is not None:
+            prev = g[:, :, (step - 1) % stack]
+            (np.add if add else np.subtract)(prev, projs[flip], out=g[:, :, pos])
+        coeffs[pos] = coeff
+        if pos == stack - 1 or step == n_subsets - 1:
+            filled = pos + 1
+            stacked = g[:, :, :filled].reshape(k, k, filled * batch)
+            perms = _permanent_batch(stacked.transpose(2, 0, 1)).real.reshape(filled, batch)
+            for s in range(filled):
+                pout += coeffs[s] * perms[s]
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
@@ -318,8 +355,9 @@ def _pattern_probs(u, n_sources, source, detector, cols):
 def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
     """Exact probability of one click pattern, any mode count.
 
-    Cost is 2^(clicks) permanents of K x K matrices per Gram-fold input
-    (K = photon total), so it stays cheap even for very wide networks.
+    Cost is 2^(clicks) permanents of K x K slot matrices (K = N for sources
+    of at most one photon, N kmax otherwise), so it stays cheap even for
+    very wide networks.
     Requires the network matrix to be numerically unitary.
     """
     modes = cfg.modes

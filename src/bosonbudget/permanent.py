@@ -207,10 +207,22 @@ def _gray_steps(n: int):
         prev = gray
 
 
+def _permanent3(m: np.ndarray, rows, cols) -> np.ndarray:
+    """Closed-form permanents of the 3 x 3 minors ``m[:, rows][:, :, cols]`` of a stack."""
+    (i, j, k), (a, b, c) = rows, cols
+    return (
+        m[:, i, a] * (m[:, j, b] * m[:, k, c] + m[:, j, c] * m[:, k, b])
+        + m[:, i, b] * (m[:, j, a] * m[:, k, c] + m[:, j, c] * m[:, k, a])
+        + m[:, i, c] * (m[:, j, a] * m[:, k, b] + m[:, j, b] * m[:, k, a])
+    )
+
+
 def _permanent_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a (batch, n, n) stack, vectorised over the batch.
 
-    Closed forms up to n=3. Above, Glynn's formula
+    Closed forms up to n=4 (n=4 by Laplace expansion into four 3 x 3 closed
+    forms, so a result never depends on the batch it came in). Above,
+    Glynn's formula
 
         per(A) = 2 sum_d (prod_i d_i) prod_j c_j,  c_j = 1/2 sum_i d_i A[i, j],
 
@@ -237,11 +249,14 @@ def _permanent_batch(mats: np.ndarray) -> np.ndarray:
     if n == 2:
         return mats[:, 0, 0] * mats[:, 1, 1] + mats[:, 0, 1] * mats[:, 1, 0]
     if n == 3:
-        m = mats
+        return _permanent3(mats, (0, 1, 2), (0, 1, 2))
+    if n == 4:
+        # Laplace expansion along row 0 into the four 3 x 3 minors
         return (
-            m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] + m[:, 1, 2] * m[:, 2, 1])
-            + m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] + m[:, 1, 2] * m[:, 2, 0])
-            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] + m[:, 1, 1] * m[:, 2, 0])
+            mats[:, 0, 0] * _permanent3(mats, (1, 2, 3), (1, 2, 3))
+            + mats[:, 0, 1] * _permanent3(mats, (1, 2, 3), (0, 2, 3))
+            + mats[:, 0, 2] * _permanent3(mats, (1, 2, 3), (0, 1, 3))
+            + mats[:, 0, 3] * _permanent3(mats, (1, 2, 3), (0, 1, 2))
         )
     if b == 0:
         return np.zeros(0, dtype=np.complex128)

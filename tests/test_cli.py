@@ -423,6 +423,10 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
         (None, ["sample", "--modes", "4", "--sources", "2", "--count", "3", "--seed", "1", "--samples-out", "s.txt",
                 "--dark", "1e-5"], 1, "unrecognized arguments: --dark 1e-5"),
         (("--config", "c.json", '{"config": "d.json"}'), ["distribution"], 1, "unknown config key 'config'"),
+        (None, ["verify", "--test", "roundtrip", "--modes", "20", "--sources", "13", "--p1", "0.97", "--p2", "0.01",
+                "--seed", "1"], 2, "pattern with 13 clicks and 1594323 inputs is over the term cap"),
+        (None, ["distance", "--modes", "11", "--sources", "11", "--seed", "1"], 2,
+         "input support too large for the pattern sweep"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
@@ -431,7 +435,8 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
          "config-not-json", "samples-ragged", "samples-not-01",
          "jitter-without-tau", "jitter-without-omega", "g-and-fidelity", "fidelity-and-jitter",
          "g-list-at-one-photon", "budget-unitary", "distribution-loss", "distribution-config-p0",
-         "sample-p1", "sample-p2", "sample-dark", "config-names-config"],
+         "sample-p1", "sample-p2", "sample-dark", "config-names-config", "roundtrip-term-cap",
+         "distance-support-cap"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)
@@ -510,6 +515,18 @@ def test_roundtrip_many_single_photon_sources(tmp_path):
               "--p0", "0.02", "--p1", "0.98", "--seed", "1", "--out", str(out))
     assert rc == 0
     assert 0.0 < _report(out)["results"]["returnProbability"] <= 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_two_photon_sources_at_every_n(tmp_path, n):
+    # one slot matrix of 2N rows per kept-click subset, from one source to eight
+    common = ["--modes", "8", "--sources", str(n), "--p1", "0.97", "--p2", "0.03", "--loss", "0.01",
+              "--dark", "1e-4", "--seed", "1"]
+    assert _run("distance", *common, "--out", str(tmp_path / "d.json")) == 0
+    assert _run("verify", "--test", "roundtrip", *common, "--out", str(tmp_path / "r.json")) == 0
+    parts = _report(tmp_path / "d.json")["results"]
+    assert min(parts["v1"], parts["v2"], parts["vb"]) >= 0.0 and parts["total"] <= 2.0
+    assert 0.0 < _report(tmp_path / "r.json")["results"]["returnProbability"] <= 1.0
 
 
 def test_verify_photons_beats_config(tmp_path):
@@ -679,8 +696,7 @@ def _invocations(draw):
         argv += file_flag("--unitary", name, _matrix_bytes(name, modes), 0.9)
     for flag in ("--p0", "--p1", "--loss", "--dark"):
         argv += option(flag, _PROBS, 0.3)
-    if has_sources and sources <= 3:  # a two-photon source multiplies the inputs by 3^N
-        argv += option("--p2", _PROBS, 0.3)
+    argv += option("--p2", _PROBS, 0.3)
     argv += maybe("--seed", _mostly([0, 1, 7], [-1]), 0.8)
     if command == "sample":
         argv += ["--count", str(draw(_mostly([0, 1, 20, 50], [-3, -1]))), "--samples-out", "s.txt"]
@@ -730,3 +746,81 @@ def test_every_run_exits_cleanly(invocation):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, (argv, lines)
         assert json.loads(lines[0])["error"]["kind"] == _KINDS[rc], (argv, lines)
+
+
+def _hundredths(draw, most):
+    return draw(st.integers(0, most)) / 100
+
+
+@st.composite
+def _valid_invocations(draw):
+    """(argv, files): a valid run of distance, verify --test roundtrip|witness or budget, with small sizes.
+
+    Source probabilities sum to at most 1, epsilon and delta lie in their ranges, a network file is a
+    unitary, a sample file is as wide as the network, and a two-photon source reaches N = 8."""
+    files = {}
+    command = draw(st.sampled_from(["distance", "verify --test roundtrip", "verify --test witness", "budget"]))
+    argv = command.split()
+    if command == "budget":
+        sources = draw(st.integers(1, 30))
+        argv += ["--sources", str(sources), "--modes", str(draw(st.integers(sources, 10**5))),
+                 "--epsilon", draw(st.sampled_from(["0.01", "0.1", "0.5", "1", "2"])),
+                 "--delta", draw(st.sampled_from(["0.01", "0.1", "0.5", "0.99"]))]
+    else:
+        sources = draw(st.sampled_from(range(1, 9)))
+        modes = draw(st.sampled_from(range(sources, 9)))
+        flag = draw(st.sampled_from(["--sources", "--photons"])) if command.endswith("witness") else "--sources"
+        argv += [flag, str(sources)]
+        if command.endswith("witness") or draw(st.booleans()):
+            name = draw(st.sampled_from(["u.json", "u.csv"]))
+            files[name] = _unitary_text(modes, name.endswith(".csv"))
+            argv += ["--unitary", name]
+        else:
+            argv += ["--modes", str(modes)]
+    argv += ["--seed", str(draw(st.integers(0, 7)))]
+    if command.endswith("witness"):
+        files["s.txt"] = draw(_lines("01", modes)).encode()
+        return argv + ["--samples", "s.txt", "--out", "r.json"], files
+    p2 = draw(st.sampled_from([0, 0, 1, 3, 50])) / 100
+    p1 = _hundredths(draw, 100 - round(100 * p2))
+    argv += ["--p1", str(p1)]
+    if p2 or draw(st.booleans()):
+        argv += ["--p2", str(p2)]
+    if draw(st.booleans()):
+        argv += ["--p0", str(_hundredths(draw, 100 - round(100 * (p1 + p2))))]
+    if draw(st.booleans()):
+        argv += ["--loss", draw(st.sampled_from(["0", "0.01", "0.5", "1"]))]
+    if draw(st.booleans()):
+        argv += ["--dark", draw(st.sampled_from(["0", "1e-4", "0.1", "2"]))]
+    if command == "budget":
+        overlap = draw(st.sampled_from(["none", "g", "g-list", "fidelity", "jitter"]))
+        fractions = st.sampled_from(["0", "0.5", "0.99", "1"])
+        if overlap == "g" or (overlap == "g-list" and sources == 1):
+            argv += ["--g", draw(fractions)]
+        elif overlap == "g-list":
+            argv += ["--g", ",".join(draw(st.lists(fractions, min_size=sources - 1, max_size=sources - 1)))]
+        elif overlap == "fidelity":
+            argv += ["--fidelity", draw(fractions)]
+        elif overlap == "jitter":
+            argv += ["--sigma-omega", draw(st.sampled_from(["0.5", "1", "2"])),
+                     "--sigma-tau", draw(st.sampled_from(["0", "0.01", "0.1"]))]
+        if draw(st.booleans()):
+            argv += ["--scaling", ",".join(map(str, draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))))]
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    return argv + ["--out", "r.json"], files
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_valid_invocations())
+def test_every_valid_run_succeeds(invocation):
+    # the success paths that the error-contract property test seldom reaches
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, content in files.items():
+            Path(name).write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc == 0, (argv, err.getvalue())
+        assert _report(Path("r.json"))["command"] == argv[0]

@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from mpmath import exp as mp_exp
+from mpmath import fprod, fsum, mp, mpc, mpf
 
 from bosonbudget import (
     DetectorModel,
@@ -22,7 +24,7 @@ from bosonbudget import (
     prob_ideal,
 )
 from bosonbudget import noise_model
-from bosonbudget.noise_model import _SWEEP_CHUNK, _fold_input_count, _fold_inputs, _pattern_probs
+from bosonbudget.noise_model import _SWEEP_CHUNK, _fold_input_count, _input_support, _pattern_probs
 from bosonbudget.permanent import _permanent_batch
 
 from conftest import make_haar
@@ -203,6 +205,76 @@ def test_pattern_probs_independent_of_subset_stacking():
         assert one[0] == pytest.approx(stacked[i], rel=1e-12)
 
 
+def _mp_permanent(a):
+    """Permanent by Glynn's formula in Gray-code order, in the working mpmath precision."""
+    n = len(a)
+    if n == 0:
+        return mpf(1)
+    sums = [fsum(col) for col in zip(*a)]
+    total = fprod(sums)
+    prev = 0
+    for k in range(1, 1 << (n - 1)):
+        gray = k ^ (k >> 1)
+        bit = (gray ^ prev).bit_length() - 1
+        prev = gray
+        step = -2 if gray >> bit & 1 else 2  # row bit + 1 changes sign
+        sums = [c + step * x for c, x in zip(sums, a[bit + 1])]
+        total += -fprod(sums) if k & 1 else fprod(sums)
+    return total / 2 ** (n - 1)
+
+
+def _mp_pattern_prob(cfg, clicked):
+    """P_out of one click pattern as the per-input sum, at 40 digits.
+
+    For every kept-click subset T, every input occupation n adds
+    prod_i (p_(n_i) / n_i!) per(A_T[n|n]), A_T = r I + (1 - r) G_T: the
+    sum that ``_pattern_probs`` folds into one slot matrix, taken one input
+    at a time from the same float network.
+    """
+    with mp.workdps(40):
+        n, r, nu = cfg.n_sources, mpf(cfg.detector.loss_prob), mpf(cfg.detector.dark_rate)
+        u = [[mpc(complex(z)) for z in row] for row in cfg.matrix[:n]]
+        weights = [mpf(p) / math.factorial(k) for k, p in enumerate(cfg.source.photon_probs)]
+        c = len(clicked)
+        total = mpf(0)
+        for size in range(c + 1):
+            for kept in combinations(clicked, size):
+                a = [[(r if i == k else 0) + (1 - r) * fsum(u[i][l].conjugate() * u[k][l] for l in kept)
+                      for k in range(n)] for i in range(n)]
+                inputs = mpf(0)
+                for occ in product(range(len(weights)), repeat=n):
+                    rows = [i for i, k in enumerate(occ) for _ in range(k)]
+                    inputs += fprod(weights[k] for k in occ) * _mp_permanent([[a[i][k] for k in rows] for i in rows])
+                total += (-1) ** (c - size) * mp_exp(-(c - size) * nu) * inputs
+        return float((total * mp_exp(-(cfg.modes - c) * nu)).real)
+
+
+@pytest.mark.parametrize(
+    "probs, n_sources",
+    [((0.02, 0.97, 0.01), 3), ((0.0, 0.97, 0.03), 3), ((0.5, 0.0, 0.5), 3), ((0.1, 0.8, 0.05, 0.05), 2)],
+    ids=["p2", "p0_zero", "complex_factors", "kmax3"],
+)
+def test_slot_matrix_matches_40_digit_input_sum(probs, n_sources):
+    # patterns of 1..N clicks, as the distance sweep and the round trip evaluate;
+    # (0.5, 0, 0.5) factors into complex conjugate slots, kmax = 3 takes np.roots
+    cfg = DeviceConfig(make_haar(6, 3), n_sources, SourceModel(probs), DetectorModel(0.01, 1e-4))
+    for clicks in range(1, n_sources + 1):
+        cols = collision_free_patterns(6, clicks)[::3]
+        got = _pattern_probs(cfg.matrix, n_sources, cfg.source, cfg.detector, cols)
+        want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
+        np.testing.assert_allclose(got, want, rtol=5e-13, atol=0)
+
+
+def test_slot_matrix_accuracy_on_the_stress_config():
+    # 4 clicks from 2 sources: only two-photon inputs and dark counts reach
+    # them, so the alternating subset sum cancels and sets the floor
+    cfg = _noisy_cfg(modes=6)
+    cols = collision_free_patterns(6, 4)
+    got = _pattern_probs(cfg.matrix, 2, cfg.source, cfg.detector, cols)
+    want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+
 @pytest.mark.parametrize(
     "source",
     [SourceModel((1.0,)), SourceModel.single_photon(0.9), SourceModel((0.02, 0.97, 0.01)),
@@ -210,8 +282,10 @@ def test_pattern_probs_independent_of_subset_stacking():
     ids=["vacuum", "single_photon", "p2", "p0_zero"],
 )
 def test_fold_input_count_matches_inputs(source):
+    # the term cap counts one input for sources of at most one photon, else every occupation
     for n_sources in (1, 2, 4):
-        assert _fold_input_count(n_sources, source) == len(_fold_inputs(n_sources, source, 0.1))
+        want = 1 if source.kmax <= 1 else len(list(_input_support(source, n_sources)))
+        assert _fold_input_count(n_sources, source) == want
 
 
 def test_term_cap_refuses_before_building_inputs(monkeypatch):

@@ -219,6 +219,19 @@ def test_batch_layouts_agree():
             assert np.all(np.abs(_permanent_batch(mats.transpose(0, 2, 1)) - want) <= 1e-13 * scale)
 
 
+def test_closed_form_at_four_matches_naive_and_ignores_the_batch():
+    # n = 4 is a closed form (Laplace expansion into 3 x 3 closed forms): each
+    # matrix's arithmetic is its own, so a batch gives its single-matrix bits
+    rng = np.random.default_rng(15)
+    mats = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+    vals = _permanent_batch(mats)
+    for k in range(200):
+        want = permanent_naive(mats[k])
+        assert abs(vals[k] - want) <= 1e-13 * abs(want)
+        assert _permanent_batch(mats[k : k + 1])[0] == vals[k]
+    assert _permanent_batch(np.ones((3, 4, 4))).tolist() == [24, 24, 24]
+
+
 @pytest.mark.parametrize("n, tol", [(16, 1e-13), (20, 1e-12), (24, 1e-11)])
 def test_all_ones_relative_error(n, tol):
     exact = math.factorial(n)
