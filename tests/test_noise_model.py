@@ -27,7 +27,7 @@ from bosonbudget import noise_model
 from bosonbudget.noise_model import _SWEEP_CHUNK, _fold_input_count, _input_support, _pattern_probs
 from bosonbudget.permanent import _permanent_batch
 
-from conftest import make_haar
+from conftest import glynn_mp, make_haar
 
 
 # ----------------------------------------------------------------- models
@@ -205,24 +205,6 @@ def test_pattern_probs_independent_of_subset_stacking():
         assert one[0] == pytest.approx(stacked[i], rel=1e-12)
 
 
-def _mp_permanent(a):
-    """Permanent by Glynn's formula in Gray-code order, in the working mpmath precision."""
-    n = len(a)
-    if n == 0:
-        return mpf(1)
-    sums = [fsum(col) for col in zip(*a)]
-    total = fprod(sums)
-    prev = 0
-    for k in range(1, 1 << (n - 1)):
-        gray = k ^ (k >> 1)
-        bit = (gray ^ prev).bit_length() - 1
-        prev = gray
-        step = -2 if gray >> bit & 1 else 2  # row bit + 1 changes sign
-        sums = [c + step * x for c, x in zip(sums, a[bit + 1])]
-        total += -fprod(sums) if k & 1 else fprod(sums)
-    return total / 2 ** (n - 1)
-
-
 def _mp_pattern_prob(cfg, clicked):
     """P_out of one click pattern as the per-input sum, at 40 digits.
 
@@ -244,7 +226,7 @@ def _mp_pattern_prob(cfg, clicked):
                 inputs = mpf(0)
                 for occ in product(range(len(weights)), repeat=n):
                     rows = [i for i, k in enumerate(occ) for _ in range(k)]
-                    inputs += fprod(weights[k] for k in occ) * _mp_permanent([[a[i][k] for k in rows] for i in rows])
+                    inputs += fprod(weights[k] for k in occ) * glynn_mp([[a[i][k] for k in rows] for i in rows])
                 total += (-1) ** (c - size) * mp_exp(-(c - size) * nu) * inputs
         return float((total * mp_exp(-(cfg.modes - c) * nu)).real)
 

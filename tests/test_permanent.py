@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from mpmath import fprod, fsum, mp, mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from bosonbudget import (
     DimensionError,
@@ -16,7 +16,7 @@ from bosonbudget import (
 )
 from bosonbudget.permanent import _permanent_batch, contingency_tables
 
-from conftest import make_haar, random_complex
+from conftest import glynn_mp, make_haar, random_complex
 
 
 def test_identity_2x2():
@@ -240,25 +240,9 @@ def test_all_ones_relative_error(n, tol):
 
 def _glynn_mp(a) -> complex:
     """Permanent by Glynn's formula in 40-digit mpmath arithmetic, Gray-code order."""
-    n = a.shape[0]
     num = mpc if np.iscomplexobj(a) else mpf
     with mp.workdps(40):
-        rows = [[num(x.item()) for x in row] for row in a]
-        twice = [[2 * x for x in row] for row in rows]
-        sums = [fsum(col) for col in zip(*rows)]
-        total = fprod(sums)
-        prev = 0
-        for k in range(1, 1 << (n - 1)):
-            gray = k ^ (k >> 1)
-            bit = (gray ^ prev).bit_length() - 1
-            prev = gray
-            if gray >> bit & 1:
-                sums = [c - r for c, r in zip(sums, twice[bit + 1])]
-            else:
-                sums = [c + r for c, r in zip(sums, twice[bit + 1])]
-            term = fprod(sums)
-            total = total - term if k & 1 else total + term
-        return complex(total / 2 ** (n - 1))
+        return complex(glynn_mp([[num(x.item()) for x in row] for row in a]))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "haar_abs2", "ones"])
