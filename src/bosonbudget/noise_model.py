@@ -21,15 +21,19 @@ matrix over the source rows, independent of the mode count. The sum over
 the sources' photon numbers folds into that same permanent: each source
 gets one row per linear factor of its generating function sum_k p_k z^k/k!,
 so the matrix is N x N for sources of at most one photon and N kmax x
-N kmax otherwise. A pattern with c clicks costs 2^c such permanents. That is
-what makes exact evaluation possible at hundreds of modes.
+N kmax otherwise. A kept-click subset smaller than the click count is shared
+by every pattern that holds it, so it is evaluated once, in a table
+(``_subset_table``): a sweep over the N-click patterns of M modes costs one
+full-size permanent per pattern plus sum_(k<N) C(M, k) per network, and a
+lone pattern with c clicks 2^c. That is what makes exact evaluation
+possible at hundreds of modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +41,7 @@ import numpy as np
 from .errors import DimensionError, ResourceLimitError
 from .fock import count_outputs, enumerate_outputs, total_photons
 from .ideal_sampler import DistributionTable, prob_ideal
-from .permanent import _MIN_ROWS, _gray_steps, _permanent_batch
+from .permanent import _permanent_batch
 from .random_ensembles import as_matrix
 
 MAX_PATTERNS = 4_000_000
@@ -45,8 +49,12 @@ MAX_CLICK_TABLE_MODES = 16
 MAX_TERMS = 5_000_000
 
 # Patterns per chunk in ``distance_parts`` (the sweep's counterpart of
-# ``ideal_sampler._TABLE_CHUNK``): small enough that a chunk's Gram stacks
-# stay in cache. The chunk fixes the summation order, so it is pinned.
+# ``ideal_sampler._TABLE_CHUNK``), and slot matrices per kernel stack for the
+# subset table and the full-size permanents: small enough that a stack stays
+# in cache, and at least ``permanent._MIN_ROWS``, so that the kernel walks
+# a full stack without prefix rows. The chunk fixes the summation order of
+# the sweep and, for slot matrices above 4 x 4, the kernel's prefix split,
+# so it is pinned.
 _SWEEP_CHUNK = 4096
 
 
@@ -234,26 +242,6 @@ def output_click_distribution(cfg: DeviceConfig) -> DistributionTable:
     return DistributionTable(outcomes, pvec)
 
 
-def _gray_subset_walk(n_clicked: int, dark_rate: float):
-    """Kept-click subsets T in Gray order as (flip_bit, add, coeff) steps.
-
-    Expanding prod_{clicked}(1 - e^-nu r^s) gives, for each subset T of
-    clicked modes kept un-expanded, the sign (-1)^(clicked-|T|) and dark
-    factor e^(-(clicked-|T|) nu); ``coeff`` is their product. The steps are
-    ``_gray_steps``: the first has flip_bit None (the empty subset), each
-    later one flips exactly one member in or out.
-    """
-    coeffs = [
-        (-1.0) ** (n_clicked - k) * math.exp(-(n_clicked - k) * dark_rate)
-        for k in range(n_clicked + 1)
-    ]
-    size = 0
-    for flip, add in _gray_steps(n_clicked):
-        if flip is not None:
-            size += 1 if add else -1
-        yield flip, add, coeffs[size]
-
-
 def _fold_input_count(n_sources, source):
     """Input occupations that the term cap counts; an upper bound if a product underflows.
 
@@ -291,63 +279,160 @@ def _slot_factors(source):
     return -w * roots, w
 
 
-def _pattern_probs(u, n_sources, source, detector, cols):
-    """P_out for a batch of click patterns, each given by its clicked modes.
+def _slot_perms(base: np.ndarray, proj: np.ndarray, pieces) -> np.ndarray:
+    """f(T) = per(X + w A_T[sigma|sigma]) for the rows T of each (count, k) mode array in ``pieces``.
 
-    ``cols`` is a (batch, clicks) array of clicked mode indices, any click
-    count. For a kept-click subset T let A_T = r I + (1 - r) G_T, with G_T
-    the Gram matrix of the N source rows over T. The input occupation n,
-    of weight prod_i p_(n_i) / n_i!, contributes per(A_T[n|n]). Writing
+    For a kept-click subset T let A_T = r I + (1 - r) G_T, with G_T the
+    Gram matrix of the N source rows over T. The input occupation n, of
+    weight prod_i p_(n_i) / n_i!, contributes per(A_T[n|n]). Writing
     g(z) = sum_k p_k z^k / k! as prod_j (x_j + w z) (``_slot_factors``)
     and giving each source one slot per factor, with sigma mapping a slot
     to its source and X the diagonal of the slots' x_j, the sum over every
-    occupation is one permanent,
+    occupation is the one permanent f(T). Expanding it over the slots that
+    take their entry from X leaves, for n_i slots of source i taken from
+    w A_T, per(A_T[n|n]) times the z^(n_i) coefficients of the factor
+    products, which are the p_(n_i) / n_i!. When the sources carry at most
+    one photon the one factor is (p0 + p1 z), so the matrix is
+    (p0 + p1 r) I + p1 (1 - r) G_T.
 
-        per(X + w A_T[sigma|sigma]).
-
-    Expanding it over the slots that take their entry from X leaves, for
-    n_i slots of source i taken from w A_T, per(A_T[n|n]) times the z^(n_i)
-    coefficients of the factor products, which are the p_(n_i) / n_i!. When
-    the sources carry at most one photon the one factor is (p0 + p1 z), so
-    the matrix is (p0 + p1 r) I + p1 (1 - r) G_T. The Gray walk makes that
-    one batched K x K permanent per subset, K = N times the degree of g. A
-    small batch stacks consecutive subsets, up to ``_MIN_ROWS`` rows, into
-    one kernel call; the terms are still added in subset order.
+    Every slot matrix is K x K whatever |T|, built as
+    base + proj[:, :, T_0] + proj[:, :, T_1] + ... in the order of the row
+    (``_SubsetTable`` defines both parts). All pieces go to the kernel as
+    one stack, so callers keep it to ``_SWEEP_CHUNK``.
     """
-    batch, clicks = cols.shape
-    nu = detector.dark_rate
+    k = len(base)
+    # entry-major, batch last, so that every matrix entry is one contiguous row
+    g = np.empty((k, k, sum(len(piece) for piece in pieces)), dtype=complex)
+    g[...] = base[:, :, None]
+    lo = 0
+    for piece in pieces:
+        part = g[:, :, lo : lo + len(piece)]
+        for col in piece.T:
+            part += np.take(proj, col, axis=2)
+        lo += len(piece)
+    return _permanent_batch(g.transpose(2, 0, 1)).real
+
+
+def _binom(a: np.ndarray, k: int) -> np.ndarray:
+    """C(a, k) as ``intp`` for each entry of a non-negative integer array, k >= 1.
+
+    Works in ``intp`` whatever the dtype of ``a``, so that a narrow one
+    cannot wrap; an ``intp`` array is returned as is at k = 1.
+    """
+    out = a = np.asarray(a, dtype=np.intp)
+    for j in range(1, k):  # C(a, j + 1) = C(a, j) (a - j) / (j + 1), exact at every step
+        out = out * (a - j) // (j + 1)
+    return out
+
+
+def _colex_rank(members) -> np.ndarray:
+    """Colex rank of subsets given member by member: ``members[t]`` holds the t-th smallest of each.
+
+    The rank sum_t C(members[t], t + 1) numbers the k-subsets of range(m)
+    0 .. C(m, k) - 1 for every m, ordered by their largest member first.
+    """
+    ranks = np.zeros(np.shape(members)[1:], dtype=np.intp)
+    for t, a in enumerate(members):
+        ranks += _binom(a, t + 1)
+    return ranks
+
+
+def _colex_unrank(ranks: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The (count, k) increasing rows of range(m) whose colex ranks are ``ranks``."""
+    rows = np.empty((len(ranks), k), dtype=np.intp)
+    rest = ranks.copy()
+    for t in reversed(range(k)):
+        # the largest member left is the largest a with C(a, t + 1) <= rest
+        column = _binom(np.arange(m), t + 1)
+        rows[:, t] = np.searchsorted(column, rest, side="right") - 1
+        rest -= column[rows[:, t]]
+    return rows
+
+
+class _SubsetTable(NamedTuple):
+    base: np.ndarray  # (K, K): the slot matrix at T empty, X + w r I[sigma|sigma]
+    # (K, K, M): what mode l adds to it on joining T, w (1 - r) conj(U[sigma, l]) U[sigma, l]^T
+    proj: np.ndarray
+    modes: np.ndarray  # the sorted modes the subsets are drawn from
+    values: np.ndarray  # f(T) by size of T, then by colex rank of T within ``modes``
+    offsets: list  # offsets[k]: index of the first subset of size k; the last is the size
+
+
+def _subset_table(u, n_sources, source, detector, modes, clicks) -> _SubsetTable:
+    """f(T) (``_slot_perms``) for every subset T of ``modes`` with fewer than ``clicks`` members.
+
+    A subset smaller than a pattern is shared by every pattern that holds
+    it, so the table evaluates it once for all of them. It is built in
+    stacks of ``_SWEEP_CHUNK`` entries, each unranked when it is built.
+    """
+    m = len(modes)
+    offsets = [0]
+    for k in range(clicks):
+        offsets.append(offsets[-1] + math.comb(m, k))
+    if offsets[-1] > MAX_PATTERNS:
+        raise ResourceLimitError(f"subset table of {offsets[-1]} entries exceeds the cap of {MAX_PATTERNS}")
     r = detector.loss_prob
     # one block of N slots per factor: slot a has source rows[a], factor (xs[a] + w z)
     x, w = _slot_factors(source)
     xs = np.repeat(x, n_sources)
     rows = np.tile(np.arange(n_sources), len(x))
-    k = len(rows)
-    scale = w * (1.0 - r)
     base = np.diag(xs) + (w * r) * (rows[:, None] == rows[None, :])
-    n_subsets = 1 << clicks
-    stack = min(n_subsets, max(1, _MIN_ROWS // batch))
+    v = u[rows]
+    proj = (w * (1.0 - r)) * (v.conj()[:, None, :] * v[None, :, :])
+    values = np.empty(offsets[-1])
+    for lo in range(0, offsets[-1], _SWEEP_CHUNK):
+        hi = min(lo + _SWEEP_CHUNK, offsets[-1])
+        pieces = [
+            modes[_colex_unrank(np.arange(max(lo, start), min(hi, end)) - start, m, k)]
+            for k, (start, end) in enumerate(zip(offsets, offsets[1:]))
+            if start < hi and lo < end
+        ]
+        values[lo:hi] = _slot_perms(base, proj, pieces)
+    return _SubsetTable(base, proj, modes, values, offsets)
+
+
+def _table_modes(patterns: np.ndarray, modes: int) -> np.ndarray:
+    """The modes a subset table for ``patterns`` covers: all of them, unless that costs more.
+
+    Over all modes the table needs no remapping of mode indices; it covers
+    only the modes the patterns touch when it would otherwise hold more
+    entries than the patterns have proper subsets, as for a lone pattern.
+    """
+    batch, clicks = patterns.shape
+    if sum(math.comb(modes, k) for k in range(clicks)) <= batch * ((1 << clicks) - 1):
+        return np.arange(modes)
+    return np.unique(patterns)
+
+
+def _pattern_probs(u, n_sources, source, detector, cols, table=None):
+    """P_out for a batch of click patterns, each given by its increasing clicked modes.
+
+    ``cols`` is a (batch, clicks) array of clicked mode indices, any click
+    count. Expanding prod_(clicked)(1 - e^-nu r^s) gives, for each subset T
+    of the clicked modes kept un-expanded, the sign (-1)^(clicks - |T|)
+    and dark factor e^(-(clicks - |T|) nu) on f(T) (``_slot_perms``). The
+    full subset costs one permanent per pattern; every proper subset is
+    read from ``table``, a ``_subset_table`` over modes that hold every
+    clicked mode, built here (over ``_table_modes``) if none is given. The
+    f(T) of each size are summed first, the sizes are then added in
+    increasing order, the full subset last.
+    """
+    batch, clicks = cols.shape
+    nu = detector.dark_rate
+    if table is None:
+        table = _subset_table(u, n_sources, source, detector, _table_modes(cols, u.shape[0]), clicks)
+    local = cols if len(table.modes) == u.shape[0] else np.searchsorted(table.modes, cols)
     pout = np.zeros(batch)
-    # Entry-major stacks, batch last, so that every matrix entry is one
-    # contiguous row: v[j, a, b] = U[rows[a], cols[b, j]],
-    # projs[j, a, c, b] = scale conj(v[j, a, b]) v[j, c, b], and
-    # g[a, c, s, b] the slot matrix of the s-th stacked subset
-    v = np.take(u[rows], cols.T, axis=1).transpose(1, 0, 2)
-    projs = scale * (v.conj()[:, :, None, :] * v[:, None, :, :])
-    g = np.empty((k, k, stack, batch), dtype=complex)
-    g[:, :, 0] = base[:, :, None]
-    coeffs = np.empty(stack)
-    for step, (flip, add, coeff) in enumerate(_gray_subset_walk(clicks, nu)):
-        pos = step % stack
-        if flip is not None:
-            prev = g[:, :, (step - 1) % stack]
-            (np.add if add else np.subtract)(prev, projs[flip], out=g[:, :, pos])
-        coeffs[pos] = coeff
-        if pos == stack - 1 or step == n_subsets - 1:
-            filled = pos + 1
-            stacked = g[:, :, :filled].reshape(k, k, filled * batch)
-            perms = _permanent_batch(stacked.transpose(2, 0, 1)).real.reshape(filled, batch)
-            for s in range(filled):
-                pout += coeffs[s] * perms[s]
+    for k in range(clicks):
+        # members[t, s, b]: the t-th smallest clicked mode of the s-th k-subset of pattern b
+        positions = np.array(list(combinations(range(clicks), k)), dtype=np.intp)
+        members = local.T[positions.T]
+        coeff = (-1.0) ** (clicks - k) * math.exp(-(clicks - k) * nu)
+        pout += coeff * table.values[table.offsets[k] + _colex_rank(members)].sum(axis=0)
+    full = np.empty(batch)
+    for lo in range(0, batch, _SWEEP_CHUNK):
+        full[lo : lo + _SWEEP_CHUNK] = _slot_perms(table.base, table.proj, [cols[lo : lo + _SWEEP_CHUNK]])
+    pout += full
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
@@ -356,8 +441,9 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
     """Exact probability of one click pattern, any mode count.
 
     Cost is 2^(clicks) permanents of K x K slot matrices (K = N for sources
-    of at most one photon, N kmax otherwise), so it stays cheap even for
-    very wide networks.
+    of at most one photon, N kmax otherwise): a subset table over the
+    clicked modes and the full click set. It stays cheap even for very wide
+    networks.
     Requires the network matrix to be numerically unitary.
     """
     modes = cfg.modes
@@ -414,31 +500,46 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     count, v2 the pointwise L1 gap on patterns with exactly N clicks, and vb
     the bunched-output mass of the ideal device. All three are computed
     exactly; pass a precomputed ``patterns`` array when sweeping many
-    networks of the same shape. Truncated source mass, if any, is unmodelled
-    output and is excluded from v1.
+    networks of the same shape; each row must list strictly increasing modes
+    in [0, M). Truncated source mass, if any, is unmodelled output and is
+    excluded from v1.
 
-    The sweep runs in chunks of ``_SWEEP_CHUNK`` (4096) patterns, summed in
-    order; that order is part of the reproducibility contract. A sweep of at
-    most 4096 patterns is one chunk and gives the same bytes as one pass over
-    the whole table. Larger sweeps agree with earlier 131072-pattern chunks
-    to 1e-12 absolute (rounding in the order of the partial sums only).
+    Every kept-click subset smaller than N is evaluated once per call, in
+    a table over every mode (``_table_modes``); each pattern then costs one
+    permanent of its full click set and 2^N - 1 table reads. The sweep runs
+    in chunks of ``_SWEEP_CHUNK`` (4096) patterns, summed in order; that
+    order is part of the reproducibility contract. A sweep of at most 4096
+    patterns is one chunk and gives the same bytes as one pass over the
+    whole table. The table changed the order of the sums within a pattern:
+    sweeps agree with the earlier Gray walk over each pattern's subsets to
+    1e-12 absolute (at most 2.4e-15 on the benchmark's sweeps), and stay
+    byte-identical only at N = 1.
     """
     u = cfg.matrix
     n = cfg.n_sources
     if patterns is None:
         patterns = collision_free_patterns(cfg.modes, n)
-    if patterns.ndim != 2 or patterns.shape[1] != n:
-        raise DimensionError(f"patterns must be (count, {n}) mode indices")
+    else:
+        patterns = np.asarray(patterns)
+        if patterns.ndim != 2 or patterns.shape[1] != n:
+            raise DimensionError(f"patterns must be (count, {n}) mode indices")
+        if not np.issubdtype(patterns.dtype, np.integer) or len(patterns) and (
+            patterns[:, 0].min() < 0
+            or patterns[:, -1].max() >= cfg.modes
+            or any(np.any(patterns[:, j] <= patterns[:, j - 1]) for j in range(1, n))
+        ):
+            raise ValueError(f"each pattern must list strictly increasing modes in [0, {cfg.modes})")
     if (cfg.source.kmax + 1) ** n > 100_000 or n > 10:
         raise ResourceLimitError("input support too large for the pattern sweep")
 
+    table = _subset_table(u, n, cfg.source, cfg.detector, _table_modes(patterns, cfg.modes), n)
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
     for lo in range(0, patterns.shape[0], _SWEEP_CHUNK):
         cols = patterns[lo : lo + _SWEEP_CHUNK]
         pideal = np.abs(_permanent_batch(np.take(u[:n], cols.T, axis=1).transpose(2, 0, 1))) ** 2
-        pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols)
+        pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table)
         sum_out += float(pout.sum())
         sum_gap += float(np.abs(pout - pideal).sum())
         sum_ideal += float(pideal.sum())

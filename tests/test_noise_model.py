@@ -24,7 +24,15 @@ from bosonbudget import (
     prob_ideal,
 )
 from bosonbudget import noise_model
-from bosonbudget.noise_model import _SWEEP_CHUNK, _fold_input_count, _input_support, _pattern_probs
+from bosonbudget.noise_model import (
+    _SWEEP_CHUNK,
+    _colex_rank,
+    _colex_unrank,
+    _fold_input_count,
+    _input_support,
+    _pattern_probs,
+    _subset_table,
+)
 from bosonbudget.permanent import _permanent_batch
 
 from conftest import glynn_mp, make_haar
@@ -258,6 +266,29 @@ def test_slot_matrix_accuracy_on_the_stress_config():
 
 
 @pytest.mark.parametrize(
+    "source, rtol", [(SourceModel((0.02, 0.98)), 1e-13), (SourceModel((0.02, 0.97, 0.01)), 5e-13)],
+    ids=["kmax1", "p2"],
+)
+def test_subset_table_matches_lone_pattern_tables_and_oracle(source, rtol):
+    # The network-wide table read at colex ranks against each pattern's own
+    # table. 3 x 3 slot matrices take closed forms and agree to the bit; the
+    # 6 x 6 ones of the p2 source take the Glynn walk, whose last sum runs in
+    # another order in a one-matrix stack, and the cancelling subset sum
+    # lifts that to 1.6e-13 relative (3.4e-13 between the Gray walk's
+    # batched and lone evaluations before the table).
+    cfg = DeviceConfig(make_haar(9, 4), 3, source, DetectorModel(0.01, 1e-4))
+    args = (cfg.matrix, 3, source, cfg.detector)
+    cols = collision_free_patterns(9, 3)
+    table = _subset_table(*args, np.arange(9), 3)
+    assert len(table.values) == 1 + 9 + 36
+    shared = _pattern_probs(*args, cols, table)
+    lone = np.array([_pattern_probs(*args, cols[i : i + 1])[0] for i in range(len(cols))])
+    np.testing.assert_allclose(shared, lone, rtol=rtol, atol=0)
+    want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols[::3]])
+    np.testing.assert_allclose(shared[::3], want, rtol=5e-13, atol=0)
+
+
+@pytest.mark.parametrize(
     "source",
     [SourceModel((1.0,)), SourceModel.single_photon(0.9), SourceModel((0.02, 0.97, 0.01)),
      SourceModel((0.0, 0.97, 0.03))],
@@ -297,6 +328,48 @@ def test_collision_free_patterns_matches_itertools():
     for k in (-1, 6):
         with pytest.raises(ValueError, match="n_clicks"):
             collision_free_patterns(5, k)
+
+
+def test_colex_rank_matches_itertools():
+    # colex order: by largest member first, i.e. lexicographic on the reversed tuples
+    for m in range(13):
+        for k in range(m + 1):
+            rows = collision_free_patterns(m, k)
+            colex = sorted(combinations(range(m), k), key=lambda c: c[::-1])
+            want = [colex.index(tuple(row)) for row in rows.tolist()]
+            got = _colex_rank(rows.T)
+            assert sorted(got.tolist()) == list(range(math.comb(m, k)))
+            np.testing.assert_array_equal(got, want)
+            unranked = _colex_unrank(np.arange(math.comb(m, k)), m, k)
+            np.testing.assert_array_equal(unranked, np.array(colex, dtype=np.intp))
+
+
+@pytest.mark.parametrize("bad", [[[-1, 0]], [[0, 0]], [[3, 1]], [[0, 6]], [[0.0, 1.0]]],
+                         ids=["negative", "repeated", "unsorted", "past-last", "float"])
+def test_distance_parts_refuses_bad_patterns(bad):
+    cfg = DeviceConfig(make_haar(6, 2), 2, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        distance_parts(cfg, patterns=np.array(bad))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        distance_parts(cfg, patterns=bad)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int32])
+def test_distance_parts_any_integer_patterns(dtype):
+    # colex ranks reach C(39, 2) = 741, past what 8-bit indices hold
+    cfg = DeviceConfig(make_haar(40, 3), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    patterns = collision_free_patterns(40, 3)
+    assert distance_parts(cfg, patterns=patterns.astype(dtype)) == distance_parts(cfg)
+
+
+def test_distance_parts_few_patterns_table_over_their_modes():
+    # a table over all 60 modes would hold sum_(k<8) C(60, k), about 4.4e8 entries,
+    # over the cap; one pattern needs only its own 255 proper subsets
+    cfg = DeviceConfig(make_haar(60, 6), 8, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    clicked = [0, 7, 15, 22, 30, 37, 45, 59]
+    parts = distance_parts(cfg, patterns=np.array([clicked]))
+    bits = [int(l in clicked) for l in range(60)]
+    assert parts.v1 == pytest.approx(1.0 - click_pattern_prob(cfg, bits), abs=1e-14)
 
 
 @pytest.mark.parametrize(
