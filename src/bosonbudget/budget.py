@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .distinguishability import Indistinguishability, mismatch_bound, mismatch_bound_small
+from .distinguishability import Indistinguishability, mismatch_bound, mismatch_bound_small, mismatch_polynomial
 from .errors import InfeasibleBudgetError
-from .noise_model import DetectorModel, SourceModel, noise_bound, noise_bound_additive
+from .noise_model import DetectorModel, SourceModel, additive_coefficients, noise_bound, noise_bound_additive
 
 FREE_PARAMS = ("dark_rate", "loss_prob", "p1_deficit", "fidelity_deficit")
 
@@ -135,10 +135,6 @@ def evaluate_budget(
     )
 
 
-def _mismatch_polynomial(n: int) -> float:
-    return n**3 / 3.0 - n**2 / 2.0 + 7.0 * n / 6.0 - 1.0
-
-
 def invert_budget(
     n_sources: int,
     modes: int,
@@ -172,17 +168,18 @@ def invert_budget(
         raise ValueError("need 1 <= n_sources <= modes")
 
     if free_param == "fidelity_deficit":
-        poly = _mismatch_polynomial(n)
+        poly = mismatch_polynomial(n)
         if poly <= 0.0:
             return math.inf  # a single photon has no mismatch error
         return math.sqrt(epsilon**2 * delta / poly)
 
     budget = epsilon * delta
+    coeffs = additive_coefficients(n, m)
     terms = {
-        "mode_count": 3.0 * n**2 / (2.0 * m),
-        "dark_rate": 3.0 * (m - n) * dark_rate,
-        "loss_prob": 3.0 * n * loss_prob,
-        "p1_deficit": 4.0 * n * (1.0 - p1),
+        "mode_count": coeffs["mode_count"],
+        "dark_rate": coeffs["dark_rate"] * dark_rate,
+        "loss_prob": coeffs["loss_prob"] * loss_prob,
+        "p1_deficit": coeffs["p1_deficit"] * (1.0 - p1),
     }
     fixed = {k: v for k, v in terms.items() if k != free_param}
     residual = budget - math.fsum(fixed.values())
@@ -193,11 +190,7 @@ def invert_budget(
             f"(dominant: {dominant} = {fixed[dominant]:.3e})",
             dominant_term=dominant,
         )
-    coeff = {
-        "dark_rate": 3.0 * (m - n),
-        "loss_prob": 3.0 * n,
-        "p1_deficit": 4.0 * n,
-    }[free_param]
+    coeff = coeffs[free_param]
     if coeff == 0.0:
         return math.inf  # no mode without a source: dark counts enter no term
     return residual / coeff
@@ -245,15 +238,17 @@ def scaling_table(budget: float, n_values) -> list[ScalingRow]:
         n = int(n)
         if n < 1:
             raise ValueError("photon numbers must be positive")
-        m_req = max(math.ceil(3.0 * n**2 / (2.0 * budget)), n)
-        poly = _mismatch_polynomial(n)
+        # the geometry term 3N^2/(2M) equals the budget at M = 3N^2/(2 budget), the same expression
+        m_req = max(math.ceil(additive_coefficients(n, budget)["mode_count"]), n)
+        coeffs = additive_coefficients(n, m_req)
+        poly = mismatch_polynomial(n)
         rows.append(
             ScalingRow(
                 n_sources=n,
                 required_modes=m_req,
-                max_dark_rate=budget / (3.0 * (m_req - n)) if m_req > n else math.inf,
-                max_loss_prob=budget / (3.0 * n),
-                max_p1_deficit=budget / (4.0 * n),
+                max_dark_rate=budget / coeffs["dark_rate"] if m_req > n else math.inf,
+                max_loss_prob=budget / coeffs["loss_prob"],
+                max_p1_deficit=budget / coeffs["p1_deficit"],
                 max_fidelity_deficit=math.sqrt(budget / poly) if poly > 0 else math.inf,
                 element_fidelity="O(N^-2) scaling required; constant unknown",
             )

@@ -16,14 +16,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, PhotonCountError, ResourceLimitError
+from . import limits
+from .errors import DimensionError, PhotonCountError
 from .fock import mode_indices, mu, total_photons
 from .permanent import _permanent_batch
 from .random_ensembles import as_matrix
-
-MAX_CYCLE_N = 30
-MAX_ARRANGEMENT_N = 30
-MAX_MISMATCH_PHOTONS = 7
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,7 @@ def cycle_types(n: int) -> list[tuple[tuple[int, ...], int]]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > MAX_CYCLE_N:
-        raise ResourceLimitError(f"cycle-type enumeration capped at n={MAX_CYCLE_N}, got {n}")
+    limits.check("cycle_photons", n, "cycle-type enumeration")
     out = []
     n_fact = math.factorial(n)
     for part in _partitions(n):
@@ -149,8 +145,7 @@ def arrangement_count(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > MAX_ARRANGEMENT_N:
-        raise ResourceLimitError(f"arrangement count capped at n={MAX_ARRANGEMENT_N}, got {n}")
+    limits.check("arrangement_items", n, "arrangement count")
     n_fact = math.factorial(n)
     return sum(n_fact // math.factorial(k) for k in range(n + 1))
 
@@ -199,10 +194,7 @@ def sigma_table(photons: int, indist: Indistinguishability) -> SigmaTable:
     Depends only on the photon count and the overlaps, so a caller that
     evaluates many outputs builds it once and passes it to ``prob_mismatch``.
     """
-    if photons > MAX_MISMATCH_PHOTONS:
-        raise ResourceLimitError(
-            f"mismatch probability capped at {MAX_MISMATCH_PHOTONS} photons, got {photons}"
-        )
+    limits.check("mismatch_photons", photons, "mismatch probability")
     overlaps = []
     inverses = []
     for sigma in permutations(range(photons)):
@@ -286,8 +278,7 @@ def mismatch_bound(n_photons: int, indist: Indistinguishability) -> float:
     n = n_photons
     if n < 1:
         raise ValueError("n must be positive")
-    if n > MAX_CYCLE_N:
-        raise ResourceLimitError(f"mismatch bound capped at n={MAX_CYCLE_N}, got {n}")
+    limits.check("cycle_photons", n, "mismatch bound")
     # rows: sum w P^2, sum w P (1 - P), sum w (1 - P)^2; column m photons in cycles of length >= 2
     state = np.zeros((3, n + 1))
     state[0, 0] = 1.0
@@ -315,6 +306,9 @@ def mismatch_bound_small(n_photons: int, avg_fidelity: float) -> float:
     """
     if not 0.0 <= avg_fidelity <= 1.0:
         raise ValueError("avg_fidelity outside [0, 1]")
-    n = n_photons
-    poly = n**3 / 3.0 - n**2 / 2.0 + 7.0 * n / 6.0 - 1.0
-    return (1.0 - avg_fidelity) ** 2 * poly
+    return (1.0 - avg_fidelity) ** 2 * mismatch_polynomial(n_photons)
+
+
+def mismatch_polynomial(n: int) -> float:
+    """N^3/3 - N^2/2 + 7N/6 - 1, the factor of (1 - F)^2 in :func:`mismatch_bound_small`."""
+    return n**3 / 3.0 - n**2 / 2.0 + 7.0 * n / 6.0 - 1.0

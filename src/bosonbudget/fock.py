@@ -9,14 +9,12 @@ table, which distribution builders slice instead of converting tuples.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
-
-MAX_OUTCOMES = 2_000_000
+from . import limits
 
 
 def mu(occupations: Sequence[int]) -> int:
@@ -49,42 +47,31 @@ def mode_indices(occupations: Sequence[int]) -> list[int]:
     return out
 
 
-def occupation_from_indices(indices: Sequence[int], modes: int) -> tuple[int, ...]:
-    occ = [0] * modes
-    for i in indices:
-        occ[int(i)] += 1
-    return tuple(occ)
-
-
-def count_outputs(modes: int, photons: int, collision_free: bool = False) -> int:
+def count_outputs(modes: int, photons: int) -> int:
     """Number of occupation vectors with the given photon total."""
     if modes < 0 or photons < 0:
         raise ValueError("modes and photons must be non-negative")
-    if collision_free:
-        return math.comb(modes, photons)
     return math.comb(modes + photons - 1, photons)
 
 
-def enumerate_outputs(modes: int, photons: int, collision_free: bool = False) -> np.ndarray:
+def enumerate_outputs(modes: int, photons: int) -> np.ndarray:
     """Every occupation vector with ``photons`` photons, as a ``(count, modes)`` intp table.
 
     Rows are in descending-lexicographic order on the occupation vector,
-    i.e. photons fill the lowest-index modes first. With ``collision_free``
-    occupations are restricted to 0/1.
+    i.e. photons fill the lowest-index modes first. The collision-free
+    vectors alone are ``noise_model.collision_free_patterns``.
 
     Raises
     ------
     ResourceLimitError
-        If the outcome count exceeds ``MAX_OUTCOMES`` (the count is named
-        in the message); raised before any row is built.
+        If the outcome count is over the ``outcomes`` limit (the count is
+        named in the message); raised before any row is built.
     """
-    n_out = count_outputs(modes, photons, collision_free)
-    if n_out > MAX_OUTCOMES:
-        raise ResourceLimitError(f"enumeration of {n_out} outcomes exceeds the budget of {MAX_OUTCOMES}")
-    chooser = combinations if collision_free else combinations_with_replacement
-    # one row of occupied mode indices per outcome, ascending, in the chooser's order
-    positions = np.fromiter(chain.from_iterable(chooser(range(modes), photons)), dtype=np.intp,
-                            count=n_out * photons).reshape(n_out, photons)
+    n_out = count_outputs(modes, photons)
+    limits.check("outcomes", n_out, "output enumeration")
+    # one row of occupied mode indices per outcome, ascending, in the order of combinations_with_replacement
+    positions = np.fromiter(chain.from_iterable(combinations_with_replacement(range(modes), photons)),
+                            dtype=np.intp, count=n_out * photons).reshape(n_out, photons)
     flat = positions + modes * np.arange(n_out)[:, None]
     return np.bincount(flat.ravel(), minlength=n_out * modes).reshape(n_out, modes)
 

@@ -38,15 +38,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ResourceLimitError
+from . import limits
+from .errors import DimensionError
 from .fock import count_outputs, enumerate_outputs, total_photons
 from .ideal_sampler import DistributionTable, prob_ideal
 from .permanent import _permanent_batch
 from .random_ensembles import as_matrix
-
-MAX_PATTERNS = 4_000_000
-MAX_CLICK_TABLE_MODES = 16
-MAX_TERMS = 5_000_000
 
 # Patterns per chunk in ``distance_parts`` (the sweep's counterpart of
 # ``ideal_sampler._TABLE_CHUNK``), and slot matrices per kernel stack for the
@@ -214,14 +211,9 @@ def output_click_distribution(cfg: DeviceConfig) -> DistributionTable:
     """
     u = cfg.matrix
     modes = cfg.modes
-    if modes > MAX_CLICK_TABLE_MODES:
-        raise ResourceLimitError(
-            f"click table has 2^{modes} entries; capped at 2^{MAX_CLICK_TABLE_MODES} patterns"
-        )
+    limits.check("click_table_modes", modes, f"click table of 2^{modes} patterns")
     totals = {total_photons(occ) for occ, _ in _input_support(cfg.source, cfg.n_sources)}
-    n_terms = sum(count_outputs(modes, k) for k in totals) * (1 << modes)
-    if n_terms > MAX_TERMS:
-        raise ResourceLimitError(f"triple sum needs about {n_terms} terms, over the {MAX_TERMS} cap")
+    limits.check("triple_sum_terms", sum(count_outputs(modes, k) for k in totals) * (1 << modes), "triple sum")
 
     det = cfg.detector
     pvec = np.zeros(1 << modes)
@@ -240,17 +232,6 @@ def output_click_distribution(cfg: DeviceConfig) -> DistributionTable:
     # pattern i has bit j at mode j, the first mode most significant
     outcomes = (np.arange(1 << modes)[:, None] >> np.arange(modes - 1, -1, -1)) & 1
     return DistributionTable(outcomes, pvec)
-
-
-def _fold_input_count(n_sources, source):
-    """Input occupations that the term cap counts; an upper bound if a product underflows.
-
-    One when the sources carry at most one photon, else every occupation of
-    positive weight. ``_pattern_probs`` folds all of them into one slot
-    matrix, so for multi-photon sources the count overstates the work; it
-    is what the term cap has counted, so the cap refuses the same inputs.
-    """
-    return 1 if source.kmax <= 1 else sum(p > 0.0 for p in source.photon_probs) ** n_sources
 
 
 def _slot_factors(source):
@@ -358,22 +339,24 @@ class _SubsetTable(NamedTuple):
     offsets: list  # offsets[k]: index of the first subset of size k; the last is the size
 
 
-def _subset_table(u, n_sources, source, detector, modes, clicks) -> _SubsetTable:
+def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _SubsetTable:
     """f(T) (``_slot_perms``) for every subset T of ``modes`` with fewer than ``clicks`` members.
 
     A subset smaller than a pattern is shared by every pattern that holds
     it, so the table evaluates it once for all of them. It is built in
     stacks of ``_SWEEP_CHUNK`` entries, each unranked when it is built.
+    The work of the whole evaluation, the table and the caller's
+    ``patterns`` full-size permanents, is checked against the limits first.
     """
     m = len(modes)
     offsets = [0]
     for k in range(clicks):
         offsets.append(offsets[-1] + math.comb(m, k))
-    if offsets[-1] > MAX_PATTERNS:
-        raise ResourceLimitError(f"subset table of {offsets[-1]} entries exceeds the cap of {MAX_PATTERNS}")
-    r = detector.loss_prob
+    limits.check("patterns", offsets[-1], "subset table")
     # one block of N slots per factor: slot a has source rows[a], factor (xs[a] + w z)
     x, w = _slot_factors(source)
+    limits.check_slot_permanents(len(x) * n_sources, offsets[-1] + patterns)
+    r = detector.loss_prob
     xs = np.repeat(x, n_sources)
     rows = np.tile(np.arange(n_sources), len(x))
     base = np.diag(xs) + (w * r) * (rows[:, None] == rows[None, :])
@@ -420,7 +403,7 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None):
     batch, clicks = cols.shape
     nu = detector.dark_rate
     if table is None:
-        table = _subset_table(u, n_sources, source, detector, _table_modes(cols, u.shape[0]), clicks)
+        table = _subset_table(u, n_sources, source, detector, _table_modes(cols, u.shape[0]), clicks, batch)
     local = cols if len(table.modes) == u.shape[0] else np.searchsorted(table.modes, cols)
     pout = np.zeros(batch)
     for k in range(clicks):
@@ -443,7 +426,7 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
     Cost is 2^(clicks) permanents of K x K slot matrices (K = N for sources
     of at most one photon, N kmax otherwise): a subset table over the
     clicked modes and the full click set. It stays cheap even for very wide
-    networks.
+    networks. K and the Gray steps are checked against the limits first.
     Requires the network matrix to be numerically unitary.
     """
     modes = cfg.modes
@@ -451,14 +434,7 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
         raise DimensionError("pattern must have one bit per mode")
     if any(b not in (0, 1) for b in pattern):
         raise ValueError("pattern entries must be 0 or 1")
-    clicked = [l for l, b in enumerate(pattern) if b]
-    n_clicked = len(clicked)
-    n_inputs = _fold_input_count(cfg.n_sources, cfg.source)
-    if (1 << n_clicked) * n_inputs > MAX_TERMS:
-        raise ResourceLimitError(
-            f"pattern with {n_clicked} clicks and {n_inputs} inputs is over the term cap"
-        )
-    cols = np.array([clicked], dtype=np.intp)
+    cols = np.array([[l for l, b in enumerate(pattern) if b]], dtype=np.intp)
     prob = _pattern_probs(cfg.matrix, cfg.n_sources, cfg.source, cfg.detector, cols)
     return max(float(prob[0]), 0.0)
 
@@ -479,9 +455,7 @@ def collision_free_patterns(modes: int, n_clicks: int) -> np.ndarray:
     """
     if not 0 <= n_clicks <= modes:
         raise ValueError(f"n_clicks must be in [0, modes={modes}], got {n_clicks}")
-    n_pat = math.comb(modes, n_clicks)
-    if n_pat > MAX_PATTERNS:
-        raise ResourceLimitError(f"{n_pat} patterns exceed the cap of {MAX_PATTERNS}")
+    limits.check("patterns", math.comb(modes, n_clicks), f"{n_clicks}-click pattern table")
     table = np.zeros((1, 0), dtype=np.intp)
     last = np.full(1, -1, dtype=np.intp)
     for t in range(n_clicks):
@@ -513,7 +487,8 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     whole table. The table changed the order of the sums within a pattern:
     sweeps agree with the earlier Gray walk over each pattern's subsets to
     1e-12 absolute (at most 2.4e-15 on the benchmark's sweeps), and stay
-    byte-identical only at N = 1.
+    byte-identical only at N = 1. The work of the whole call is checked
+    against the limits once, before the table is built.
     """
     u = cfg.matrix
     n = cfg.n_sources
@@ -529,10 +504,7 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
             or any(np.any(patterns[:, j] <= patterns[:, j - 1]) for j in range(1, n))
         ):
             raise ValueError(f"each pattern must list strictly increasing modes in [0, {cfg.modes})")
-    if (cfg.source.kmax + 1) ** n > 100_000 or n > 10:
-        raise ResourceLimitError("input support too large for the pattern sweep")
-
-    table = _subset_table(u, n, cfg.source, cfg.detector, _table_modes(patterns, cfg.modes), n)
+    table = _subset_table(u, n, cfg.source, cfg.detector, _table_modes(patterns, cfg.modes), n, len(patterns))
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
@@ -594,8 +566,19 @@ def noise_bound_additive(
     if not 1 <= n_sources <= modes:
         raise ValueError("need 1 <= n_sources <= modes")
     n, m = n_sources, modes
-    return (
-        3.0 * n**2 / (2.0 * m)
-        + 3.0 * ((m - n) * detector.dark_rate + n * detector.loss_prob)
-        + 4.0 * n * (1.0 - source.p(1))
-    )
+    c = additive_coefficients(n, m)
+    # dark counts and loss share the factor 3, taken out of their sum
+    dark_and_loss = 3.0 * ((m - n) * detector.dark_rate + n * detector.loss_prob)
+    return c["mode_count"] + dark_and_loss + c["p1_deficit"] * (1.0 - source.p(1))
+
+
+def additive_coefficients(n_sources: int, modes: int) -> dict[str, float]:
+    """The pieces of :func:`noise_bound_additive` that the budget inverter solves for.
+
+    ``mode_count`` is the geometry term 3N^2/(2M); ``dark_rate``,
+    ``loss_prob`` and ``p1_deficit`` are the coefficients 3(M - N), 3N and
+    4N of nu, r and 1 - p1.
+    """
+    n, m = n_sources, modes
+    return {"mode_count": 3.0 * n**2 / (2.0 * m), "dark_rate": 3.0 * (m - n), "loss_prob": 3.0 * n,
+            "p1_deficit": 4.0 * n}

@@ -17,30 +17,20 @@ cross-validation of the walk.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, PhotonCountError, ResourceLimitError
+from . import limits
+from .errors import DimensionError, NumericError, PhotonCountError
 from .fock import mode_indices, mu, total_photons
 from .random_ensembles import as_matrix
-
-DEFAULT_MAX_N = 30
-NAIVE_MAX_N = 9
-CONTINGENCY_MAX_PHOTONS = 6
 
 # The Gray walk is vectorised over batch x 2^h rows, h high columns taken as
 # fixed prefixes; h grows until a step touches at least this many rows, so a
 # single large matrix still runs whole-array steps.
 _MIN_ROWS = 4096
-
-
-def max_permanent_size() -> int:
-    """Hard cap for the Gray-code walk; override with env var BOSONBUDGET_MAX_N."""
-    raw = os.environ.get("BOSONBUDGET_MAX_N")
-    return int(raw) if raw else DEFAULT_MAX_N
 
 
 def _checked_square(a) -> np.ndarray:
@@ -60,12 +50,10 @@ def permanent_ryser(a) -> complex:
     ``_permanent_batch``). The name is historical; the walk is Glynn's,
     which stays accurate on positive matrices. The empty 0x0 matrix has
     permanent 1 by convention (this keeps vacuum amplitudes normalised).
+    The order is capped by the ``permanent_order`` limit.
     """
     a = _checked_square(a)
-    n = a.shape[0]
-    cap = max_permanent_size()
-    if n > cap:
-        raise ResourceLimitError(f"matrix size {n} exceeds the permanent cap {cap}")
+    limits.check("permanent_order", a.shape[0], "permanent")
     return complex(_permanent_batch(a[None])[0])
 
 
@@ -80,8 +68,7 @@ def permanent_naive(a) -> complex:
     n = a.shape[0]
     if n == 0:
         return 1 + 0j
-    if n > NAIVE_MAX_N:
-        raise ResourceLimitError(f"naive permanent capped at N={NAIVE_MAX_N}, got {n}")
+    limits.check("naive_order", n, "permutation-sum permanent")
     perms = _all_permutations(n)
     vals = a[np.arange(n)[None, :], perms]
     return complex(vals.prod(axis=1).sum())
@@ -164,10 +151,7 @@ def permanent_contingency(u, n, s) -> complex:
     photons = total_photons(n)
     if photons != total_photons(s):
         raise PhotonCountError("photon totals differ")
-    if photons > CONTINGENCY_MAX_PHOTONS:
-        raise ResourceLimitError(
-            f"contingency expansion capped at {CONTINGENCY_MAX_PHOTONS} photons, got {photons}"
-        )
+    limits.check("contingency_photons", photons, "contingency expansion")
     if photons == 0:
         return 1 + 0j
 

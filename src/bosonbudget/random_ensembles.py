@@ -14,9 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, ResourceLimitError
-
-MAX_MODES = 4096
+from . import limits
+from .errors import DimensionError
 
 
 def as_matrix(u) -> np.ndarray:
@@ -70,8 +69,9 @@ def haar_unitary(modes: int, rng: np.random.Generator) -> NetworkUnitary:
     QR of a complex Ginibre matrix with the R-diagonal phase correction, so
     the distribution is exactly uniform rather than merely approximately.
     """
-    if not 1 <= modes <= MAX_MODES:
-        raise ResourceLimitError(f"modes must be in [1, {MAX_MODES}], got {modes}")
+    if modes < 1:
+        raise ValueError(f"modes must be positive, got {modes}")
+    limits.check("haar_modes", modes, "Haar draw")
     z = (rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

@@ -424,9 +424,10 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
                 "--dark", "1e-5"], 1, "unrecognized arguments: --dark 1e-5"),
         (("--config", "c.json", '{"config": "d.json"}'), ["distribution"], 1, "unknown config key 'config'"),
         (None, ["verify", "--test", "roundtrip", "--modes", "20", "--sources", "13", "--p1", "0.97", "--p2", "0.01",
-                "--seed", "1"], 2, "pattern with 13 clicks and 1594323 inputs is over the term cap"),
-        (None, ["distance", "--modes", "11", "--sources", "11", "--seed", "1"], 2,
-         "input support too large for the pattern sweep"),
+                "--seed", "1"], 2,
+         "8192 slot permanents of order 26: 274877906944 Gray steps, over the 'gray_steps' limit"),
+        (None, ["distance", "--modes", "16", "--sources", "12", "--p1", "0.97", "--p2", "0.01", "--seed", "1"], 2,
+         "64839 slot permanents of order 24: 543908954112 Gray steps, over the 'gray_steps' limit"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
@@ -515,6 +516,15 @@ def test_roundtrip_many_single_photon_sources(tmp_path):
               "--p0", "0.02", "--p1", "0.98", "--seed", "1", "--out", str(out))
     assert rc == 0
     assert 0.0 < _report(out)["results"]["returnProbability"] <= 1.0
+
+
+def test_distance_over_eleven_sources(tmp_path):
+    # one pattern: 2^11 permanents of 11 x 11, about 2M Gray steps; for the ideal device the
+    # mass off the one 11-click pattern is the ideal bunched mass
+    out = tmp_path / "d.json"
+    assert _run("distance", "--modes", "11", "--sources", "11", "--seed", "1", "--out", str(out)) == 0
+    parts = _report(out)["results"]
+    assert parts["v2"] < 1e-12 and abs(parts["v1"] - parts["vb"]) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -7,6 +7,7 @@ import pytest
 from bosonbudget import (
     ResourceLimitError,
     birthday_bunching_bound,
+    collision_free_patterns,
     count_outputs,
     enumerate_outputs,
     mode_indices,
@@ -37,9 +38,19 @@ def test_mode_indices():
     assert mode_indices((0, 0)) == []
 
 
+def _occupations(patterns, modes):
+    # click patterns given by their clicked modes, as 0/1 occupation rows
+    occ = np.zeros((len(patterns), modes), dtype=np.intp)
+    occ[np.arange(len(patterns))[:, None], patterns] = 1
+    return occ
+
+
 def test_enumerate_collision_free_example():
-    got = enumerate_outputs(3, 2, collision_free=True).tolist()
+    # the collision-free outcomes are the click patterns, in the order of the full table
+    got = _occupations(collision_free_patterns(3, 2), 3).tolist()
     assert got == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    table = enumerate_outputs(3, 2)
+    assert table[table.max(axis=1) <= 1].tolist() == got
 
 
 def test_enumerate_all_example():
@@ -48,8 +59,8 @@ def test_enumerate_all_example():
 
 
 def test_enumerate_count_examples():
-    assert count_outputs(10, 3, collision_free=True) == 120
-    assert sum(1 for _ in enumerate_outputs(10, 3, collision_free=True)) == 120
+    assert count_outputs(10, 3) == len(enumerate_outputs(10, 3)) == 220
+    assert len(collision_free_patterns(10, 3)) == 120
 
 
 @pytest.mark.parametrize("modes,photons", [(4, 0), (4, 2), (7, 3), (12, 2), (20, 1)])
@@ -57,9 +68,7 @@ def test_counts_match_binomials(modes, photons):
     assert sum(1 for _ in enumerate_outputs(modes, photons)) == math.comb(
         modes + photons - 1, photons
     )
-    assert sum(1 for _ in enumerate_outputs(modes, photons, collision_free=True)) == math.comb(
-        modes, photons
-    )
+    assert len(collision_free_patterns(modes, photons)) == math.comb(modes, photons)
 
 
 def _tuple_outputs(modes, photons, collision_free):
@@ -74,10 +83,14 @@ def _tuple_outputs(modes, photons, collision_free):
 
 @pytest.mark.parametrize("collision_free", [False, True])
 def test_enumerate_matches_tuple_generator(collision_free):
+    # the collision-free rows are collision_free_patterns', the full table enumerate_outputs'
     for modes in range(1, 8):
-        for photons in range(0, 6):
+        for photons in range(0, min(6, modes + 1) if collision_free else 6):
             want = [list(o) for o in _tuple_outputs(modes, photons, collision_free)]
-            got = enumerate_outputs(modes, photons, collision_free)
+            if collision_free:
+                got = _occupations(collision_free_patterns(modes, photons), modes)
+            else:
+                got = enumerate_outputs(modes, photons)
             assert got.shape == (len(want), modes)
             assert got.tolist() == want
 

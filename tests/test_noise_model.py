@@ -28,7 +28,6 @@ from bosonbudget.noise_model import (
     _SWEEP_CHUNK,
     _colex_rank,
     _colex_unrank,
-    _fold_input_count,
     _input_support,
     _pattern_probs,
     _subset_table,
@@ -161,7 +160,7 @@ def test_output_distribution_ideal_matches_collapsed_ideal_table():
 
 
 def test_output_distribution_resource_guard():
-    with pytest.raises(ResourceLimitError, match="capped at 2\\^16 patterns"):
+    with pytest.raises(ResourceLimitError, match="click table of 2\\^17 patterns: 17 modes, .* capped at 16 modes"):
         output_click_distribution(DeviceConfig.ideal(make_haar(17, 7), 2))
     # 136 two-photon outcomes times 2^16 patterns: about 8.9M terms
     with pytest.raises(ResourceLimitError, match=f"{136 * 2**16} terms"):
@@ -279,7 +278,7 @@ def test_subset_table_matches_lone_pattern_tables_and_oracle(source, rtol):
     cfg = DeviceConfig(make_haar(9, 4), 3, source, DetectorModel(0.01, 1e-4))
     args = (cfg.matrix, 3, source, cfg.detector)
     cols = collision_free_patterns(9, 3)
-    table = _subset_table(*args, np.arange(9), 3)
+    table = _subset_table(*args, np.arange(9), 3, len(cols))
     assert len(table.values) == 1 + 9 + 36
     shared = _pattern_probs(*args, cols, table)
     lone = np.array([_pattern_probs(*args, cols[i : i + 1])[0] for i in range(len(cols))])
@@ -288,28 +287,35 @@ def test_subset_table_matches_lone_pattern_tables_and_oracle(source, rtol):
     np.testing.assert_allclose(shared[::3], want, rtol=5e-13, atol=0)
 
 
-@pytest.mark.parametrize(
-    "source",
-    [SourceModel((1.0,)), SourceModel.single_photon(0.9), SourceModel((0.02, 0.97, 0.01)),
-     SourceModel((0.0, 0.97, 0.03))],
-    ids=["vacuum", "single_photon", "p2", "p0_zero"],
-)
-def test_fold_input_count_matches_inputs(source):
-    # the term cap counts one input for sources of at most one photon, else every occupation
-    for n_sources in (1, 2, 4):
-        want = 1 if source.kmax <= 1 else len(list(_input_support(source, n_sources)))
-        assert _fold_input_count(n_sources, source) == want
-
-
 def test_term_cap_refuses_before_building_inputs(monkeypatch):
-    # 3^13 inputs x 2^13 kept-click subsets: refused from the count alone
+    # 2^13 slot matrices of order 26, 2^25 Gray steps each: refused from the counts alone
     def fail(*args):
-        raise AssertionError("inputs built before the term cap was checked")
+        raise AssertionError("slot matrices built before the Gray-step cap was checked")
 
-    monkeypatch.setattr(noise_model, "_input_support", fail)
+    monkeypatch.setattr(noise_model, "_slot_perms", fail)
     cfg = DeviceConfig(np.eye(20), 13, SourceModel((0.02, 0.97, 0.01)), DetectorModel())
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=f"8192 slot permanents of order 26: {2**38} Gray steps"):
         click_pattern_prob(cfg, (1,) * 13 + (0,) * 7)
+
+
+def test_limits_refuse_before_any_kernel_call(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a permanent was evaluated before the limits were checked")
+
+    monkeypatch.setattr(noise_model, "_permanent_batch", fail)
+    p2 = SourceModel((0.02, 0.97, 0.01))
+    # the subsets of fewer than 12 of 16 modes and the 1820 patterns: all subsets but those of 13 or more
+    cfg = DeviceConfig(make_haar(16, 3), 12, p2, DetectorModel())
+    with pytest.raises(ResourceLimitError, match=f"{2**16 - 560 - 120 - 16 - 1} slot permanents of order 24"):
+        distance_parts(cfg)
+    with pytest.raises(ResourceLimitError, match="'gray_steps' limit"):
+        click_pattern_prob(cfg, (1,) * 16)
+    # three two-photon sources make slot matrices of order 6, over a cap of 5
+    monkeypatch.setenv("BOSONBUDGET_MAX_N", "5")
+    cfg = DeviceConfig(make_haar(6, 3), 3, p2, DetectorModel())
+    for run in (lambda: distance_parts(cfg), lambda: click_pattern_prob(cfg, (1, 1, 0, 0, 0, 0))):
+        with pytest.raises(ResourceLimitError, match="slot matrix: 6 rows, over the 'permanent_order' limit"):
+            run()
 
 
 # ------------------------------------------------------------ distance parts

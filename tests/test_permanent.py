@@ -104,10 +104,10 @@ def test_size_caps():
 
 
 def test_env_cap_override(monkeypatch):
-    from bosonbudget.permanent import max_permanent_size
+    from bosonbudget import limits
 
     monkeypatch.setenv("BOSONBUDGET_MAX_N", "5")
-    assert max_permanent_size() == 5
+    assert limits.cap("permanent_order") == 5
     with pytest.raises(ResourceLimitError):
         permanent_ryser(np.eye(6))
 
