@@ -3,13 +3,13 @@
 Occupation vectors are plain sequences of non-negative integers, one entry
 per mode; click patterns are the 0/1 special case. ``enumerate_outputs``
 returns every vector of a photon total as one ``(count, modes)`` integer
-table, which distribution builders slice instead of converting tuples.
+table, which distribution builders slice instead of converting tuples; it
+is built from ``collision_free_patterns``, the N-subsets of the modes.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations_with_replacement
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,12 +54,34 @@ def count_outputs(modes: int, photons: int) -> int:
     return math.comb(modes + photons - 1, photons)
 
 
+def collision_free_patterns(modes: int, n_clicks: int) -> np.ndarray:
+    """Index array (count, n_clicks) of every pattern with exactly n_clicks clicks.
+
+    Rows are the n_clicks-subsets of range(modes) in lexicographic order,
+    the order of ``itertools.combinations``. The table is grown one column
+    at a time: a prefix ending in mode c continues with every mode from
+    c + 1 up to the last that still leaves room for the remaining clicks.
+    """
+    if not 0 <= n_clicks <= modes:
+        raise ValueError(f"n_clicks must be in [0, modes={modes}], got {n_clicks}")
+    limits.check("patterns", math.comb(modes, n_clicks), f"{n_clicks}-click pattern table")
+    table = np.zeros((1, 0), dtype=np.intp)
+    last = np.full(1, -1, dtype=np.intp)
+    for t in range(n_clicks):
+        counts = modes - n_clicks + t - last
+        starts = np.cumsum(counts) - counts
+        table = np.repeat(table, counts, axis=0)
+        last = np.arange(len(table), dtype=np.intp) + np.repeat(last + 1 - starts, counts)
+        table = np.column_stack((table, last))
+    return table
+
+
 def enumerate_outputs(modes: int, photons: int) -> np.ndarray:
     """Every occupation vector with ``photons`` photons, as a ``(count, modes)`` intp table.
 
     Rows are in descending-lexicographic order on the occupation vector,
     i.e. photons fill the lowest-index modes first. The collision-free
-    vectors alone are ``noise_model.collision_free_patterns``.
+    vectors alone are ``collision_free_patterns``.
 
     Raises
     ------
@@ -69,11 +91,14 @@ def enumerate_outputs(modes: int, photons: int) -> np.ndarray:
     """
     n_out = count_outputs(modes, photons)
     limits.check("outcomes", n_out, "output enumeration")
-    # one row of occupied mode indices per outcome, ascending, in the order of combinations_with_replacement
-    positions = np.fromiter(chain.from_iterable(combinations_with_replacement(range(modes), photons)),
-                            dtype=np.intp, count=n_out * photons).reshape(n_out, photons)
-    flat = positions + modes * np.arange(n_out)[:, None]
-    return np.bincount(flat.ravel(), minlength=n_out * modes).reshape(n_out, modes)
+    if n_out == 0:  # photons but no modes
+        return np.zeros((0, modes), dtype=np.intp)
+    # stars and bars: the occupied modes of an outcome, ascending with repeats, are an
+    # N-subset of range(M + N - 1) shifted down by 0, 1, ..., N - 1, in the same lexicographic order
+    positions = collision_free_patterns(modes + photons - 1, photons)
+    positions -= np.arange(photons)
+    positions += modes * np.arange(n_out)[:, None]  # in place: each photon's index in the flat table
+    return np.bincount(positions.ravel(), minlength=n_out * modes).reshape(n_out, modes)
 
 
 class BirthdayBound(NamedTuple):

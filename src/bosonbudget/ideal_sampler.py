@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,10 +103,24 @@ def full_distribution(u, n: Sequence[int]) -> DistributionTable:
         occ = outcomes[lo : lo + _TABLE_CHUNK]
         # (chunk, photons): one column index per photon, ascending per outcome
         cols = np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel()).reshape(len(occ), photons)
-        # entry-major (photons, photons, chunk) stack, read by the kernel without a copy
-        amps = _permanent_batch(np.take(sources, cols.T, axis=1).transpose(2, 0, 1))
-        probs[lo : lo + len(occ)] = np.abs(amps) ** 2 / (mu(n) * factorials[occ].prod(axis=1))
+        probs[lo : lo + len(occ)] = _squared_permanents(sources, cols) / (mu(n) * factorials[occ].prod(axis=1))
     return DistributionTable(outcomes, probs)
+
+
+def _squared_permanents(sources: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """|per(sources[:, cols[b]])|^2 for each row b of the (count, N) column array ``cols``.
+
+    ``sources`` holds the N source rows of the network; for a collision-free
+    output given by its N clicked modes this is its ideal probability. The
+    kernel takes ``_TABLE_CHUNK`` rows per call, each as an entry-major
+    (N, N, chunk) stack that it reads without a copy.
+    """
+    out = np.empty(len(cols))
+    for lo in range(0, len(cols), _TABLE_CHUNK):
+        chunk = cols[lo : lo + _TABLE_CHUNK]
+        stack = np.take(sources, chunk.T, axis=1).transpose(2, 0, 1)
+        out[lo : lo + len(chunk)] = np.abs(_permanent_batch(stack)) ** 2
+    return out
 
 
 def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,10 +142,14 @@ def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) 
     return dist.outcomes[idx]
 
 
-def _prob_map(d) -> Mapping[Outcome, float]:
+def _rows_and_probs(d) -> tuple[np.ndarray, np.ndarray]:
+    """A ``DistributionTable``, or a mapping from outcome tuples to probabilities, as (rows, probs)."""
     if isinstance(d, DistributionTable):
-        return d.as_dict()
-    return dict(d)
+        return d.outcomes, d.probs
+    d = dict(d)
+    rows = np.array(list(d), dtype=np.intp)
+    width = rows.shape[1] if rows.ndim == 2 else 0  # an empty mapping holds no outcome of any length
+    return rows.reshape(len(d), width), np.array(list(d.values()), dtype=np.float64)
 
 
 def variational_distance(p, q) -> float:
@@ -139,9 +157,20 @@ def variational_distance(p, q) -> float:
 
     This is the convention without the factor 1/2. Outcomes missing from one
     table are treated as probability zero, so tables over different supports
-    (e.g. realistic vs ideal devices) compare directly.
+    (e.g. realistic vs ideal devices) compare directly. Either argument may
+    be a ``DistributionTable`` or a mapping from outcome tuples to
+    probabilities. The two tables are stacked and sorted by one
+    ``lexsort``, which puts an outcome held by both in two adjacent rows.
     """
-    pm = _prob_map(p)
-    qm = _prob_map(q)
-    keys = set(pm) | set(qm)
-    return math.fsum(abs(pm.get(k, 0.0) - qm.get(k, 0.0)) for k in keys)
+    (p_rows, p_probs), (q_rows, q_probs) = _rows_and_probs(p), _rows_and_probs(q)
+    diff = np.concatenate((p_probs, -q_probs))
+    if p_rows.shape[1] != q_rows.shape[1]:  # outcomes of different lengths: none is shared
+        return math.fsum(np.abs(diff))
+    rows = np.concatenate((p_rows, q_rows))
+    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
+    rows, diff = rows[order], diff[order]
+    # each table holds an outcome once, so a shared one is a pair: p_i + (-q_i) on its first row
+    shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+    diff[shared] += diff[shared + 1]
+    diff[shared + 1] = 0.0
+    return math.fsum(np.abs(diff))

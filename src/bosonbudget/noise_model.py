@@ -40,8 +40,8 @@ import numpy as np
 
 from . import limits
 from .errors import DimensionError
-from .fock import count_outputs, enumerate_outputs, total_photons
-from .ideal_sampler import DistributionTable, prob_ideal
+from .fock import collision_free_patterns, count_outputs, enumerate_outputs, total_photons
+from .ideal_sampler import DistributionTable, _squared_permanents, prob_ideal
 from .permanent import _permanent_batch
 from .random_ensembles import as_matrix
 
@@ -445,28 +445,6 @@ class DistanceParts(NamedTuple):
     vb: float  # bunched-output mass of the ideal device
 
 
-def collision_free_patterns(modes: int, n_clicks: int) -> np.ndarray:
-    """Index array (count, n_clicks) of every pattern with exactly n_clicks clicks.
-
-    Rows are the n_clicks-subsets of range(modes) in lexicographic order,
-    the order of ``itertools.combinations``. The table is grown one column
-    at a time: a prefix ending in mode c continues with every mode from
-    c + 1 up to the last that still leaves room for the remaining clicks.
-    """
-    if not 0 <= n_clicks <= modes:
-        raise ValueError(f"n_clicks must be in [0, modes={modes}], got {n_clicks}")
-    limits.check("patterns", math.comb(modes, n_clicks), f"{n_clicks}-click pattern table")
-    table = np.zeros((1, 0), dtype=np.intp)
-    last = np.full(1, -1, dtype=np.intp)
-    for t in range(n_clicks):
-        counts = modes - n_clicks + t - last
-        starts = np.cumsum(counts) - counts
-        table = np.repeat(table, counts, axis=0)
-        last = np.arange(len(table), dtype=np.intp) + np.repeat(last + 1 - starts, counts)
-        table = np.column_stack((table, last))
-    return table
-
-
 def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> DistanceParts:
     """Exact decomposition of the distance between the device and its ideal twin.
 
@@ -510,7 +488,7 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     sum_ideal = 0.0
     for lo in range(0, patterns.shape[0], _SWEEP_CHUNK):
         cols = patterns[lo : lo + _SWEEP_CHUNK]
-        pideal = np.abs(_permanent_batch(np.take(u[:n], cols.T, axis=1).transpose(2, 0, 1))) ** 2
+        pideal = _squared_permanents(u[:n], cols)
         pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table)
         sum_out += float(pout.sum())
         sum_gap += float(np.abs(pout - pideal).sum())

@@ -18,8 +18,8 @@ import numpy as np
 
 from .distinguishability import Indistinguishability, prob_mismatch, sigma_table
 from .errors import DimensionError
-from .fock import mode_indices
-from .ideal_sampler import full_distribution
+from .fock import collision_free_patterns, mode_indices
+from .ideal_sampler import _squared_permanents, full_distribution
 from .noise_model import DeviceConfig, click_pattern_prob
 from .random_ensembles import as_matrix, fourier_matrix
 
@@ -55,7 +55,8 @@ def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     over its clicked columns; real device output is biased toward columns the
     source rows weight heavily, so E[W] sits above the uniform reference.
     Both reference means are calibrated by exact enumeration at desk scale,
-    over the collision-free rows of the ideal output table.
+    over the collision-free outputs only: |per(U[rows, T])|^2 for every
+    N-subset T of the modes, the device reference normalised by their mass.
     Samples whose click count differs from N are rejected and counted.
 
     The call is inconclusive when the sample mean lies within two standard
@@ -86,15 +87,12 @@ def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     n_used = len(kept)
     n_rejected = len(samples) - n_used
 
-    # the collision-free rows are every N-subset of the modes, lexicographically
-    dist = full_distribution(m, list(n0))
-    occ = dist.outcomes
-    collision_free = occ.max(axis=1) <= 1
-    p_cf = dist.probs[collision_free]
-    w_cf = _witness_values(col_mass, np.nonzero(occ[collision_free])[1].reshape(-1, n), modes, n)
+    # calibrate over the collision-free outputs, the N-subsets of the modes in lexicographic order
+    patterns = collision_free_patterns(modes, n)
+    p_cf = _squared_permanents(m[rows], patterns)
+    w_cf = _witness_values(col_mass, patterns, modes, n)
     ref_uniform = float(w_cf.mean())
-    cf_mass = math.fsum(p_cf)
-    ref_device = math.fsum(p_cf * w_cf) / cf_mass
+    ref_device = math.fsum(p_cf * w_cf) / math.fsum(p_cf)
     midpoint = 0.5 * (ref_uniform + ref_device)
 
     if n_used == 0:
@@ -140,6 +138,20 @@ class SuppressionResult:
     law_valid: bool
 
 
+def _dihedral_keys(outcomes: np.ndarray, n: int) -> np.ndarray:
+    """The orbit of each N-mode outcome under the dihedral group D_N, as one integer key.
+
+    D_N acts on the modes by l -> l + c and l -> c - l (mod N). An outcome's
+    code reads its occupation vector as base-(N + 1) digits; its key is the
+    least code over the 2N images, so two outcomes share a key exactly when
+    they share an orbit.
+    """
+    digits = (n + 1) ** np.arange(n)
+    l = np.arange(n)
+    images = [(l + c) % n for c in range(n)] + [(c - l) % n for c in range(n)]
+    return np.min([outcomes[:, image] @ digits for image in images], axis=0)
+
+
 def suppression_test(n: int, indist: Indistinguishability) -> SuppressionResult:
     """Total probability leaking into the forbidden outputs of the Fourier network.
 
@@ -150,6 +162,17 @@ def suppression_test(n: int, indist: Indistinguishability) -> SuppressionResult:
     ideal probability, and any violation invalidates the law for this
     instance instead of proceeding. With imperfect indistinguishability the
     flagged outputs leak mass, which is what is returned.
+
+    The leaked mass is summed over orbits of the dihedral group D_N acting
+    on the output modes (Tichy, Mayer, Buchleitner & Molmer, PRL 113, 020502
+    (2014)): a cyclic shift multiplies the rows of the Fourier submatrix by
+    phases that cancel in every term of ``prob_mismatch``, and the reflection
+    conjugates each term's permanent, so the mismatch probability is constant
+    on an orbit and the flagged set is a union of orbits. Each flagged orbit
+    costs one ``prob_mismatch`` call, weighted by its size. The symmetry is
+    checked too: every output's ideal probability must agree with its orbit
+    representative's to ``SUPPRESSION_TOL``, and each output that does not
+    counts as a violation.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -160,10 +183,16 @@ def suppression_test(n: int, indist: Indistinguishability) -> SuppressionResult:
     ideal = full_distribution(u, n0)
     flagged = (ideal.outcomes @ np.arange(n)) % n != 0
     n_flagged = int(np.count_nonzero(flagged))
-    violations = int(np.count_nonzero(ideal.probs[flagged] > SUPPRESSION_TOL))
+    # first[k]: the representative of orbit k, the first of its outputs in the table
+    _, first, orbit, size = np.unique(_dihedral_keys(ideal.outcomes, n), return_index=True,
+                                      return_inverse=True, return_counts=True)
+    unequal = np.abs(ideal.probs - ideal.probs[first][orbit]) > SUPPRESSION_TOL
+    violations = int(np.count_nonzero((flagged & (ideal.probs > SUPPRESSION_TOL)) | unequal))
     if violations:
         return SuppressionResult(math.nan, violations, n_flagged, False)
 
-    outputs = ideal.outcomes[flagged].tolist()
-    mass = math.fsum(prob_mismatch(u, n0, s, indist, sigmas=sigmas) for s in outputs)
+    leaking = np.flatnonzero(flagged[first])
+    outputs = ideal.outcomes[first[leaking]].tolist()
+    mass = math.fsum(int(size[k]) * prob_mismatch(u, n0, s, indist, sigmas=sigmas)
+                     for k, s in zip(leaking, outputs))
     return SuppressionResult(mass, 0, n_flagged, True)

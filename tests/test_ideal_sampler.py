@@ -131,6 +131,22 @@ def test_variational_distance_is_metric():
     assert variational_distance(a, a) == 0.0
 
 
+def test_variational_distance_matches_the_dict_sum():
+    # the tuple-keyed sum the array union replaced, to the last bit, over partly shared supports
+    rng = np.random.default_rng(12)
+    outcomes = enumerate_outputs(5, 3)
+    for trial in range(20):
+        p_rows, q_rows = (np.sort(rng.choice(len(outcomes), size, replace=False)) for size in (20, 30))
+        p = DistributionTable(outcomes[p_rows], rng.random(20) / 20)
+        q = dict(zip(map(tuple, outcomes[q_rows].tolist()), (rng.random(30) / 30).tolist()))
+        pm = p.as_dict()
+        want = math.fsum(abs(pm.get(k, 0.0) - q.get(k, 0.0)) for k in set(pm) | set(q))
+        assert variational_distance(p, q) == want
+        assert variational_distance(q, p) == want
+    assert variational_distance({}, {(0, 1): 0.25}) == 0.25
+    assert variational_distance({(1,): 0.5}, {(1, 0): 0.25}) == 0.75
+
+
 def test_haar_average_transition_probability():
     # ensemble mean of P(s|n) approaches N!/M^N in the dilute regime
     n, m = 2, 80

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -10,12 +11,17 @@ from bosonbudget import (
     ResourceLimitError,
     SourceModel,
     collision_free_patterns,
+    enumerate_outputs,
+    fourier_matrix,
     full_distribution,
+    prob_mismatch,
     row_norm_witness,
     sample_ideal,
     suppression_test,
     unitarity_roundtrip,
+    verify,
 )
+from bosonbudget.verify import SUPPRESSION_TOL
 
 from conftest import make_haar
 
@@ -89,9 +95,25 @@ def test_witness_uniform_reference_is_the_mean_over_all_patterns(modes, n):
     assert row_norm_witness(u, (1,) * n + (0,) * (modes - n), []).reference_uniform == want
 
 
+@pytest.mark.parametrize("modes, n", [(9, 3), (12, 4), (16, 5), (10, 6), (7, 7), (5, 1)])
+def test_witness_calibration_matches_the_full_table(modes, n):
+    # the references over the collision-free rows of the full ideal table, as the calibration once read them
+    u = make_haar(modes, 40 + n)
+    n0 = (1,) * n + (0,) * (modes - n)
+    dist = full_distribution(u.matrix, n0)
+    cf = dist.outcomes.max(axis=1) <= 1
+    clicked = np.nonzero(dist.outcomes[cf])[1].reshape(-1, n)
+    col_mass = (np.abs(u.matrix[:n]) ** 2).sum(axis=0)
+    w = np.prod((modes / n) * col_mass[clicked], axis=-1)
+    want_device = math.fsum(dist.probs[cf] * w) / math.fsum(dist.probs[cf])
+    res = row_norm_witness(u, n0, [])
+    assert res.reference_uniform == float(w.mean())
+    assert res.reference_device == pytest.approx(want_device, rel=1e-15, abs=0)
+
+
 def test_witness_refused_by_the_table_cap():
-    # C(64, 5) outcomes exceed full_distribution's cap, which bounds the calibration
-    with pytest.raises(ResourceLimitError):
+    # the calibration sweeps the C(60, 5) = 5,461,512 collision-free outputs, over the pattern cap
+    with pytest.raises(ResourceLimitError, match="'patterns' limit"):
         row_norm_witness(make_haar(60, 1), (1,) * 5 + (0,) * 55, [])
 
 
@@ -146,3 +168,36 @@ def test_suppression_mass_closed_form_two_photons():
     for g2 in (0.2, 0.6, 0.95):
         res = suppression_test(2, Indistinguishability((g2,)))
         assert res.suppressed_mass == pytest.approx((1.0 - g2) / 2.0, abs=1e-12)
+
+
+def _per_output_mass(n, ind):
+    # the leaked mass summed output by output, one prob_mismatch call per flagged output
+    u = fourier_matrix(n)
+    outcomes = enumerate_outputs(n, n)
+    flagged = outcomes[(outcomes @ np.arange(n)) % n != 0]
+    return math.fsum(prob_mismatch(u, (1,) * n, s, ind) for s in flagged.tolist())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("overlaps", ["constant", "graded"])
+def test_suppression_orbit_sum_matches_per_output_sum(n, overlaps):
+    ind = (Indistinguishability.constant(0.9, n) if overlaps == "constant"
+           else Indistinguishability(tuple(np.linspace(0.8, 0.95, n - 1))))
+    res = suppression_test(n, ind)
+    assert res.law_valid
+    assert res.suppressed_mass == pytest.approx(_per_output_mass(n, ind), rel=1e-13, abs=0)
+
+
+def test_suppression_refused_when_the_network_breaks_the_symmetry(monkeypatch):
+    # entries scaled by 1 + 1e-6 x: the flagged outputs gain mass only at second order, under
+    # 1e-10 each, while the orbits' probabilities part at first order, so the orbit check refuses
+    n = 4
+    q = fourier_matrix(n).matrix * (1.0 + 1e-6 * np.random.default_rng(8).standard_normal((n, n)))
+    outcomes = enumerate_outputs(n, n)
+    flagged = (outcomes @ np.arange(n)) % n != 0
+    assert full_distribution(q, (1,) * n).probs[flagged].max() < SUPPRESSION_TOL
+    monkeypatch.setattr(verify, "fourier_matrix", lambda modes: q)
+    res = suppression_test(n, Indistinguishability.constant(0.9, n))
+    assert not res.law_valid
+    assert res.law_violations > 0
+    assert math.isnan(res.suppressed_mass)
