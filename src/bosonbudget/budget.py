@@ -50,27 +50,6 @@ class BudgetReport:
     networks_per_hard_instance: float
     notes: tuple[str, ...] = field(default_factory=tuple)
 
-    def to_dict(self) -> dict:
-        out = {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "nSources": self.n_sources,
-            "modes": self.modes,
-            "noiseBound": self.noise_bound,
-            "noiseBoundClamped": self.noise_bound_clamped,
-            "noiseBoundAdditive": self.noise_bound_additive,
-            "clickProb": self.click_prob,
-            "badInputProb": self.bad_input_prob,
-            "mismatchBound": self.mismatch_bound,
-            "mismatchBoundSmall": self.mismatch_bound_small,
-            "noiseOk": self.noise_ok,
-            "mismatchOk": self.mismatch_ok,
-            "maxTolerable": dict(self.max_tolerable),
-            "networksPerHardInstance": self.networks_per_hard_instance,
-            "notes": list(self.notes),
-        }
-        return out
-
 
 def _validate_targets(epsilon: float, delta: float):
     if not 0.0 < epsilon <= 2.0:
@@ -207,17 +186,6 @@ class ScalingRow:
     max_p1_deficit: float
     max_fidelity_deficit: float
     element_fidelity: str
-
-    def to_dict(self) -> dict:
-        return {
-            "nSources": self.n_sources,
-            "requiredModes": self.required_modes,
-            "maxDarkRate": self.max_dark_rate,
-            "maxLossProb": self.max_loss_prob,
-            "maxP1Deficit": self.max_p1_deficit,
-            "maxFidelityDeficit": self.max_fidelity_deficit,
-            "elementFidelity": self.element_fidelity,
-        }
 
 
 def scaling_table(budget: float, n_values) -> list[ScalingRow]:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 resource error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib.resources
 import json
@@ -141,46 +142,25 @@ def write_samples(path: str | Path, patterns) -> None:
     Path(path).write_bytes(text.tobytes())
 
 
-# Character classes of the sample-file reader, indexed by code point; every
-# code point past the table is _OTHER. Whitespace is what ``str.strip``
-# removes, and line breaks are where ``str.splitlines`` splits.
-_SPACE, _BREAK, _ZERO, _ONE, _OTHER = range(5)
-_WHITESPACE = [0x09, 0x20, 0x1F, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000]
-_LINE_BREAKS = [0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029]
-_CHAR_CLASS = np.full(0x3002, _OTHER, dtype=np.uint8)
-_CHAR_CLASS[_WHITESPACE] = _SPACE
-_CHAR_CLASS[_LINE_BREAKS] = _BREAK
-_CHAR_CLASS[ord("0")] = _ZERO
-_CHAR_CLASS[ord("1")] = _ONE
-
-
 def read_samples(path: str | Path) -> np.ndarray:
     """The click patterns of a sample file as a ``(count, modes)`` uint8 array.
 
-    Blank lines and whitespace around a pattern are ignored, and any line
-    break is accepted. A line holding anything else than one 0/1 string is
-    a usage error quoting the line; lines of different lengths are refused
-    as patterns that cannot all match the mode count. A file with no
-    patterns gives a ``(0, 0)`` array.
+    Blank lines and whitespace around a pattern are ignored (``str.strip``),
+    and any line break that ``str.splitlines`` knows is accepted. A line
+    holding anything else than one 0/1 string is a usage error quoting the
+    first such line; lines of different lengths are refused as patterns
+    that cannot all match the mode count. A file with no patterns gives a
+    ``(0, 0)`` array.
     """
-    text = _read_text(path)
-    kind = _CHAR_CLASS[np.minimum(np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32),
-                                  len(_CHAR_CLASS) - 1)]
-    line = np.cumsum(kind == _BREAK)  # the line of each character; a break opens the next line
-    shown = np.flatnonzero(kind >= _ZERO)  # everything but whitespace
-    shown_line = line[shown]
-    # a line is bad if it holds a character other than 0/1, or whitespace between two that are shown
-    gaps = (np.diff(shown) > 1) & (np.diff(shown_line) == 0)
-    bad = np.concatenate([shown_line[kind[shown] == _OTHER], shown_line[1:][gaps]])
-    if bad.size:
-        chars = np.flatnonzero(line == bad.min())
-        text_line = text[chars[0] : chars[-1] + 1].strip()
-        raise UsageError(f"sample line is not a 0/1 string: {text_line!r}")
-    lengths = np.bincount(shown_line)
-    lengths = lengths[lengths > 0]
-    if np.any(lengths != lengths[:1]):
+    lines = [line for line in map(str.strip, _read_text(path).splitlines()) if line]
+    # every UTF-8 byte of a character other than 0/1 wraps or stays above 1
+    bits = np.frombuffer("".join(lines).encode(), dtype=np.uint8) - ord("0")
+    if np.any(bits > 1):
+        bad = next(line for line in lines if line.strip("01"))
+        raise UsageError(f"sample line is not a 0/1 string: {bad!r}")
+    if len(set(map(len, lines))) > 1:
         raise DimensionError("sample pattern length must equal the mode count")
-    return (kind[shown] - _ZERO).reshape(len(lengths), lengths[0] if lengths.size else 0)
+    return bits.reshape(len(lines), len(lines[0]) if lines else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +354,15 @@ def _int_table(table: np.ndarray, sep: str, head: str = "", tail: str = "", row_
     return (text[text != 0] if width > 1 else text).tobytes().decode("ascii")
 
 
+def _report_fields(record) -> dict:
+    """The fields of a result dataclass as report keys: each snake_case field name in camelCase."""
+    out = {}
+    for f in dataclasses.fields(record):
+        head, *rest = f.name.split("_")
+        out[head + "".join(word.capitalize() for word in rest)] = getattr(record, f.name)
+    return out
+
+
 def emit_report(command: str, args, results: dict, parameters: dict) -> dict:
     report = {
         "schemaVersion": SCHEMA_VERSION,
@@ -422,14 +411,15 @@ def _load_unitary(path: str) -> NetworkUnitary:
     return NetworkUnitary.from_matrix(m, max_defect=1e-8)
 
 
-def _resolve_unitary(args) -> NetworkUnitary:
+def _resolve_unitary(args, rng=None) -> NetworkUnitary:
+    """The network of ``--unitary``, or a Haar draw on ``--modes`` modes from ``rng`` (by default from ``--seed``)."""
     if args.unitary:
         return _load_unitary(args.unitary)
     if args.modes is None:
         raise UsageError("either --unitary or --modes is required")
     if args.seed is None:
         raise UsageError("--seed is mandatory: a random network must be drawn")
-    return haar_unitary(args.modes, np.random.default_rng(args.seed))
+    return haar_unitary(args.modes, np.random.default_rng(args.seed) if rng is None else rng)
 
 
 def _source_model(args) -> SourceModel:
@@ -441,10 +431,7 @@ def _source_model(args) -> SourceModel:
 
 
 def _device_config(args) -> DeviceConfig:
-    u = _resolve_unitary(args)
-    if args.sources is None:
-        raise UsageError("--sources is required")
-    return DeviceConfig(u, args.sources, _source_model(args), DetectorModel(args.loss, args.dark))
+    return DeviceConfig(_resolve_unitary(args), args.sources, _source_model(args), DetectorModel(args.loss, args.dark))
 
 
 def _indist(args, n: int) -> Indistinguishability:
@@ -489,10 +476,7 @@ def _occupation_first_n(modes: int, n: int) -> tuple[int, ...]:
 def cmd_distribution(args) -> None:
     u = _resolve_unitary(args)
     modes = u.modes
-    n = args.sources
-    if n is None:
-        raise UsageError("--photons is required")
-    n0 = _occupation_first_n(modes, n)
+    n0 = _occupation_first_n(modes, args.sources)
     dist = full_distribution(u, n0)
     results = {
         "outcomes": dist.outcomes,
@@ -514,16 +498,9 @@ def cmd_sample(args) -> None:
     if args.count < 0:
         raise UsageError(f"--count must be non-negative, got {args.count}")
     net_rng, rng = spawn_rngs(args.seed, 2)  # network draw and sampling own split streams
-    if args.unitary:
-        u = _load_unitary(args.unitary)
-    elif args.modes is not None:
-        u = haar_unitary(args.modes, net_rng)
-    else:
-        raise UsageError("either --unitary or --modes is required")
+    u = _resolve_unitary(args, net_rng)
     modes = u.modes
     n = args.sources
-    if n is None:
-        raise UsageError("--sources is required")
     n0 = _occupation_first_n(modes, n)
     if args.population == "uniform":
         pats = collision_free_patterns(modes, n)
@@ -561,26 +538,21 @@ def cmd_distance(args) -> None:
 
 
 def cmd_budget(args) -> None:
-    if args.sources is None or args.modes is None:
-        raise UsageError("--sources and --modes are required")
     source = _source_model(args)
     detector = DetectorModel(args.loss, args.dark)
     indist = _indist(args, args.sources)
     report = evaluate_budget(args.sources, args.modes, source, detector, indist,
                              args.epsilon, args.delta)
-    results = report.to_dict()
+    results = _report_fields(report)
     if args.scaling:
         ns = [int(x) for x in args.scaling.split(",")]
-        rows = scaling_table(args.epsilon * args.delta, ns)
-        results["scalingTable"] = [r.to_dict() for r in rows]
+        table = [_report_fields(r) for r in scaling_table(args.epsilon * args.delta, ns)]
+        results["scalingTable"] = table
         if args.format == "csv" and args.out:
-            header = "nSources,requiredModes,maxDarkRate,maxLossProb,maxP1Deficit,maxFidelityDeficit"
-            lines = [header]
-            for r in rows:
-                lines.append(
-                    f"{r.n_sources},{r.required_modes},{_fmt(r.max_dark_rate)},"
-                    f"{_fmt(r.max_loss_prob)},{_fmt(r.max_p1_deficit)},{_fmt(r.max_fidelity_deficit)}"
-                )
+            columns = [key for key in table[0] if key != "elementFidelity"]  # the numeric columns
+            lines = [",".join(columns)]
+            for row in table:
+                lines.append(",".join(str(row[c]) if isinstance(row[c], int) else _fmt(row[c]) for c in columns))
             Path(args.out).with_suffix(".csv").write_text("\n".join(lines) + "\n")
     emit_report("budget", args, results, {
         "nSources": args.sources, "modes": args.modes, "p0": args.p0, "p1": args.p1, "p2": args.p2,
@@ -591,25 +563,11 @@ def cmd_budget(args) -> None:
 
 
 def cmd_witness(args) -> None:
-    if not args.unitary or not args.samples:
-        raise UsageError("witness needs --unitary and --samples")
     u = _load_unitary(args.unitary)
-    if args.sources is None:
-        raise UsageError("--sources is required")
     samples = read_samples(args.samples)
     res = row_norm_witness(u, _occupation_first_n(u.modes, args.sources), samples)
-    results = {
-        "test": "witness",
-        "sampleMean": res.sample_mean,
-        "sampleSe": res.sample_se,
-        "referenceUniform": res.reference_uniform,
-        "referenceDevice": res.reference_device,
-        "midpoint": res.midpoint,
-        "decision": res.decision,
-        "nUsed": res.n_used,
-        "nRejected": res.n_rejected,
-    }
-    emit_report("verify", args, results, {"unitary": args.unitary, "samples": args.samples, "nSources": args.sources})
+    emit_report("verify", args, {"test": "witness", **_report_fields(res)},
+                {"unitary": args.unitary, "samples": args.samples, "nSources": args.sources})
 
 
 def cmd_roundtrip(args) -> None:
@@ -619,17 +577,8 @@ def cmd_roundtrip(args) -> None:
 
 
 def cmd_suppression(args) -> None:
-    if args.sources is None:
-        raise UsageError("--photons is required")
     res = suppression_test(args.sources, _indist(args, args.sources))
-    results = {
-        "test": "suppression",
-        "suppressedMass": res.suppressed_mass,
-        "lawViolations": res.law_violations,
-        "nSuppressed": res.n_suppressed,
-        "lawValid": res.law_valid,
-    }
-    emit_report("verify", args, results, {"photons": args.sources, "g": args.g})
+    emit_report("verify", args, {"test": "suppression", **_report_fields(res)}, {"photons": args.sources, "g": args.g})
 
 
 def cmd_bench(args) -> None:
@@ -672,6 +621,7 @@ def _write_error(kind: str, message: str) -> None:
 
 class _Parser(argparse.ArgumentParser):
     commands: dict  # command function -> the parser of its options
+    required: tuple = ()  # the options a command needs, given on the command line or in --config
 
     def __init__(self, **kwargs):
         # No abbreviations: a prefix of one option could pass for an option the command does not read.
@@ -690,31 +640,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(group, name, func, help, *flags):
-        # "--sources/--photons" declares one option under two names
+    def command(group, name, func, help, *flags, required=()):
+        # "--sources/--photons" declares one option under two names; main refuses a run without one in ``required``
         p = group.add_parser(name, help=help)
         for flag in (*flags, "--config", "--seed", "--out"):
             names = flag.split("/")
             p.add_argument(*names, **_OPTIONS[names[0]])
         p.set_defaults(func=func)
+        p.required = required
         parser.commands[func] = p
         return p
 
     command(sub, "distribution", cmd_distribution, "exact ideal output distribution", *_NETWORK, "--photons",
-            "--format")
+            "--format", required=("--photons",))
 
-    p = command(sub, "sample", cmd_sample, "draw seeded samples; writes a click-pattern file", *_NETWORK, "--sources")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--samples-out", required=True, help="output click-pattern file")
+    p = command(sub, "sample", cmd_sample, "draw seeded samples; writes a click-pattern file", *_NETWORK, "--sources",
+                required=("--sources", "--count", "--samples-out"))
+    p.add_argument("--count", type=int)
+    p.add_argument("--samples-out", help="output click-pattern file")
     p.add_argument("--population", choices=("device", "uniform"), default="device")
 
     command(sub, "distance", cmd_distance, "exact distance decomposition of a noisy device", *_NETWORK, "--sources",
-            *_NOISE)
+            *_NOISE, required=("--sources",))
 
     p = command(sub, "budget", cmd_budget, "evaluate bounds, verdicts, and tolerances", "--modes", "--sources",
-                *_NOISE, "--g", "--format")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+                *_NOISE, "--g", "--format", required=("--modes", "--sources", "--epsilon", "--delta"))
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--delta", type=float)
     p.add_argument("--fidelity", type=float, help="mean pair fidelity (small-mismatch overlaps)")
     p.add_argument("--sigma-omega", type=float, help="spectral width of the jitter model")
     p.add_argument("--sigma-tau", type=float, help="arrival-time jitter of the jitter model")
@@ -726,12 +678,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 prog=f"{verify.prog} --test", parser_class=_Parser,
                                 help="the test to run; its options follow its name")
     p = command(tests, "witness", cmd_witness, "row-norm witness on a click-pattern file", "--unitary",
-                "--sources/--photons")
+                "--sources/--photons", required=("--unitary", "--sources", "--samples"))
     p.add_argument("--samples", help="click-pattern file")
     command(tests, "roundtrip", cmd_roundtrip, "unitarity round trip of a noisy device", *_NETWORK, "--sources",
-            *_NOISE)
+            *_NOISE, required=("--sources",))
     command(tests, "suppression", cmd_suppression, "suppression law under partial distinguishability",
-            "--photons/--sources", "--g")
+            "--photons/--sources", "--g", required=("--photons",))
 
     p = command(sub, "bench", cmd_bench, "time the permanent on seeded random matrices")
     p.add_argument("--sizes", default="2,4,8,12")
@@ -786,12 +738,16 @@ _ERRORS = (
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = parser.commands[args.func]
     try:
         if args.config:
             # the file supplies defaults, so the command line still wins
-            command = parser.commands[args.func]
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
+        actions = command._option_string_actions
+        missing = [flag for flag in command.required if getattr(args, actions[flag].dest) is None]
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
         args.func(args)
     except Exception as exc:
         for cls, kind, code in _ERRORS:

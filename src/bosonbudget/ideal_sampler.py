@@ -16,15 +16,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .fock import enumerate_outputs, mode_indices, mu, total_photons
-from .permanent import _permanent_batch, permanent_repeated
+from .permanent import STACK, _permanent_batch, permanent_repeated
 from .random_ensembles import as_matrix
 
 Outcome = tuple[int, ...]
-
-# Outcomes per kernel call in ``full_distribution``: big enough that numpy
-# steps dominate, small enough that the gathered stack does not raise the
-# process's peak memory.
-_TABLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -87,8 +82,8 @@ def full_distribution(u, n: Sequence[int]) -> DistributionTable:
 
     Outcomes follow the deterministic descending-lexicographic enumeration
     order; the total mass is 1 up to floating-point roundoff. The
-    permanents run through the batched kernel, ``_TABLE_CHUNK`` outcomes
-    per call.
+    permanents run through the batched kernel, ``STACK`` outcomes per
+    call.
     """
     m = as_matrix(u)
     modes = m.shape[0]
@@ -99,8 +94,8 @@ def full_distribution(u, n: Sequence[int]) -> DistributionTable:
     factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=np.float64)
     sources = m[mode_indices(n)]
     probs = np.empty(len(outcomes))
-    for lo in range(0, len(outcomes), _TABLE_CHUNK):
-        occ = outcomes[lo : lo + _TABLE_CHUNK]
+    for lo in range(0, len(outcomes), STACK):
+        occ = outcomes[lo : lo + STACK]
         # (chunk, photons): one column index per photon, ascending per outcome
         cols = np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel()).reshape(len(occ), photons)
         probs[lo : lo + len(occ)] = _squared_permanents(sources, cols) / (mu(n) * factorials[occ].prod(axis=1))
@@ -112,12 +107,12 @@ def _squared_permanents(sources: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     ``sources`` holds the N source rows of the network; for a collision-free
     output given by its N clicked modes this is its ideal probability. The
-    kernel takes ``_TABLE_CHUNK`` rows per call, each as an entry-major
+    kernel takes ``STACK`` rows per call, each as an entry-major
     (N, N, chunk) stack that it reads without a copy.
     """
     out = np.empty(len(cols))
-    for lo in range(0, len(cols), _TABLE_CHUNK):
-        chunk = cols[lo : lo + _TABLE_CHUNK]
+    for lo in range(0, len(cols), STACK):
+        chunk = cols[lo : lo + STACK]
         stack = np.take(sources, chunk.T, axis=1).transpose(2, 0, 1)
         out[lo : lo + len(chunk)] = np.abs(_permanent_batch(stack)) ** 2
     return out

@@ -42,17 +42,8 @@ from . import limits
 from .errors import DimensionError
 from .fock import collision_free_patterns, count_outputs, enumerate_outputs, total_photons
 from .ideal_sampler import DistributionTable, _squared_permanents, prob_ideal
-from .permanent import _permanent_batch
+from .permanent import STACK, _permanent_batch
 from .random_ensembles import as_matrix
-
-# Patterns per chunk in ``distance_parts`` (the sweep's counterpart of
-# ``ideal_sampler._TABLE_CHUNK``), and slot matrices per kernel stack for the
-# subset table and the full-size permanents: small enough that a stack stays
-# in cache, and at least ``permanent._MIN_ROWS``, so that the kernel walks
-# a full stack without prefix rows. The chunk fixes the summation order of
-# the sweep and, for slot matrices above 4 x 4, the kernel's prefix split,
-# so it is pinned.
-_SWEEP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -119,8 +110,8 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError("loss_prob must be in [0, 1]")
-        if not self.dark_rate >= 0.0:  # NaN fails too
-            raise ValueError("dark_rate must be non-negative")
+        if not 0.0 <= self.dark_rate < math.inf:  # NaN fails too
+            raise ValueError("dark_rate must be finite and non-negative")
 
     def no_click_prob(self, photons: int) -> float:
         return math.exp(-self.dark_rate) * self.loss_prob ** photons
@@ -279,7 +270,7 @@ def _slot_perms(base: np.ndarray, proj: np.ndarray, pieces) -> np.ndarray:
     Every slot matrix is K x K whatever |T|, built as
     base + proj[:, :, T_0] + proj[:, :, T_1] + ... in the order of the row
     (``_SubsetTable`` defines both parts). All pieces go to the kernel as
-    one stack, so callers keep it to ``_SWEEP_CHUNK``.
+    one stack, so callers keep it to ``permanent.STACK``.
     """
     k = len(base)
     # entry-major, batch last, so that every matrix entry is one contiguous row
@@ -344,7 +335,7 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
 
     A subset smaller than a pattern is shared by every pattern that holds
     it, so the table evaluates it once for all of them. It is built in
-    stacks of ``_SWEEP_CHUNK`` entries, each unranked when it is built.
+    stacks of ``permanent.STACK`` entries, each unranked when it is built.
     The work of the whole evaluation, the table and the caller's
     ``patterns`` full-size permanents, is checked against the limits first.
     """
@@ -363,8 +354,8 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     v = u[rows]
     proj = (w * (1.0 - r)) * (v.conj()[:, None, :] * v[None, :, :])
     values = np.empty(offsets[-1])
-    for lo in range(0, offsets[-1], _SWEEP_CHUNK):
-        hi = min(lo + _SWEEP_CHUNK, offsets[-1])
+    for lo in range(0, offsets[-1], STACK):
+        hi = min(lo + STACK, offsets[-1])
         pieces = [
             modes[_colex_unrank(np.arange(max(lo, start), min(hi, end)) - start, m, k)]
             for k, (start, end) in enumerate(zip(offsets, offsets[1:]))
@@ -398,7 +389,9 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None):
     read from ``table``, a ``_subset_table`` over modes that hold every
     clicked mode, built here (over ``_table_modes``) if none is given. The
     f(T) of each size are summed first, the sizes are then added in
-    increasing order, the full subset last.
+    increasing order, the full subset last. The full-size permanents go to
+    the kernel as one stack, so callers keep ``cols`` to ``permanent.STACK``
+    patterns.
     """
     batch, clicks = cols.shape
     nu = detector.dark_rate
@@ -412,10 +405,7 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None):
         members = local.T[positions.T]
         coeff = (-1.0) ** (clicks - k) * math.exp(-(clicks - k) * nu)
         pout += coeff * table.values[table.offsets[k] + _colex_rank(members)].sum(axis=0)
-    full = np.empty(batch)
-    for lo in range(0, batch, _SWEEP_CHUNK):
-        full[lo : lo + _SWEEP_CHUNK] = _slot_perms(table.base, table.proj, [cols[lo : lo + _SWEEP_CHUNK]])
-    pout += full
+    pout += _slot_perms(table.base, table.proj, [cols])
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
@@ -459,7 +449,7 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     Every kept-click subset smaller than N is evaluated once per call, in
     a table over every mode (``_table_modes``); each pattern then costs one
     permanent of its full click set and 2^N - 1 table reads. The sweep runs
-    in chunks of ``_SWEEP_CHUNK`` (4096) patterns, summed in order; that
+    in chunks of ``permanent.STACK`` (4096) patterns, summed in order; that
     order is part of the reproducibility contract. A sweep of at most 4096
     patterns is one chunk and gives the same bytes as one pass over the
     whole table. The table changed the order of the sums within a pattern:
@@ -486,8 +476,8 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
-    for lo in range(0, patterns.shape[0], _SWEEP_CHUNK):
-        cols = patterns[lo : lo + _SWEEP_CHUNK]
+    for lo in range(0, patterns.shape[0], STACK):
+        cols = patterns[lo : lo + STACK]
         pideal = _squared_permanents(u[:n], cols)
         pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table)
         sum_out += float(pout.sum())

@@ -27,10 +27,15 @@ from .errors import DimensionError, NumericError, PhotonCountError
 from .fock import mode_indices, mu, total_photons
 from .random_ensembles import as_matrix
 
-# The Gray walk is vectorised over batch x 2^h rows, h high columns taken as
-# fixed prefixes; h grows until a step touches at least this many rows, so a
-# single large matrix still runs whole-array steps.
-_MIN_ROWS = 4096
+# Matrices per kernel stack, for every caller that cuts its work into stacks
+# (``full_distribution``, the subset table and the distance sweep). The Gray
+# walk is vectorised over batch x 2^h rows, h high columns taken as fixed
+# prefixes; h grows until a step touches at least this many rows, so a full
+# stack walks without prefix rows and a single large matrix still runs
+# whole-array steps. A stack is small enough to stay in cache. The stack
+# fixes the kernel's prefix split, and so the bits of permanents above 4 x 4,
+# and the summation order of the distance sweep, so it is pinned.
+STACK = 4096
 
 
 def _checked_square(a) -> np.ndarray:
@@ -217,7 +222,7 @@ def _permanent_batch(mats: np.ndarray) -> np.ndarray:
     less than those of Ryser's subset sum, so it keeps its accuracy there
     (all-ones, n = 20: 2e-13 relative). The 2^h settings of the h high
     signs are fixed prefixes, walked alongside as extra rows; h is the
-    least that makes each step touch ``_MIN_ROWS`` rows (0 for large
+    least that makes each step touch ``STACK`` rows (0 for large
     batches). Matrix rows are held as a contiguous (n, n, batch) array, so
     every step is a handful of whole-row numpy operations; a stack whose
     ``transpose(1, 2, 0)`` is contiguous is read without a copy.
@@ -246,7 +251,7 @@ def _permanent_batch(mats: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.complex128)
     rows = np.ascontiguousarray(mats.transpose(1, 2, 0))
     h = 0
-    while h < n - 1 and b << h < _MIN_ROWS:
+    while h < n - 1 and b << h < STACK:
         h += 1
     low = n - 1 - h
     # cs[j, P, k]: half sum j of matrix k with the signs of prefix P (bit t

@@ -54,8 +54,6 @@ def test_report_fields():
         "fidelity_deficit",
     }
     assert any("1/N^2" in note or "N^-2" in note for note in report.notes)
-    d = report.to_dict()
-    assert d["noiseOk"] == report.noise_ok
 
 
 def test_invert_fidelity_worked_example():

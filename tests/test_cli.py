@@ -17,12 +17,6 @@ from hypothesis.extra import numpy as hnp
 
 from bosonbudget import DimensionError, haar_unitary
 from bosonbudget.cli import (
-    _CHAR_CLASS,
-    _BREAK,
-    _ONE,
-    _OTHER,
-    _SPACE,
-    _ZERO,
     UsageError,
     _fmt,
     build_parser,
@@ -111,7 +105,7 @@ def test_sample_file_roundtrip_any_table(patterns):
 
 
 def _line_parser(text):
-    # the line-by-line sample reader that the array reader replaced, kept as its oracle
+    # the line-by-line sample reader, kept as the oracle of read_samples
     out = []
     for line in text.splitlines():
         line = line.strip()
@@ -151,15 +145,6 @@ def test_read_samples_matches_line_parser(text):
     assert got.dtype == np.uint8
     assert got.shape == (len(want), len(want[0]) if want else 0)
     assert got.tolist() == [list(p) for p in want]
-
-
-def test_sample_reader_character_classes_match_str():
-    # whitespace is what str.strip removes, line breaks where str.splitlines splits
-    for code in range(0x110000):
-        c = chr(code)
-        want = (_ZERO if c == "0" else _ONE if c == "1" else _BREAK if len(f"a{c}a".splitlines()) == 2
-                else _SPACE if c.isspace() else _OTHER)
-        assert _CHAR_CLASS[min(code, len(_CHAR_CLASS) - 1)] == want, hex(code)
 
 
 # ----------------------------------------------------------------- commands
@@ -428,6 +413,8 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
          "8192 slot permanents of order 26: 274877906944 Gray steps, over the 'gray_steps' limit"),
         (None, ["distance", "--modes", "16", "--sources", "12", "--p1", "0.97", "--p2", "0.01", "--seed", "1"], 2,
          "64839 slot permanents of order 24: 543908954112 Gray steps, over the 'gray_steps' limit"),
+        (None, ["distance", "--modes", "2", "--sources", "2", "--dark", "inf", "--seed", "1"], 1,
+         "dark_rate must be finite and non-negative"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
@@ -437,7 +424,7 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
          "jitter-without-tau", "jitter-without-omega", "g-and-fidelity", "fidelity-and-jitter",
          "g-list-at-one-photon", "budget-unitary", "distribution-loss", "distribution-config-p0",
          "sample-p1", "sample-p2", "sample-dark", "config-names-config", "roundtrip-term-cap",
-         "distance-support-cap"],
+         "distance-support-cap", "distance-dark-inf"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)
@@ -560,6 +547,92 @@ def test_config_fills_options_that_have_defaults(tmp_path):
     report = _report(out)
     assert report["parameters"]["p1"] == 0.9
     assert report["seed"] == 0
+
+
+# a command's required options, and values for them
+_REQUIRED = {
+    "sample": (["sample", "--modes", "5", "--sources", "2", "--seed", "4"], {"count": 30, "samples-out": "s.txt"}),
+    "budget": (["budget", "--sources", "3", "--modes", "100", "--scaling", "2,3"], {"epsilon": 0.1, "delta": 0.5}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_required_options_may_come_from_config(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    argv, required = _REQUIRED[command]
+    typed = [word for key, value in required.items() for word in (f"--{key}", str(value))]
+    outputs = []
+    for extra in (typed, ["--config", "c.json"]):
+        for path in tmp_path.iterdir():
+            path.unlink()
+        Path("c.json").write_text(json.dumps(required))
+        assert _run(*argv, *extra, "--out", "r.json") == 0
+        outputs.append({path.name: path.read_bytes() for path in tmp_path.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, config, missing",
+    [
+        (["sample", "--modes", "5", "--seed", "4"], None, ["--sources", "--count", "--samples-out"]),
+        (["sample", "--modes", "5", "--sources", "2", "--seed", "4"], {"count": None, "samples-out": "s.txt"},
+         ["--count"]),
+        (["budget", "--sources", "3"], {"epsilon": 0.1, "delta": None}, ["--modes", "--delta"]),
+        (["budget"], {}, ["--modes", "--sources", "--epsilon", "--delta"]),
+        (["verify", "--test", "witness", "--photons", "2"], None, ["--unitary", "--samples"]),
+        (["distance", "--modes", "3", "--seed", "1"], {"sources": None}, ["--sources"]),
+        (["verify", "--test", "suppression", "--g", "0.9"], None, ["--photons"]),
+    ],
+    ids=["sample", "sample-null-count", "budget-null-delta", "budget-none", "witness", "distance-null-sources",
+         "suppression"],
+)
+def test_missing_required_options_give_one_usage_error(tmp_path, monkeypatch, capsys, argv, config, missing):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("c.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "c.json"]
+    assert _exit_code(argv + ["--out", "r.json"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = "the following arguments are required: " + ", ".join(missing)
+    assert json.loads(lines[0])["error"] == {"kind": "usage", "message": message}
+    assert not Path("r.json").exists()
+
+
+def test_report_keys_are_pinned(tmp_path, monkeypatch):
+    # report keys are made from result field names, so renaming a field would rename a key
+    monkeypatch.chdir(tmp_path)
+    write_matrix_json("u.json", haar_unitary(6, np.random.default_rng(3)).matrix)
+    Path("empty.txt").write_text("")
+    runs = {
+        "witness": ["verify", "--test", "witness", "--unitary", "u.json", "--sources", "2", "--samples", "s.txt"],
+        "witness-empty": ["verify", "--test", "witness", "--unitary", "u.json", "--sources", "2",
+                          "--samples", "empty.txt"],
+        "suppression": ["verify", "--test", "suppression", "--photons", "3", "--g", "0.9"],
+        "budget": ["budget", "--sources", "3", "--modes", "100", "--epsilon", "0.1", "--delta", "0.5",
+                   "--scaling", "2,3", "--format", "csv"],
+    }
+    assert _run("sample", "--unitary", "u.json", "--sources", "2", "--count", "50", "--seed", "1",
+                "--samples-out", "s.txt", "--out", "sample.json") == 0
+    results = {}
+    for name, argv in runs.items():
+        assert _run(*argv, "--out", f"{name}.json") == 0, name
+        results[name] = _report(Path(f"{name}.json"))["results"]
+    witness = {"test", "sampleMean", "sampleSe", "referenceUniform", "referenceDevice", "midpoint", "decision",
+               "nUsed", "nRejected"}
+    assert set(results["witness"]) == set(results["witness-empty"]) == witness
+    assert results["witness-empty"]["sampleMean"] is None and results["witness-empty"]["sampleSe"] == "inf"
+    assert set(results["suppression"]) == {"test", "suppressedMass", "lawViolations", "nSuppressed", "lawValid"}
+    assert set(results["budget"]) == {
+        "epsilon", "delta", "nSources", "modes", "noiseBound", "noiseBoundClamped", "noiseBoundAdditive",
+        "clickProb", "badInputProb", "mismatchBound", "mismatchBoundSmall", "noiseOk", "mismatchOk",
+        "maxTolerable", "networksPerHardInstance", "notes", "scalingTable"}
+    assert set(results["budget"]["maxTolerable"]) == {"dark_rate", "loss_prob", "p1_deficit", "fidelity_deficit"}
+    row = {"nSources", "requiredModes", "maxDarkRate", "maxLossProb", "maxP1Deficit", "maxFidelityDeficit",
+           "elementFidelity"}
+    assert [set(r) for r in results["budget"]["scalingTable"]] == [row, row]
+    header = Path("budget.csv").read_text().splitlines()[0]
+    assert header == "nSources,requiredModes,maxDarkRate,maxLossProb,maxP1Deficit,maxFidelityDeficit"
 
 
 def test_threads_is_gone(capsys):

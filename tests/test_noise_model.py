@@ -25,14 +25,13 @@ from bosonbudget import (
 )
 from bosonbudget import noise_model
 from bosonbudget.noise_model import (
-    _SWEEP_CHUNK,
     _colex_rank,
     _colex_unrank,
     _input_support,
     _pattern_probs,
     _subset_table,
 )
-from bosonbudget.permanent import _permanent_batch
+from bosonbudget.permanent import STACK, _permanent_batch
 
 from conftest import glynn_mp, make_haar
 
@@ -60,6 +59,12 @@ def test_detector_validation():
         DetectorModel(dark_rate=-1.0)
     with pytest.raises(ValueError):
         DetectorModel(dark_rate=math.nan)
+
+
+def test_detector_refuses_an_infinite_dark_rate():
+    # at M = N the factor e^(-(M - N) nu) would be exp(-0 * inf) = NaN
+    with pytest.raises(ValueError, match="dark_rate must be finite"):
+        DetectorModel(dark_rate=math.inf)
 
 
 def test_device_config_validation():
@@ -384,7 +389,7 @@ def test_distance_parts_few_patterns_table_over_their_modes():
 def test_distance_parts_chunked_matches_one_pass(source):
     cfg = DeviceConfig(make_haar(40, 31), 3, source, DetectorModel(0.01, 1e-4))
     patterns = collision_free_patterns(40, 3)
-    assert math.ceil(len(patterns) / _SWEEP_CHUNK) == 3  # 9880 patterns, three chunks
+    assert math.ceil(len(patterns) / STACK) == 3  # 9880 patterns, three chunks
     u = cfg.matrix
     pout = _pattern_probs(u, 3, source, cfg.detector, patterns)
     # one pass, pattern-major stack: [b, a, j] = U[a, patterns[b, j]]
