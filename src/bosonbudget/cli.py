@@ -20,7 +20,6 @@ import math
 import shutil
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +100,9 @@ def read_matrix_json(path: str | Path) -> np.ndarray:
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
     """CSV alternative: paired columns re_0, im_0, ..., one row per matrix row."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    n = m.shape[0]
-    header = ",".join(f"re_{j},im_{j}" for j in range(n))
-    lines = [header]
-    for row in m:
-        lines.append(",".join(f"{_fmt(c.real)},{_fmt(c.imag)}" for c in row))
+    pairs = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    header = ",".join(f"re_{j},im_{j}" for j in range(len(pairs)))
+    lines = [header] + [",".join(map(_fmt, row)) for row in pairs.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -119,9 +115,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
         raise UsageError(f"matrix file {path} is malformed: {exc}") from exc
     if n == 0 or len(rows) != n or any(len(vals) != 2 * n for vals in rows):
         raise UsageError(f"matrix file {path} does not hold a square matrix of re,im column pairs")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, vals in enumerate(rows):
-        out[i] = [complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)]
+    out = np.array(rows).view(np.complex128)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"matrix file {path} has non-finite entries")
     return out
@@ -218,33 +212,16 @@ def _validate_node(value, schema: dict, where: str) -> None:
 
 
 def _sanitize(obj):
-    """Make results JSON-safe and deterministic (no NaN/Inf, plain types).
+    """Results in their report form: NaN becomes null and +-inf the strings "inf" and "-inf".
 
-    numpy arrays are kept as they are for the report writer, unless they
-    hold a non-finite float.
+    Tuples become lists; every other value is kept as it is.
     """
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
+        return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        # a list of plain ints or finite floats is already JSON-safe
-        kinds = set(map(type, obj))
-        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, obj))):
-            return list(obj)
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
-            return _sanitize(obj.tolist())
-        return obj
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -253,12 +230,15 @@ def report_text(obj) -> str:
 
     The text is byte for byte what the standard library's ``json.dumps``
     gives with ``sort_keys=True``, that indentation and ``allow_nan=False``;
-    dict keys must be strings. numpy arrays are leaves: a 1-D float array
-    and a 2-D integer array are written from their elements, as the lists
-    ``tolist()`` would give, without building those lists; other arrays go
-    through ``tolist()``. A non-finite float raises ``ValueError``, as
-    ``allow_nan=False`` does. The standard library's indented encoder runs
-    in pure Python, element by element, which is what this writer avoids.
+    dict keys must be strings. This writer lays out the non-empty lists,
+    tuples and dicts itself and hands every other value, keys included, to
+    ``json``'s own encoder, so a non-finite float raises ``ValueError`` and
+    a value ``json`` cannot encode ``TypeError``. numpy arrays are leaves:
+    a 1-D array of finite floats and a 2-D non-negative integer array are
+    written from their elements, as the lists ``tolist()`` would give,
+    without building those lists; other arrays go through ``tolist()``.
+    The standard library's indented encoder runs in pure Python, element
+    by element, which is what this writer avoids.
     """
     out: list[str] = []
     _encode(obj, "\n", out)
@@ -266,62 +246,35 @@ def report_text(obj) -> str:
     return "".join(out)
 
 
+_leaf = json.JSONEncoder(allow_nan=False).encode
+
+
 def _encode(obj, newline: str, out: list[str]) -> None:
     # ``newline`` is a line break plus the indentation of the line that holds obj
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, np.ndarray):
+    inner = newline + "  "
+    if isinstance(obj, np.ndarray):
         out.append(_array_text(obj, newline))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
+    elif isinstance(obj, (list, tuple)) and obj:
         out.append("[")
         for i, item in enumerate(obj):
             out.append("," + inner if i else inner)
             _encode(item, inner, out)
         out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
+    elif isinstance(obj, dict) and obj:
         out.append("{")
         for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            out.append(("," if i else "") + inner + _leaf(key) + ": ")
             _encode(obj[key], inner, out)
         out.append(newline + "}")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-_NON_FINITE = "Out of range float values are not JSON compliant"
-
-
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"{_NON_FINITE}: {x!r}")
-    return float.__repr__(x)
+        out.append(_leaf(obj))
 
 
 def _array_text(a: np.ndarray, newline: str) -> str:
     inner = newline + "  "
-    if a.ndim == 1 and a.dtype.kind == "f" and a.size:
-        if not np.isfinite(a).all():
-            raise ValueError(f"{_NON_FINITE}: {float(a[~np.isfinite(a)][0])!r}")
+    if a.ndim == 1 and a.dtype.kind == "f" and a.size and np.isfinite(a).all():
         body = ("," + inner).join(map(float.__repr__, a.tolist()))
     elif a.ndim == 2 and a.dtype.kind in "iu" and a.size and a.min() >= 0:
         row = inner + "  "
@@ -414,6 +367,8 @@ def _load_unitary(path: str) -> NetworkUnitary:
 def _resolve_unitary(args, rng=None) -> NetworkUnitary:
     """The network of ``--unitary``, or a Haar draw on ``--modes`` modes from ``rng`` (by default from ``--seed``)."""
     if args.unitary:
+        if args.modes is not None:
+            raise UsageError("--unitary and --modes are alternative networks: give one")
         return _load_unitary(args.unitary)
     if args.modes is None:
         raise UsageError("either --unitary or --modes is required")
@@ -422,16 +377,9 @@ def _resolve_unitary(args, rng=None) -> NetworkUnitary:
     return haar_unitary(args.modes, np.random.default_rng(args.seed) if rng is None else rng)
 
 
-def _source_model(args) -> SourceModel:
-    p0 = args.p0
-    if p0 is None:
-        p0 = max(1.0 - args.p1 - args.p2, 0.0)
-    probs = (p0, args.p1) if args.p2 == 0.0 else (p0, args.p1, args.p2)
-    return SourceModel(probs)
-
-
 def _device_config(args) -> DeviceConfig:
-    return DeviceConfig(_resolve_unitary(args), args.sources, _source_model(args), DetectorModel(args.loss, args.dark))
+    source = SourceModel.single_photon(args.p1, args.p2, args.p0)
+    return DeviceConfig(_resolve_unitary(args), args.sources, source, DetectorModel(args.loss, args.dark))
 
 
 def _indist(args, n: int) -> Indistinguishability:
@@ -538,7 +486,7 @@ def cmd_distance(args) -> None:
 
 
 def cmd_budget(args) -> None:
-    source = _source_model(args)
+    source = SourceModel.single_photon(args.p1, args.p2, args.p0)
     detector = DetectorModel(args.loss, args.dark)
     indist = _indist(args, args.sources)
     report = evaluate_budget(args.sources, args.modes, source, detector, indist,

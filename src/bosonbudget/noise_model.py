@@ -85,13 +85,14 @@ class SourceModel:
         return cls((0.0, 1.0))
 
     @classmethod
-    def single_photon(cls, p1: float, p2: float = 0.0) -> "SourceModel":
-        """Mostly-single-photon source; the rest of the mass sits in vacuum."""
-        p0 = 1.0 - p1 - p2
-        if p0 < -1e-12:
-            raise ValueError("p1 + p2 exceeds 1")
-        probs = (max(p0, 0.0), p1) if p2 == 0.0 else (max(p0, 0.0), p1, p2)
-        return cls(probs)
+    def single_photon(cls, p1: float, p2: float = 0.0, p0: float | None = None) -> "SourceModel":
+        """Mostly-single-photon source; without ``p0`` the rest of the mass sits in vacuum."""
+        if p0 is None:
+            p0 = 1.0 - p1 - p2
+            if p0 < -1e-12:
+                raise ValueError("p1 + p2 exceeds 1")
+            p0 = max(p0, 0.0)
+        return cls((p0, p1) if p2 == 0.0 else (p0, p1, p2))
 
 
 @dataclass(frozen=True)
@@ -365,17 +366,21 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     return _SubsetTable(base, proj, modes, values, offsets)
 
 
-def _table_modes(patterns: np.ndarray, modes: int) -> np.ndarray:
-    """The modes a subset table for ``patterns`` covers: all of them, unless that costs more.
+def _table_modes(patterns: np.ndarray, modes: int) -> np.ndarray | None:
+    """The modes one subset table for ``patterns`` covers, or None when no one table pays.
 
     Over all modes the table needs no remapping of mode indices; it covers
     only the modes the patterns touch when it would otherwise hold more
     entries than the patterns have proper subsets, as for a lone pattern.
+    When even that table would hold more, the patterns are few and spread
+    over many modes, and each is better evaluated with a table of its own.
     """
     batch, clicks = patterns.shape
-    if sum(math.comb(modes, k) for k in range(clicks)) <= batch * ((1 << clicks) - 1):
+    subsets = batch * ((1 << clicks) - 1)
+    if sum(math.comb(modes, k) for k in range(clicks)) <= subsets:
         return np.arange(modes)
-    return np.unique(patterns)
+    touched = np.unique(patterns)
+    return touched if sum(math.comb(len(touched), k) for k in range(clicks)) <= subsets else None
 
 
 def _pattern_probs(u, n_sources, source, detector, cols, table=None):
@@ -387,11 +392,11 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None):
     and dark factor e^(-(clicks - |T|) nu) on f(T) (``_slot_perms``). The
     full subset costs one permanent per pattern; every proper subset is
     read from ``table``, a ``_subset_table`` over modes that hold every
-    clicked mode, built here (over ``_table_modes``) if none is given. The
-    f(T) of each size are summed first, the sizes are then added in
-    increasing order, the full subset last. The full-size permanents go to
-    the kernel as one stack, so callers keep ``cols`` to ``permanent.STACK``
-    patterns.
+    clicked mode, built here (over ``_table_modes``, which always covers a
+    lone pattern) if none is given. The f(T) of each size are summed first,
+    the sizes are then added in increasing order, the full subset last.
+    The full-size permanents go to the kernel as one stack, so callers keep
+    ``cols`` to ``permanent.STACK`` patterns.
     """
     batch, clicks = cols.shape
     nu = detector.dark_rate
@@ -447,16 +452,18 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     excluded from v1.
 
     Every kept-click subset smaller than N is evaluated once per call, in
-    a table over every mode (``_table_modes``); each pattern then costs one
-    permanent of its full click set and 2^N - 1 table reads. The sweep runs
-    in chunks of ``permanent.STACK`` (4096) patterns, summed in order; that
-    order is part of the reproducibility contract. A sweep of at most 4096
-    patterns is one chunk and gives the same bytes as one pass over the
-    whole table. The table changed the order of the sums within a pattern:
-    sweeps agree with the earlier Gray walk over each pattern's subsets to
-    1e-12 absolute (at most 2.4e-15 on the benchmark's sweeps), and stay
-    byte-identical only at N = 1. The work of the whole call is checked
-    against the limits once, before the table is built.
+    a table over every mode or over the modes the patterns touch
+    (``_table_modes``); each pattern then costs one permanent of its full
+    click set and 2^N - 1 table reads. A few patterns spread over many
+    modes, for which even the touched-mode table would hold more entries
+    than the patterns have proper subsets, are each evaluated with a table
+    of their own, as ``click_pattern_prob`` evaluates one pattern. The
+    sweep runs in chunks of ``permanent.STACK`` (4096) patterns, or of one
+    pattern on that route, summed in order; that order is part of the
+    reproducibility contract. A sweep of
+    at most 4096 patterns is one chunk and gives the same bytes as one
+    pass over the whole table. The work of the whole call is checked
+    against the limits once, before any permanent is evaluated.
     """
     u = cfg.matrix
     n = cfg.n_sources
@@ -472,12 +479,17 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
             or any(np.any(patterns[:, j] <= patterns[:, j - 1]) for j in range(1, n))
         ):
             raise ValueError(f"each pattern must list strictly increasing modes in [0, {cfg.modes})")
-    table = _subset_table(u, n, cfg.source, cfg.detector, _table_modes(patterns, cfg.modes), n, len(patterns))
+    modes = _table_modes(patterns, cfg.modes)
+    if modes is None:  # chunks of one pattern, each evaluated with its own table
+        limits.check_slot_permanents(len(_slot_factors(cfg.source)[0]) * n, len(patterns) << n)
+        table, step = None, 1
+    else:
+        table, step = _subset_table(u, n, cfg.source, cfg.detector, modes, n, len(patterns)), STACK
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
-    for lo in range(0, patterns.shape[0], STACK):
-        cols = patterns[lo : lo + STACK]
+    for lo in range(0, patterns.shape[0], step):
+        cols = patterns[lo : lo + step]
         pideal = _squared_permanents(u[:n], cols)
         pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table)
         sum_out += float(pout.sum())

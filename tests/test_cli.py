@@ -274,6 +274,8 @@ _REPORT_LEAVES = st.one_of(
     hnp.arrays(np.intp, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=st.integers(0, 12)),
     hnp.arrays(np.int64, st.tuples(st.integers(0, 3), st.integers(0, 3))),
     hnp.arrays(np.intp, st.tuples(st.integers(0, 3), st.integers(0, 3)), elements=st.integers(0, 10**18)),
+    # a float64 scalar is a float; json refuses other numpy scalars
+    _FLOATS.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats(width=32).map(np.float32),
 )
 _REPORTS = st.recursive(
     _REPORT_LEAVES,
@@ -286,8 +288,13 @@ _REPORTS = st.recursive(
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(_REPORTS)
 def test_report_text_matches_json_dumps(obj):
-    want = json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    assert report_text(obj) == want
+    try:
+        want = json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            report_text(obj)
+    else:
+        assert report_text(obj) == want
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -359,6 +366,7 @@ def test_numeric_error_exit_code(tmp_path):
 _UNIT = ("--unitary", "u.json", '{"modes": 1, "entries": [[[1, 0]]]}')  # a valid 1 x 1 network
 _WITNESS = ["verify", "--test", "witness", "--sources", "1"]
 _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--delta", "0.5"]
+_TWO_NETWORKS = "--unitary and --modes are alternative networks: give one"
 
 
 @pytest.mark.parametrize(
@@ -415,6 +423,13 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
          "64839 slot permanents of order 24: 543908954112 Gray steps, over the 'gray_steps' limit"),
         (None, ["distance", "--modes", "2", "--sources", "2", "--dark", "inf", "--seed", "1"], 1,
          "dark_rate must be finite and non-negative"),
+        (_UNIT, ["distance", "--sources", "1", "--modes", "99"], 1, _TWO_NETWORKS),
+        (_UNIT, ["verify", "--test", "roundtrip", "--sources", "1", "--modes", "99"], 1, _TWO_NETWORKS),
+        ((_UNIT, ("--config", "c.json", '{"modes": 99}')), ["distribution", "--photons", "1"], 1, _TWO_NETWORKS),
+        ((_UNIT, ("--config", "c.json", '{"modes": 99}')), ["sample", "--sources", "1", "--count", "3", "--seed", "1",
+                                                            "--samples-out", "s.txt"], 1, _TWO_NETWORKS),
+        (None, _BUDGET + ["--p1", "0.8", "--p2", "0.3"], 1, "p1 + p2 exceeds 1"),
+        (None, _BUDGET + ["--p0", "0.1", "--p1", "0.8", "--p2", "0.3"], 1, "photon probabilities sum to"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
@@ -424,7 +439,9 @@ _BUDGET = ["budget", "--sources", "3", "--modes", "50", "--epsilon", "0.1", "--d
          "jitter-without-tau", "jitter-without-omega", "g-and-fidelity", "fidelity-and-jitter",
          "g-list-at-one-photon", "budget-unitary", "distribution-loss", "distribution-config-p0",
          "sample-p1", "sample-p2", "sample-dark", "config-names-config", "roundtrip-term-cap",
-         "distance-support-cap", "distance-dark-inf"],
+         "distance-support-cap", "distance-dark-inf", "distance-unitary-modes", "roundtrip-unitary-modes",
+         "distribution-unitary-config-modes", "sample-unitary-config-modes", "source-p1-p2-over-one",
+         "source-p0-p1-p2-over-one"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)
@@ -611,6 +628,8 @@ def test_report_keys_are_pinned(tmp_path, monkeypatch):
         "suppression": ["verify", "--test", "suppression", "--photons", "3", "--g", "0.9"],
         "budget": ["budget", "--sources", "3", "--modes", "100", "--epsilon", "0.1", "--delta", "0.5",
                    "--scaling", "2,3", "--format", "csv"],
+        "budget-one": ["budget", "--sources", "1", "--modes", "1", "--epsilon", "0.1", "--delta", "0.5",
+                       "--scaling", "1"],
     }
     assert _run("sample", "--unitary", "u.json", "--sources", "2", "--count", "50", "--seed", "1",
                 "--samples-out", "s.txt", "--out", "sample.json") == 0
@@ -633,6 +652,10 @@ def test_report_keys_are_pinned(tmp_path, monkeypatch):
     assert [set(r) for r in results["budget"]["scalingTable"]] == [row, row]
     header = Path("budget.csv").read_text().splitlines()[0]
     assert header == "nSources,requiredModes,maxDarkRate,maxLossProb,maxP1Deficit,maxFidelityDeficit"
+    # one photon has no mismatch error, so its tolerance is unbounded: written as "inf"
+    one = results["budget-one"]
+    assert one["maxTolerable"] == {"dark_rate": None, "loss_prob": None, "p1_deficit": None, "fidelity_deficit": "inf"}
+    assert one["scalingTable"][0]["maxFidelityDeficit"] == "inf"
 
 
 def test_threads_is_gone(capsys):

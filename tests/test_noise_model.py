@@ -430,6 +430,18 @@ def test_distance_parts_single_photon_support_path():
     assert parts.v1 == pytest.approx(v1_slow, abs=1e-12)
 
 
+def test_distance_parts_few_patterns_over_many_modes():
+    # ten 8-click patterns over 60 modes: a table over the modes they touch would hold
+    # tens of millions of subsets, so each pattern gets a table of its own, as a lone one does
+    cfg = DeviceConfig(make_haar(60, 6), 8, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    rng = np.random.default_rng(1)
+    patterns = np.array([np.sort(rng.choice(60, 8, replace=False)) for _ in range(10)])
+    assert len(np.unique(patterns)) > 40
+    parts = distance_parts(cfg, patterns=patterns)
+    lone = [click_pattern_prob(cfg, np.isin(np.arange(60), row).astype(int).tolist()) for row in patterns]
+    assert abs(parts.v1 - (1.0 - math.fsum(lone))) <= 1e-14
+
+
 def test_distance_parts_ideal_device():
     cfg = DeviceConfig.ideal(make_haar(12, 8), 2)
     parts = distance_parts(cfg)
