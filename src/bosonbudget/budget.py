@@ -87,9 +87,9 @@ def evaluate_budget(
                 epsilon,
                 delta,
                 name,
-                dark_rate=detector.dark_rate if name != "dark_rate" else 0.0,
-                loss_prob=detector.loss_prob if name != "loss_prob" else 0.0,
-                p1=source.p(1) if name != "p1_deficit" else 1.0,
+                dark_rate=detector.dark_rate,
+                loss_prob=detector.loss_prob,
+                p1=source.p(1),
             )
         except InfeasibleBudgetError:
             tolerances[name] = None

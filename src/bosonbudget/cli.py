@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import limits
 from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
 from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
@@ -441,13 +442,12 @@ def cmd_distribution(args) -> None:
 
 
 def cmd_sample(args) -> None:
-    if args.seed is None:
-        raise UsageError("--seed is mandatory for sampling")
     if args.count < 0:
         raise UsageError(f"--count must be non-negative, got {args.count}")
     net_rng, rng = spawn_rngs(args.seed, 2)  # network draw and sampling own split streams
     u = _resolve_unitary(args, net_rng)
     modes = u.modes
+    limits.check("sample_bits", args.count * modes, f"{args.count} samples of {modes} modes")
     n = args.sources
     n0 = _occupation_first_n(modes, n)
     if args.population == "uniform":
@@ -530,8 +530,6 @@ def cmd_suppression(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    if args.seed is None:
-        raise UsageError("--seed is mandatory for bench")
     sizes = [int(x) for x in args.sizes.split(",")]
     if min(sizes) < 0:
         raise UsageError(f"--sizes must be non-negative, got {args.sizes}")
@@ -603,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", required=("--photons",))
 
     p = command(sub, "sample", cmd_sample, "draw seeded samples; writes a click-pattern file", *_NETWORK, "--sources",
-                required=("--sources", "--count", "--samples-out"))
+                required=("--sources", "--count", "--samples-out", "--seed"))
     p.add_argument("--count", type=int)
     p.add_argument("--samples-out", help="output click-pattern file")
     p.add_argument("--population", choices=("device", "uniform"), default="device")
@@ -633,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(tests, "suppression", cmd_suppression, "suppression law under partial distinguishability",
             "--photons/--sources", "--g", required=("--photons",))
 
-    p = command(sub, "bench", cmd_bench, "time the permanent on seeded random matrices")
+    p = command(sub, "bench", cmd_bench, "time the permanent on seeded random matrices", required=("--seed",))
     p.add_argument("--sizes", default="2,4,8,12")
     return parser
 

@@ -22,6 +22,7 @@ class Limit(NamedTuple):
 LIMITS = {
     "outcomes": Limit(2_000_000, "outcomes"),  # rows of one exact output table (``enumerate_outputs``)
     "patterns": Limit(4_000_000, "patterns"),  # N-click patterns of one sweep, or entries of its subset table
+    "sample_bits": Limit(100_000_000, "click bits"),  # samples x modes of one ``sample`` run
     "gray_steps": Limit(1 << 30, "Gray steps"),  # slot permanents x 2^(K - 1) of one pattern evaluation
     "permanent_order": Limit(30, "rows"),  # order of a Glynn walk: ``permanent_ryser``, the slot matrices
     "click_table_modes": Limit(16, "modes"),  # the 2^M table of ``output_click_distribution``

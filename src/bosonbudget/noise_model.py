@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
@@ -252,8 +253,8 @@ def _slot_factors(source):
     return -w * roots, w
 
 
-def _slot_perms(base: np.ndarray, proj: np.ndarray, pieces) -> np.ndarray:
-    """f(T) = per(X + w A_T[sigma|sigma]) for the rows T of each (count, k) mode array in ``pieces``.
+def _slot_perms(base: np.ndarray, proj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """f(T) = per(X + w A_T[sigma|sigma]) for the rows T of the (count, k) mode array ``subsets``.
 
     For a kept-click subset T let A_T = r I + (1 - r) G_T, with G_T the
     Gram matrix of the N source rows over T. The input occupation n, of
@@ -270,19 +271,13 @@ def _slot_perms(base: np.ndarray, proj: np.ndarray, pieces) -> np.ndarray:
 
     Every slot matrix is K x K whatever |T|, built as
     base + proj[:, :, T_0] + proj[:, :, T_1] + ... in the order of the row
-    (``_SubsetTable`` defines both parts). All pieces go to the kernel as
-    one stack, so callers keep it to ``permanent.STACK``.
+    (``_SubsetTable`` defines both parts). The rows go to the kernel as one
+    stack, so callers keep them to ``permanent.STACK``.
     """
-    k = len(base)
     # entry-major, batch last, so that every matrix entry is one contiguous row
-    g = np.empty((k, k, sum(len(piece) for piece in pieces)), dtype=complex)
-    g[...] = base[:, :, None]
-    lo = 0
-    for piece in pieces:
-        part = g[:, :, lo : lo + len(piece)]
-        for col in piece.T:
-            part += np.take(proj, col, axis=2)
-        lo += len(piece)
+    g = np.repeat(base[:, :, None].astype(complex), len(subsets), axis=2)
+    for col in subsets.T:
+        g += np.take(proj, col, axis=2)
     return _permanent_batch(g.transpose(2, 0, 1)).real
 
 
@@ -335,9 +330,9 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     """f(T) (``_slot_perms``) for every subset T of ``modes`` with fewer than ``clicks`` members.
 
     A subset smaller than a pattern is shared by every pattern that holds
-    it, so the table evaluates it once for all of them. It is built in
-    stacks of ``permanent.STACK`` entries, each unranked when it is built.
-    The work of the whole evaluation, the table and the caller's
+    it, so the table evaluates it once for all of them. It is built one
+    size per kernel call, ``permanent.STACK`` entries at most, each
+    unranked when it is built. The work of the whole evaluation, the table and the caller's
     ``patterns`` full-size permanents, is checked against the limits first.
     """
     m = len(modes)
@@ -355,14 +350,10 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     v = u[rows]
     proj = (w * (1.0 - r)) * (v.conj()[:, None, :] * v[None, :, :])
     values = np.empty(offsets[-1])
-    for lo in range(0, offsets[-1], STACK):
-        hi = min(lo + STACK, offsets[-1])
-        pieces = [
-            modes[_colex_unrank(np.arange(max(lo, start), min(hi, end)) - start, m, k)]
-            for k, (start, end) in enumerate(zip(offsets, offsets[1:]))
-            if start < hi and lo < end
-        ]
-        values[lo:hi] = _slot_perms(base, proj, pieces)
+    for k, (start, end) in enumerate(zip(offsets, offsets[1:])):
+        for lo in range(start, end, STACK):
+            hi = min(lo + STACK, end)
+            values[lo:hi] = _slot_perms(base, proj, modes[_colex_unrank(np.arange(lo - start, hi - start), m, k)])
     return _SubsetTable(base, proj, modes, values, offsets)
 
 
@@ -394,9 +385,11 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None):
     read from ``table``, a ``_subset_table`` over modes that hold every
     clicked mode, built here (over ``_table_modes``, which always covers a
     lone pattern) if none is given. The f(T) of each size are summed first,
-    the sizes are then added in increasing order, the full subset last.
-    The full-size permanents go to the kernel as one stack, so callers keep
-    ``cols`` to ``permanent.STACK`` patterns.
+    row by row (numpy's ``sum`` would add a lone pattern's pairwise), then
+    the sizes in increasing order, the full subset last, so a result's bits
+    depend neither on its batch nor on the stacks. The full-size
+    permanents go to the kernel as one stack, so callers keep ``cols`` to
+    ``permanent.STACK`` patterns.
     """
     batch, clicks = cols.shape
     nu = detector.dark_rate
@@ -409,8 +402,8 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None):
         positions = np.array(list(combinations(range(clicks), k)), dtype=np.intp)
         members = local.T[positions.T]
         coeff = (-1.0) ** (clicks - k) * math.exp(-(clicks - k) * nu)
-        pout += coeff * table.values[table.offsets[k] + _colex_rank(members)].sum(axis=0)
-    pout += _slot_perms(table.base, table.proj, [cols])
+        pout += coeff * reduce(np.add, table.values[table.offsets[k] + _colex_rank(members)])
+    pout += _slot_perms(table.base, table.proj, cols)
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
@@ -457,11 +450,10 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     click set and 2^N - 1 table reads. A few patterns spread over many
     modes, for which even the touched-mode table would hold more entries
     than the patterns have proper subsets, are each evaluated with a table
-    of their own, as ``click_pattern_prob`` evaluates one pattern. The
-    sweep runs in chunks of ``permanent.STACK`` (4096) patterns, or of one
-    pattern on that route, summed in order; that order is part of the
-    reproducibility contract. A sweep of
-    at most 4096 patterns is one chunk and gives the same bytes as one
+    of their own, with the same bits. The sweep sums the probabilities in
+    chunks of ``permanent.STACK`` (4096) patterns, or of one pattern on
+    that route, in order; that order is part of the reproducibility
+    contract: a sweep of at most 4096 patterns gives the same bytes as one
     pass over the whole table. The work of the whole call is checked
     against the limits once, before any permanent is evaluated.
     """

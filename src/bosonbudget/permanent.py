@@ -27,14 +27,10 @@ from .errors import DimensionError, NumericError, PhotonCountError
 from .fock import mode_indices, mu, total_photons
 from .random_ensembles import as_matrix
 
-# Matrices per kernel stack, for every caller that cuts its work into stacks
-# (``full_distribution``, the subset table and the distance sweep). The Gray
-# walk is vectorised over batch x 2^h rows, h high columns taken as fixed
-# prefixes; h grows until a step touches at least this many rows, so a full
-# stack walks without prefix rows and a single large matrix still runs
-# whole-array steps. A stack is small enough to stay in cache. The stack
-# fixes the kernel's prefix split, and so the bits of permanents above 4 x 4,
-# and the summation order of the distance sweep, so it is pinned.
+# Matrices per kernel stack for every caller that cuts its work into stacks
+# (``full_distribution``, the subset table, the distance sweep), and rows per
+# walk step: the kernel walks sub-stacks of STACK >> h(n) matrices. It bounds
+# memory and fixes the distance sweep's summation order; no permanent's bits.
 STACK = 4096
 
 
@@ -210,8 +206,7 @@ def _permanent_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a (batch, n, n) stack, vectorised over the batch.
 
     Closed forms up to n=4 (n=4 by Laplace expansion into four 3 x 3 closed
-    forms, so a result never depends on the batch it came in). Above,
-    Glynn's formula
+    forms). Above, Glynn's formula
 
         per(A) = 2 sum_d (prod_i d_i) prod_j c_j,  c_j = 1/2 sum_i d_i A[i, j],
 
@@ -221,11 +216,13 @@ def _permanent_batch(mats: np.ndarray) -> np.ndarray:
     O(n 2^(n-1)) per matrix. On positive matrices its terms cancel far
     less than those of Ryser's subset sum, so it keeps its accuracy there
     (all-ones, n = 20: 2e-13 relative). The 2^h settings of the h high
-    signs are fixed prefixes, walked alongside as extra rows; h is the
-    least that makes each step touch ``STACK`` rows (0 for large
-    batches). Matrix rows are held as a contiguous (n, n, batch) array, so
-    every step is a handful of whole-row numpy operations; a stack whose
-    ``transpose(1, 2, 0)`` is contiguous is read without a copy.
+    signs, h = min(max(n - 8, 0), 12), are fixed prefixes walked alongside
+    as extra rows, in sub-stacks of max(``STACK`` >> h, 1) matrices, and
+    each matrix's prefixes are summed in one order: a permanent's bits
+    depend on the matrix alone, never on its stack. Matrix rows are held
+    as a contiguous (n, n, batch) array, so every step is a handful of
+    whole-row numpy operations; a stack whose ``transpose(1, 2, 0)`` is
+    contiguous is read without a copy.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     b, n, n2 = mats.shape
@@ -247,20 +244,30 @@ def _permanent_batch(mats: np.ndarray) -> np.ndarray:
             + mats[:, 0, 2] * _permanent3(mats, (1, 2, 3), (0, 1, 3))
             + mats[:, 0, 3] * _permanent3(mats, (1, 2, 3), (0, 1, 2))
         )
-    if b == 0:
-        return np.zeros(0, dtype=np.complex128)
     rows = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    h = 0
-    while h < n - 1 and b << h < STACK:
-        h += 1
+    h = min(max(n - 8, 0), 12)
+    step = max(STACK >> h, 1)
+    out = np.empty(b, dtype=np.complex128)
+    for lo in range(0, b, step):
+        out[lo : lo + step] = _glynn_walk(rows[:, :, lo : lo + step], h)
+    return out
+
+
+def _glynn_walk(rows: np.ndarray, h: int) -> np.ndarray:
+    """Glynn's sum for each matrix of an entry-major (n, n, count) stack, its h high signs taken as prefixes."""
+    n, _, count = rows.shape
+    if count << h == 1:  # numpy rounds an in-place product of length 1 as a reduction, not as one element of many
+        return _glynn_walk(rows.repeat(2, axis=2), h)[:1]
     low = n - 1 - h
     # cs[j, P, k]: half sum j of matrix k with the signs of prefix P (bit t
     # of P sets d of row low + 1 + t to -1), built by doubling the prefixes
     cs = 0.5 * rows.sum(axis=0)[:, None, :]
     for t in range(low + 1, n):
         cs = np.concatenate((cs, cs - rows[t][:, None, :]), axis=1)
-    flat = cs.reshape(n, -1)
     flip_rows = rows[1 : low + 1, :, None, :]
+    if count < 1 << h:  # prefixes innermost when they outnumber the matrices, so that row updates run long
+        cs, flip_rows = np.ascontiguousarray(cs.transpose(0, 2, 1)), flip_rows.transpose(0, 1, 3, 2)
+    flat = cs.reshape(n, -1)
     prod = np.empty(flat.shape[1], dtype=np.complex128)
     total = np.zeros_like(prod)
     for k, (flip, add) in enumerate(_gray_steps(low)):
@@ -279,4 +286,6 @@ def _permanent_batch(mats: np.ndarray) -> np.ndarray:
         else:
             total += prod
     signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << h)) & 1)
-    return 2.0 * (signs[:, None] * total.reshape(1 << h, b)).sum(axis=0)
+    # each matrix's signed prefixes as one contiguous row, so that its sum runs alike in every stack
+    signed = total.reshape(count, -1) * signs if count < 1 << h else (signs[:, None] * total.reshape(-1, count)).T
+    return 2.0 * np.ascontiguousarray(signed).sum(axis=1)

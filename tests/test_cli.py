@@ -430,6 +430,12 @@ _TWO_NETWORKS = "--unitary and --modes are alternative networks: give one"
                                                             "--samples-out", "s.txt"], 1, _TWO_NETWORKS),
         (None, _BUDGET + ["--p1", "0.8", "--p2", "0.3"], 1, "p1 + p2 exceeds 1"),
         (None, _BUDGET + ["--p0", "0.1", "--p1", "0.8", "--p2", "0.3"], 1, "photon probabilities sum to"),
+        (None, ["sample", "--modes", "4", "--sources", "2", "--count", "3000000000", "--seed", "1",
+                "--samples-out", "s.txt"], 2,
+         "3000000000 samples of 4 modes: 12000000000 click bits, over the 'sample_bits' limit"),
+        (None, ["sample", "--modes", "4", "--sources", "2", "--count", "5", "--samples-out", "s.txt"], 1,
+         "the following arguments are required: --seed"),
+        (None, ["bench", "--sizes", "2"], 1, "the following arguments are required: --seed"),
     ],
     ids=["json-no-modes", "json-no-entries", "csv-short-row", "csv-nan", "negative-count",
          "json-short-entry", "config-modes-not-int", "config-photons-not-int",
@@ -441,7 +447,7 @@ _TWO_NETWORKS = "--unitary and --modes are alternative networks: give one"
          "sample-p1", "sample-p2", "sample-dark", "config-names-config", "roundtrip-term-cap",
          "distance-support-cap", "distance-dark-inf", "distance-unitary-modes", "roundtrip-unitary-modes",
          "distribution-unitary-config-modes", "sample-unitary-config-modes", "source-p1-p2-over-one",
-         "source-p0-p1-p2-over-one"],
+         "source-p0-p1-p2-over-one", "sample-count-over-bit-cap", "sample-no-seed", "bench-no-seed"],
 )
 def test_bad_input_gives_one_json_error(tmp_path, monkeypatch, capsys, given, argv, code, needle):
     monkeypatch.chdir(tmp_path)

@@ -192,7 +192,7 @@ def test_batch_matches_scalar():
 @pytest.mark.parametrize("batch", [1, 3, 5000])
 @pytest.mark.parametrize("n", range(10))
 def test_batch_kernel_matches_naive(n, batch):
-    # batch 1 and 3 split off high-column prefixes, batch 5000 walks plainly
+    # batch 1 walks a padded pair below n = 9, batch 5000 two sub-stacks at n <= 8
     rng = np.random.default_rng(100 * n + batch)
     mats = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
     vals = _permanent_batch(mats)
@@ -230,6 +230,24 @@ def test_closed_form_at_four_matches_naive_and_ignores_the_batch():
         assert abs(vals[k] - want) <= 1e-13 * abs(want)
         assert _permanent_batch(mats[k : k + 1])[0] == vals[k]
     assert _permanent_batch(np.ones((3, 4, 4))).tolist() == [24, 24, 24]
+
+
+@pytest.mark.parametrize("n", range(5, 23))
+def test_kernel_bits_do_not_depend_on_the_stack(n):
+    # Every stack position gets the matrix's lone bits: the prefix split is
+    # set by n, each matrix's prefixes are summed in one order, and a
+    # one-matrix walk is padded, since numpy rounds an in-place complex
+    # product of length 1 as a reduction. Stacks over 5e8 Glynn terms are
+    # left out; they would only repeat sub-stacks of at most 32 matrices
+    # (n >= 15), or of one (n >= 20), which the smaller stacks cross already.
+    rng = np.random.default_rng(200 + n)
+    pool = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    lone = np.array([_permanent_batch(pool[k : k + 1])[0] for k in range(3)])
+    for size in (1, 2, 3, 63, 4097):
+        if size * n << (n - 1) > 5e8:
+            continue
+        picks = rng.integers(0, 3, size)
+        np.testing.assert_array_equal(_permanent_batch(pool[picks]), lone[picks])
 
 
 @pytest.mark.parametrize("n, tol", [(16, 1e-13), (20, 1e-12), (24, 1e-11)])
