@@ -330,9 +330,9 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     """f(T) (``_slot_perms``) for every subset T of ``modes`` with fewer than ``clicks`` members.
 
     A subset smaller than a pattern is shared by every pattern that holds
-    it, so the table evaluates it once for all of them. It is built one
-    size per kernel call, ``permanent.STACK`` entries at most, each
-    unranked when it is built. The work of the whole evaluation, the table and the caller's
+    it, so the table evaluates it once for all of them, one size per
+    kernel call of at most ``permanent.STACK`` entries, each unranked when
+    built. The work of the whole evaluation, the table and the caller's
     ``patterns`` full-size permanents, is checked against the limits first.
     """
     m = len(modes)

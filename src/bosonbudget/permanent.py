@@ -9,9 +9,9 @@ evaluates those repeated-index permanents directly.
 Every fast evaluation runs through one kernel, ``_permanent_batch``: Glynn's
 formula (Glynn, Eur. J. Combin. 31 (2010) 1887) walked in Gray-code order
 over row sign vectors (Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978),
-vectorised over a batch of matrices. Two slow independent evaluators
-(brute-force permutation sum, contingency-table sum) are shipped for
-cross-validation of the walk.
+vectorised over a batch of matrices; each result's bits depend on its
+matrix alone. Two slow independent evaluators (brute-force permutation
+sum, contingency-table sum) are shipped for cross-validation of the walk.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .random_ensembles import as_matrix
 # Matrices per kernel stack for every caller that cuts its work into stacks
 # (``full_distribution``, the subset table, the distance sweep), and rows per
 # walk step: the kernel walks sub-stacks of STACK >> h(n) matrices. It bounds
-# memory and fixes the distance sweep's summation order; no permanent's bits.
+# memory and fixes the distance sweep's summation order, not any permanent's bits.
 STACK = 4096
 
 
