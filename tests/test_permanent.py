@@ -192,7 +192,7 @@ def test_batch_matches_scalar():
 @pytest.mark.parametrize("batch", [1, 3, 5000])
 @pytest.mark.parametrize("n", range(10))
 def test_batch_kernel_matches_naive(n, batch):
-    # batch 1 walks a padded pair below n = 9, batch 5000 two sub-stacks at n <= 8
+    # at n = 5..8 batch 1 walks a padded pair and batch 5000 two sub-stacks
     rng = np.random.default_rng(100 * n + batch)
     mats = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
     vals = _permanent_batch(mats)
