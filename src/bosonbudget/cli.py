@@ -29,7 +29,7 @@ from . import limits
 from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
 from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
-from .ideal_sampler import full_distribution, sample_ideal
+from .ideal_sampler import _draw_indices, full_distribution
 from .noise_model import (DetectorModel, DeviceConfig, SourceModel, collision_free_patterns, distance_parts,
                           noise_bound, noise_bound_additive)
 from .permanent import permanent_ryser
@@ -134,7 +134,7 @@ def write_samples(path: str | Path, patterns) -> None:
         return
     text = np.full((len(bits), bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
     np.add(bits, ord("0"), out=text[:, :-1])
-    Path(path).write_bytes(text.tobytes())
+    Path(path).write_bytes(text)  # the array's own buffer, not a copy
 
 
 def read_samples(path: str | Path) -> np.ndarray:
@@ -456,8 +456,9 @@ def cmd_sample(args) -> None:
         patterns = np.zeros((args.count, modes), dtype=np.uint8)
         patterns[np.arange(args.count)[:, None], pats[idx]] = 1
     else:
-        draws = sample_ideal(full_distribution(u, n0), args.count, rng)
-        patterns = (draws != 0).astype(np.uint8)
+        dist = full_distribution(u, n0)
+        # the drawn rows gathered from the table's click patterns: one byte per click bit
+        patterns = (dist.outcomes != 0).astype(np.uint8)[_draw_indices(dist, args.count, rng)]
     write_samples(args.samples_out, patterns)
     click_counts = np.bincount(patterns.sum(axis=1, dtype=np.intp))
     results = {

@@ -124,6 +124,11 @@ def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) 
     Zero-probability outcomes are never drawn. Requires a complete table
     (total mass 1 within 1e-8).
     """
+    return dist.outcomes[_draw_indices(dist, count, rng)]
+
+
+def _draw_indices(dist: DistributionTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The row indices of ``dist.outcomes`` that ``sample_ideal`` draws, from the same RNG calls."""
     if not dist.is_complete():
         raise ValueError(f"distribution is incomplete: total mass {dist.total_mass}")
     cum = np.cumsum(dist.probs)
@@ -134,7 +139,7 @@ def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) 
     if idx.size and idx.max() >= len(cum):
         last = int(np.flatnonzero(dist.probs > 0)[-1])
         idx = np.where(idx >= len(cum), last, idx)
-    return dist.outcomes[idx]
+    return idx
 
 
 def _rows_and_probs(d) -> tuple[np.ndarray, np.ndarray]:

@@ -23,10 +23,13 @@ gets one row per linear factor of its generating function sum_k p_k z^k/k!,
 so the matrix is N x N for sources of at most one photon and N kmax x
 N kmax otherwise. A kept-click subset smaller than the click count is shared
 by every pattern that holds it, so it is evaluated once, in a table
-(``_subset_table``): a sweep over the N-click patterns of M modes costs one
-full-size permanent per pattern plus sum_(k<N) C(M, k) per network, and a
-lone pattern with c clicks 2^c. That is what makes exact evaluation
-possible at hundreds of modes.
+(``_subset_table``). The full click set's term needs no slot permanent
+once the clicks fill the K = N kmax slots: it is then the ideal |per|^2 of
+the pattern, scaled. So a sweep over the N-click patterns of M modes from
+sources of at most one photon costs sum_(k<N) C(M, k) slot permanents per
+network besides the ideal |per|^2 it needs anyway, and a lone pattern with
+c clicks 2^c permanents. That is what makes exact evaluation possible at
+hundreds of modes.
 """
 
 from __future__ import annotations
@@ -374,36 +377,52 @@ def _table_modes(patterns: np.ndarray, modes: int) -> np.ndarray | None:
     return touched if sum(math.comb(len(touched), k) for k in range(clicks)) <= subsets else None
 
 
-def _pattern_probs(u, n_sources, source, detector, cols, table=None):
+def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None):
     """P_out for a batch of click patterns, each given by its increasing clicked modes.
 
     ``cols`` is a (batch, clicks) array of clicked mode indices, any click
     count. Expanding prod_(clicked)(1 - e^-nu r^s) gives, for each subset T
     of the clicked modes kept un-expanded, the sign (-1)^(clicks - |T|)
-    and dark factor e^(-(clicks - |T|) nu) on f(T) (``_slot_perms``). The
-    full subset costs one permanent per pattern; every proper subset is
-    read from ``table``, a ``_subset_table`` over modes that hold every
-    clicked mode, built here (over ``_table_modes``, which always covers a
-    lone pattern) if none is given. The f(T) of each size are summed first,
-    row by row (numpy's ``sum`` would add a lone pattern's pairwise), then
-    the sizes in increasing order, the full subset last, so a result's bits
-    depend neither on its batch nor on the stacks. The full-size
-    permanents go to the kernel as one stack, so callers keep ``cols`` to
-    ``permanent.STACK`` patterns.
+    and dark factor e^(-(clicks - |T|) nu) on f(T) (``_slot_perms``). Every
+    proper subset is read from ``table``, a ``_subset_table`` over modes
+    that hold every clicked mode, built here (over ``_table_modes``, which
+    always covers a lone pattern) if none is given.
+
+    f(T) is the chance that every detected photon lands in T: the sum of
+    g(C') over C' in T, g(C') the chance that they cover exactly C'. Below
+    K = ``len(table.base)`` clicks the full subset costs one slot permanent
+    per pattern. From K on, Moebius inversion over the clicked set C leaves
+    g(C), with expm1 in place of each dark factor e^(-(clicks - |T|) nu):
+    c clicks need c photons, so g(C) = (w (1 - r))^K |per(U[sigma, C])|^2
+    at c = K and 0 above. ``ideal`` may hold the |per(U[:N, C])|^2, read
+    when sigma is the N source rows; otherwise they are evaluated here.
+
+    The f(T) of each size are summed first, row by row (numpy's ``sum``
+    would add a lone pattern's pairwise), then the sizes in increasing
+    order, the full subset last, so a result's bits depend neither on its
+    batch nor on the stacks. The full-size permanents go to the kernel as
+    one stack, so callers keep ``cols`` to ``permanent.STACK`` patterns.
     """
     batch, clicks = cols.shape
     nu = detector.dark_rate
     if table is None:
         table = _subset_table(u, n_sources, source, detector, _table_modes(cols, u.shape[0]), clicks, batch)
     local = cols if len(table.modes) == u.shape[0] else np.searchsorted(table.modes, cols)
+    slots = len(table.base)
+    dark = math.expm1 if clicks >= slots else math.exp
     pout = np.zeros(batch)
     for k in range(clicks):
         # members[t, s, b]: the t-th smallest clicked mode of the s-th k-subset of pattern b
         positions = np.array(list(combinations(range(clicks), k)), dtype=np.intp)
         members = local.T[positions.T]
-        coeff = (-1.0) ** (clicks - k) * math.exp(-(clicks - k) * nu)
+        coeff = (-1.0) ** (clicks - k) * dark(-(clicks - k) * nu)
         pout += coeff * reduce(np.add, table.values[table.offsets[k] + _colex_rank(members)])
-    pout += _slot_perms(table.base, table.proj, cols)
+    if clicks < slots:
+        pout += _slot_perms(table.base, table.proj, cols)
+    elif clicks == slots:
+        if ideal is None or slots != n_sources:
+            ideal = _squared_permanents(np.tile(u[:n_sources], (slots // n_sources, 1)), cols)
+        pout += (_slot_factors(source)[1] * (1.0 - detector.loss_prob)) ** slots * ideal
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
@@ -411,9 +430,10 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None):
 def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
     """Exact probability of one click pattern, any mode count.
 
-    Cost is 2^(clicks) permanents of K x K slot matrices (K = N for sources
-    of at most one photon, N kmax otherwise): a subset table over the
-    clicked modes and the full click set. It stays cheap even for very wide
+    Cost is 2^(clicks) permanents of K x K matrices (K = N for sources of
+    at most one photon, N kmax otherwise): a subset table over the clicked
+    modes, and for the full click set a slot permanent below K clicks or
+    the ideal |per(U[sigma, C])|^2 at K. It stays cheap even for very wide
     networks. K and the Gray steps are checked against the limits first.
     Requires the network matrix to be numerically unitary.
     """
@@ -446,16 +466,17 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
 
     Every kept-click subset smaller than N is evaluated once per call, in
     a table over every mode or over the modes the patterns touch
-    (``_table_modes``); each pattern then costs one permanent of its full
-    click set and 2^N - 1 table reads. A few patterns spread over many
-    modes, for which even the touched-mode table would hold more entries
-    than the patterns have proper subsets, are each evaluated with a table
-    of their own, with the same bits. The sweep sums the probabilities in
-    chunks of ``permanent.STACK`` (4096) patterns, or of one pattern on
-    that route, in order; that order is part of the reproducibility
-    contract: a sweep of at most 4096 patterns gives the same bytes as one
-    pass over the whole table. The work of the whole call is checked
-    against the limits once, before any permanent is evaluated.
+    (``_table_modes``); each pattern then costs 2^N - 1 table reads and
+    one permanent of its full click set, which for sources of at most one
+    photon is the ideal |per|^2 that v2 and vb read anyway. A few patterns
+    spread over many modes, for which even the touched-mode table would
+    hold more entries than the patterns have proper subsets, are each
+    evaluated with a table of their own, with the same bits. The sweep sums
+    the probabilities in chunks of ``permanent.STACK`` (4096) patterns, or
+    of one pattern on that route, in order; that order is part of the
+    reproducibility contract: a sweep of at most 4096 patterns gives the
+    same bytes as one pass over the whole table. The work of the whole call
+    is checked against the limits once, before any permanent is evaluated.
     """
     u = cfg.matrix
     n = cfg.n_sources
@@ -483,7 +504,7 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     for lo in range(0, patterns.shape[0], step):
         cols = patterns[lo : lo + step]
         pideal = _squared_permanents(u[:n], cols)
-        pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table)
+        pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table, pideal)
         sum_out += float(pout.sum())
         sum_gap += float(np.abs(pout - pideal).sum())
         sum_ideal += float(pideal.sum())

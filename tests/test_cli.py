@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,20 @@ def test_sample_file_roundtrip(tmp_path):
     write_samples(path, patterns)
     assert path.read_text() == "101\n000\n111\n"
     assert read_samples(path).tolist() == [list(p) for p in patterns]
+
+
+def test_device_sample_peaks_under_five_bytes_per_click_bit(tmp_path):
+    # 300,000 draws of 10 modes: the draws are row indices into a uint8 click table,
+    # and the text goes to the file from its own buffer
+    argv = ["sample", "--modes", "10", "--sources", "3", "--count", "300000", "--seed", "7",
+            "--samples-out", str(tmp_path / "s.txt"), "--out", str(tmp_path / "r.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 300_000 * 10
 
 
 def test_sample_file_rejects_garbage(tmp_path):

@@ -270,7 +270,42 @@ def test_slot_matrix_accuracy_on_the_stress_config():
     cols = collision_free_patterns(6, 4)
     got = _pattern_probs(cfg.matrix, 2, cfg.source, cfg.detector, cols)
     want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
-    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(got, want, rtol=5e-13, atol=0)
+
+
+@pytest.mark.parametrize("dark", [1e-4, 0.0])
+def test_full_click_set_term_is_the_ideal_probability(dark):
+    # N clicks from N single-photon sources: the full click set contributes
+    # p1^N (1 - r)^N |per|^2, and only the dark-count corrections are signed
+    cfg = DeviceConfig(make_haar(7, 3), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, dark))
+    cols = collision_free_patterns(7, 3)
+    got = _pattern_probs(cfg.matrix, 3, cfg.source, cfg.detector, cols)
+    want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
+    np.testing.assert_allclose(got, want, rtol=5e-15, atol=0)
+
+
+def test_more_clicks_than_photons_without_the_full_click_set():
+    # 4 clicks from 3 single-photon sources need a dark count: no exact full-set term is left
+    cfg = DeviceConfig(make_haar(7, 3), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    cols = collision_free_patterns(7, 4)
+    got = _pattern_probs(cfg.matrix, 3, cfg.source, cfg.detector, cols)
+    want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_single_photon_sweep_evaluates_only_the_subset_table(monkeypatch):
+    # the full click sets take the sweep's own ideal |per|^2: no slot permanent of N clicks
+    sizes = []
+    slot_perms = noise_model._slot_perms
+
+    def counting(base, proj, subsets):
+        sizes.append(subsets.shape)
+        return slot_perms(base, proj, subsets)
+
+    monkeypatch.setattr(noise_model, "_slot_perms", counting)
+    cfg = DeviceConfig(make_haar(9, 4), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    distance_parts(cfg)
+    assert sizes == [(1, 0), (9, 1), (36, 2)]
 
 
 @pytest.mark.parametrize("source", [SourceModel((0.02, 0.98)), SourceModel((0.02, 0.97, 0.01))], ids=["kmax1", "p2"])
