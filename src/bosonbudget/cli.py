@@ -29,10 +29,10 @@ from . import limits
 from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
 from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
+from .fock import collision_free_patterns
 from .ideal_sampler import _draw_indices, full_distribution
-from .noise_model import (DetectorModel, DeviceConfig, SourceModel, collision_free_patterns, distance_parts,
-                          noise_bound, noise_bound_additive)
-from .permanent import permanent_ryser
+from .noise_model import DetectorModel, DeviceConfig, SourceModel, distance_parts, noise_bound, noise_bound_additive
+from .permanent import STACK, permanent_ryser
 from .random_ensembles import NetworkUnitary, haar_unitary, spawn_rngs
 from .verify import row_norm_witness, suppression_test, unitarity_roundtrip
 
@@ -454,7 +454,9 @@ def cmd_sample(args) -> None:
         pats = collision_free_patterns(modes, n)
         idx = rng.integers(0, len(pats), args.count)
         patterns = np.zeros((args.count, modes), dtype=np.uint8)
-        patterns[np.arange(args.count)[:, None], pats[idx]] = 1
+        for lo in range(0, args.count, STACK):  # no (count, N) gather of intp modes
+            np.put_along_axis(patterns[lo : lo + STACK], pats[idx[lo : lo + STACK]], 1, axis=1)
+        del idx
     else:
         dist = full_distribution(u, n0)
         # the drawn rows gathered from the table's click patterns: one byte per click bit

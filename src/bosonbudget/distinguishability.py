@@ -229,7 +229,7 @@ def prob_mismatch(
     ``sigma_table`` for the same photon count and ``indist``) when
     evaluating many outputs.
     """
-    m = as_matrix(u)
+    m = as_matrix(u, n, s)
     if total_photons(n) != total_photons(s):
         raise PhotonCountError("photon totals differ")
     photons = total_photons(n)

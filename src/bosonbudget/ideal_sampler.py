@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericError
 from .fock import enumerate_outputs, mode_indices, mu, total_photons
 from .permanent import STACK, _permanent_batch, permanent_repeated
 from .random_ensembles import as_matrix
@@ -38,6 +38,8 @@ class DistributionTable:
         p = np.array(self.probs, dtype=np.float64)
         if o.ndim != 2 or p.ndim != 1 or len(p) != len(o):
             raise DimensionError("outcomes must be a (count, modes) table and probs a vector matching it")
+        if not np.isfinite(p).all():
+            raise NumericError("probabilities must be finite")
         if p.size and p.min() < -1e-12:
             raise ValueError(f"negative probability {p.min()}")
         np.clip(p, 0.0, None, out=p)
@@ -68,12 +70,10 @@ def prob_ideal(u, n: Sequence[int], s: Sequence[int]) -> float:
     Returns 0.0 (without raising) when the photon totals differ, since the
     network conserves photon number.
     """
-    m = as_matrix(u)
-    if len(n) != m.shape[0] or len(s) != m.shape[0]:
-        raise DimensionError("occupation vectors must have one entry per mode")
+    as_matrix(u, n, s)  # the network and both vectors are checked before the photon totals are compared
     if total_photons(n) != total_photons(s):
         return 0.0
-    amp = permanent_repeated(m, n, s)
+    amp = permanent_repeated(u, n, s)
     return float(abs(amp) ** 2 / (mu(n) * mu(s)))
 
 
@@ -85,10 +85,8 @@ def full_distribution(u, n: Sequence[int]) -> DistributionTable:
     permanents run through the batched kernel, ``STACK`` outcomes per
     call.
     """
-    m = as_matrix(u)
+    m = as_matrix(u, n)
     modes = m.shape[0]
-    if len(n) != modes:
-        raise DimensionError("occupation vectors must have one entry per mode")
     photons = total_photons(n)
     outcomes = enumerate_outputs(modes, photons)
     factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=np.float64)

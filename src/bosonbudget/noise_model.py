@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
@@ -139,16 +139,15 @@ class DeviceConfig:
     detector: DetectorModel
 
     def __post_init__(self):
-        m = as_matrix(self.unitary)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"network matrix must be square, got {m.shape}")
-        if not 1 <= self.n_sources <= m.shape[0]:
+        # self.modes reads self.matrix, so the network is checked here
+        if not 1 <= self.n_sources <= self.modes:
             raise DimensionError(
-                f"n_sources must be in [1, modes], got {self.n_sources} with {m.shape[0]} modes"
+                f"n_sources must be in [1, modes], got {self.n_sources} with {self.modes} modes"
             )
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
+        """The network as ``as_matrix`` checks it, converted once."""
         return as_matrix(self.unitary)
 
     @property
@@ -166,8 +165,7 @@ def input_prob(cfg: DeviceConfig, n: Sequence[int]) -> float:
     Zero whenever a mode beyond the sources is occupied or an occupation
     exceeds the source truncation.
     """
-    if len(n) != cfg.modes:
-        raise DimensionError("occupation vector must have one entry per mode")
+    as_matrix(cfg.unitary, n)  # refuses an occupation vector of the wrong length
     if any(int(k) > 0 for k in n[cfg.n_sources:]):
         return 0.0
     out = 1.0
@@ -205,7 +203,7 @@ def output_click_distribution(cfg: DeviceConfig) -> DistributionTable:
     Desk scale only (the table itself has 2^M entries); serves as the slow
     oracle for the permanent-based pattern probabilities.
     """
-    u = cfg.matrix
+    u = cfg.unitary  # a NetworkUnitary is not scanned again by each prob_ideal call
     modes = cfg.modes
     limits.check("click_table_modes", modes, f"click table of 2^{modes} patterns")
     totals = {total_photons(occ) for occ, _ in _input_support(cfg.source, cfg.n_sources)}

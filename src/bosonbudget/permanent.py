@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from . import limits
-from .errors import DimensionError, NumericError, PhotonCountError
+from .errors import DimensionError, PhotonCountError
 from .fock import mode_indices, mu, total_photons
 from .random_ensembles import as_matrix
 
@@ -32,15 +32,6 @@ from .random_ensembles import as_matrix
 # walk step: the kernel walks sub-stacks of STACK >> h(n) matrices. It bounds
 # memory and fixes the distance sweep's summation order, not any permanent's bits.
 STACK = 4096
-
-
-def _checked_square(a) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"permanent needs a square matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise NumericError("matrix has non-finite entries")
-    return a.astype(np.complex128, copy=False)
 
 
 def permanent_ryser(a) -> complex:
@@ -53,7 +44,7 @@ def permanent_ryser(a) -> complex:
     permanent 1 by convention (this keeps vacuum amplitudes normalised).
     The order is capped by the ``permanent_order`` limit.
     """
-    a = _checked_square(a)
+    a = as_matrix(a)
     limits.check("permanent_order", a.shape[0], "permanent")
     return complex(_permanent_batch(a[None])[0])
 
@@ -65,7 +56,7 @@ def _all_permutations(n: int) -> np.ndarray:
 
 def permanent_naive(a) -> complex:
     """Reference permanent: explicit sum over all N! permutations, N <= 9."""
-    a = _checked_square(a)
+    a = as_matrix(a)
     n = a.shape[0]
     if n == 0:
         return 1 + 0j
@@ -81,11 +72,7 @@ def permanent_repeated(u, n, s) -> complex:
     Row/column order is immaterial: the permanent is invariant under
     permutations of either.
     """
-    m = as_matrix(u)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"network matrix must be square, got {m.shape}")
-    if len(n) != m.shape[0] or len(s) != m.shape[0]:
-        raise DimensionError("occupation vectors must have one entry per mode")
+    m = as_matrix(u, n, s)
     if total_photons(n) != total_photons(s):
         raise PhotonCountError(
             f"photon totals differ: |n|={total_photons(n)} vs |s|={total_photons(s)}"
@@ -146,9 +133,7 @@ def permanent_contingency(u, n, s) -> complex:
     sums are ``n`` and column sums are ``s``; agrees with
     ``permanent_repeated`` on all inputs within the cap.
     """
-    m = as_matrix(u)
-    if len(n) != m.shape[0] or len(s) != m.shape[0]:
-        raise DimensionError("occupation vectors must have one entry per mode")
+    m = as_matrix(u, n, s)
     photons = total_photons(n)
     if photons != total_photons(s):
         raise PhotonCountError("photon totals differ")

@@ -15,29 +15,46 @@ from functools import cached_property
 import numpy as np
 
 from . import limits
-from .errors import DimensionError
+from .errors import DimensionError, NumericError
 
 
-def as_matrix(u) -> np.ndarray:
-    """Accept a NetworkUnitary or anything array-like; return complex ndarray."""
-    m = getattr(u, "matrix", u)
-    return np.asarray(m, dtype=np.complex128)
+def as_matrix(u, *occupations) -> np.ndarray:
+    """The complex matrix of a NetworkUnitary or array-like ``u``: the package's one matrix check.
+
+    Raises ``DimensionError`` unless the matrix is square (0 x 0 included)
+    and each occupation vector has one entry per mode, and ``NumericError``
+    if an entry is not finite. A NetworkUnitary, checked by its
+    constructor, is not scanned again; a complex array is not copied.
+    """
+    if isinstance(u, NetworkUnitary):
+        m = u.matrix
+    else:
+        m = np.asarray(u, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError(f"matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NumericError("matrix has non-finite entries")
+    if any(len(occ) != len(m) for occ in occupations):
+        raise DimensionError("occupation vectors must have one entry per mode")
+    return m
 
 
 @dataclass(frozen=True)
 class NetworkUnitary:
     """An M-mode network matrix with its unitarity certificate.
 
-    ``unitarity_defect`` is the max-norm of U^dag U - I; constructors in this
-    module guarantee it is at machine level (<= 1e-10).
+    The matrix is held as a read-only copy that passed ``as_matrix``; an
+    empty one is refused. ``unitarity_defect`` is the max-norm of
+    U^dag U - I; constructors in this module guarantee it is at machine
+    level (<= 1e-10).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise DimensionError(f"network matrix must be square and non-empty, got shape {m.shape}")
+        m = as_matrix(np.array(self.matrix, dtype=np.complex128))
+        if not len(m):
+            raise DimensionError("network matrix must have at least one mode")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -54,8 +71,6 @@ class NetworkUnitary:
     def from_matrix(cls, matrix, *, max_defect: float = 1e-10) -> "NetworkUnitary":
         """Wrap a user-supplied matrix, rejecting it if visibly non-unitary."""
         u = cls(matrix)
-        if not np.all(np.isfinite(u.matrix)):
-            raise DimensionError("network matrix has non-finite entries")
         if u.unitarity_defect > max_defect:
             raise DimensionError(
                 f"matrix is not unitary: defect {u.unitarity_defect:.3e} > {max_defect:.1e}"

@@ -6,6 +6,7 @@ from scipy import stats
 
 from bosonbudget import (
     DistributionTable,
+    NumericError,
     ResourceLimitError,
     full_distribution,
     prob_ideal,
@@ -86,6 +87,13 @@ def test_sampling_incomplete_rejected():
     dist = DistributionTable(((0,), (1,)), np.array([0.3, 0.3]))
     with pytest.raises(ValueError):
         sample_ideal(dist, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_refuses_non_finite_probabilities(bad):
+    # a NaN passes the negative-probability test and survives the clip
+    with pytest.raises(NumericError):
+        DistributionTable(((0,), (1,)), [bad, 1.0])
 
 
 def test_sampling_chi_square_fit():

@@ -10,6 +10,7 @@ from mpmath import fprod, fsum, mp, mpc, mpf
 from bosonbudget import (
     DetectorModel,
     DeviceConfig,
+    DimensionError,
     ResourceLimitError,
     SourceModel,
     click_pattern_prob,
@@ -69,7 +70,7 @@ def test_detector_refuses_an_infinite_dark_rate():
 
 def test_device_config_validation():
     u = make_haar(3, 0)
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionError):
         DeviceConfig(u, 4, SourceModel.ideal(), DetectorModel.ideal())
 
 

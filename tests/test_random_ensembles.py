@@ -3,14 +3,24 @@ import pytest
 from scipy import stats
 
 from bosonbudget import (
+    DetectorModel,
+    DeviceConfig,
     DimensionError,
+    Indistinguishability,
     NetworkUnitary,
+    NumericError,
     ResourceLimitError,
+    SourceModel,
     fourier_matrix,
+    full_distribution,
     gaussian_submatrix,
     haar_unitary,
+    prob_ideal,
+    prob_mismatch,
+    row_norm_witness,
     spawn_rngs,
 )
+from bosonbudget.permanent import permanent_contingency, permanent_repeated
 
 
 def test_single_mode_is_pure_phase():
@@ -98,6 +108,29 @@ def test_mode_cap():
 def test_from_matrix_rejects_non_unitary():
     with pytest.raises(DimensionError):
         NetworkUnitary.from_matrix(np.ones((2, 2)))
+
+
+WIDE = np.ones((2, 3))  # a 2 x 3 "network"
+NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+G = Indistinguishability((0.9,))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: full_distribution(WIDE, (1, 0)), DimensionError),
+    (lambda: row_norm_witness(WIDE, (1, 0), []), DimensionError),
+    (lambda: prob_mismatch(WIDE, (1, 1), (1, 1), G), DimensionError),
+    (lambda: permanent_contingency(WIDE, (1, 0), (0, 1)), DimensionError),
+    (lambda: prob_ideal(WIDE, (1, 0), (1, 0)), DimensionError),
+    (lambda: permanent_repeated(WIDE, (1, 0), (1, 0)), DimensionError),
+    (lambda: DeviceConfig(WIDE, 1, SourceModel.ideal(), DetectorModel.ideal()), DimensionError),
+    (lambda: NetworkUnitary(NAN), NumericError),
+    (lambda: NetworkUnitary.from_matrix(NAN), NumericError),
+    (lambda: prob_mismatch(fourier_matrix(3), (1, 0, 0, 1), (1, 0, 0, 1), G), DimensionError),
+], ids=["full_distribution", "row_norm_witness", "prob_mismatch", "permanent_contingency", "prob_ideal",
+        "permanent_repeated", "DeviceConfig", "NetworkUnitary-nan", "from_matrix-nan", "prob_mismatch-occupation"])
+def test_every_matrix_argument_is_checked(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_matrix_is_frozen():
