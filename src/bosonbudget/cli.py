@@ -29,7 +29,7 @@ from . import limits
 from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
 from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
-from .fock import collision_free_patterns
+from .fock import _pattern_count, _pattern_rows
 from .ideal_sampler import _draw_indices, full_distribution
 from .noise_model import DetectorModel, DeviceConfig, SourceModel, distance_parts, noise_bound, noise_bound_additive
 from .permanent import STACK, permanent_ryser
@@ -451,11 +451,11 @@ def cmd_sample(args) -> None:
     n = args.sources
     n0 = _occupation_first_n(modes, n)
     if args.population == "uniform":
-        pats = collision_free_patterns(modes, n)
-        idx = rng.integers(0, len(pats), args.count)
+        # lexicographic ranks of the N-subsets, mapped to rows STACK at a time: no table of C(M, N) rows
+        idx = rng.integers(0, _pattern_count(modes, n), args.count)
         patterns = np.zeros((args.count, modes), dtype=np.uint8)
-        for lo in range(0, args.count, STACK):  # no (count, N) gather of intp modes
-            np.put_along_axis(patterns[lo : lo + STACK], pats[idx[lo : lo + STACK]], 1, axis=1)
+        for lo in range(0, args.count, STACK):
+            np.put_along_axis(patterns[lo : lo + STACK], _pattern_rows(idx[lo : lo + STACK], modes, n), 1, axis=1)
         del idx
     else:
         dist = full_distribution(u, n0)
@@ -684,13 +684,21 @@ _ERRORS = (
 )
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every run without ``--config``, built on the first and never changed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     command = parser.commands[args.func]
     try:
         if args.config:
-            # the file supplies defaults, so the command line still wins
+            # the file supplies defaults, so the command line still wins; they go on a parser of this run's own
+            parser = build_parser()
+            command = parser.commands[args.func]
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
         actions = command._option_string_actions

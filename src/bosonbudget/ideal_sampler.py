@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 from .fock import enumerate_outputs, mode_indices, mu, total_photons
-from .permanent import STACK, _permanent_batch, permanent_repeated
+from .permanent import STACK, _permanent_batch, _repeated
 from .random_ensembles import as_matrix
 
 Outcome = tuple[int, ...]
@@ -70,10 +70,10 @@ def prob_ideal(u, n: Sequence[int], s: Sequence[int]) -> float:
     Returns 0.0 (without raising) when the photon totals differ, since the
     network conserves photon number.
     """
-    as_matrix(u, n, s)  # the network and both vectors are checked before the photon totals are compared
+    m = as_matrix(u, n, s)  # the one check of the network and both vectors, before the photon totals are compared
     if total_photons(n) != total_photons(s):
         return 0.0
-    amp = permanent_repeated(u, n, s)
+    amp = _repeated(m, n, s)
     return float(abs(amp) ** 2 / (mu(n) * mu(s)))
 
 

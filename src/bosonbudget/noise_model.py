@@ -44,7 +44,15 @@ import numpy as np
 
 from . import limits
 from .errors import DimensionError
-from .fock import collision_free_patterns, count_outputs, enumerate_outputs, total_photons
+from .fock import (
+    _colex_rank,
+    _colex_unrank,
+    _pattern_chunks,
+    collision_free_patterns,  # re-exported: perfbench's tracer times it under this module
+    count_outputs,
+    enumerate_outputs,
+    total_photons,
+)
 from .ideal_sampler import DistributionTable, _squared_permanents, prob_ideal
 from .permanent import STACK, _permanent_batch
 from .random_ensembles import as_matrix
@@ -282,42 +290,6 @@ def _slot_perms(base: np.ndarray, proj: np.ndarray, subsets: np.ndarray) -> np.n
     return _permanent_batch(g.transpose(2, 0, 1)).real
 
 
-def _binom(a: np.ndarray, k: int) -> np.ndarray:
-    """C(a, k) as ``intp`` for each entry of a non-negative integer array, k >= 1.
-
-    Works in ``intp`` whatever the dtype of ``a``, so that a narrow one
-    cannot wrap; an ``intp`` array is returned as is at k = 1.
-    """
-    out = a = np.asarray(a, dtype=np.intp)
-    for j in range(1, k):  # C(a, j + 1) = C(a, j) (a - j) / (j + 1), exact at every step
-        out = out * (a - j) // (j + 1)
-    return out
-
-
-def _colex_rank(members) -> np.ndarray:
-    """Colex rank of subsets given member by member: ``members[t]`` holds the t-th smallest of each.
-
-    The rank sum_t C(members[t], t + 1) numbers the k-subsets of range(m)
-    0 .. C(m, k) - 1 for every m, ordered by their largest member first.
-    """
-    ranks = np.zeros(np.shape(members)[1:], dtype=np.intp)
-    for t, a in enumerate(members):
-        ranks += _binom(a, t + 1)
-    return ranks
-
-
-def _colex_unrank(ranks: np.ndarray, m: int, k: int) -> np.ndarray:
-    """The (count, k) increasing rows of range(m) whose colex ranks are ``ranks``."""
-    rows = np.empty((len(ranks), k), dtype=np.intp)
-    rest = ranks.copy()
-    for t in reversed(range(k)):
-        # the largest member left is the largest a with C(a, t + 1) <= rest
-        column = _binom(np.arange(m), t + 1)
-        rows[:, t] = np.searchsorted(column, rest, side="right") - 1
-        rest -= column[rows[:, t]]
-    return rows
-
-
 class _SubsetTable(NamedTuple):
     base: np.ndarray  # (K, K): the slot matrix at T empty, X + w r I[sigma|sigma]
     # (K, K, M): what mode l adds to it on joining T, w (1 - r) conj(U[sigma, l]) U[sigma, l]^T
@@ -475,11 +447,19 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     reproducibility contract: a sweep of at most 4096 patterns gives the
     same bytes as one pass over the whole table. The work of the whole call
     is checked against the limits once, before any permanent is evaluated.
+
+    Without ``patterns`` the sweep never holds the C(M, N) x N table of
+    patterns: it reads the same rows, in the same chunks, from
+    ``fock._pattern_chunks``, so its memory does not grow with C(M, N).
+    What it holds is the subset table, sum_(k<N) C(M, k) floats, the
+    prefix table of C(M - 1, N - 1) rows, and one chunk's arrays.
     """
     u = cfg.matrix
     n = cfg.n_sources
     if patterns is None:
-        patterns = collision_free_patterns(cfg.modes, n)
+        # every subset smaller than N lies in some N-subset, so the table over all modes always pays
+        chunks = _pattern_chunks(cfg.modes, n, STACK)
+        count, modes = math.comb(cfg.modes, n), np.arange(cfg.modes)
     else:
         patterns = np.asarray(patterns)
         if patterns.ndim != 2 or patterns.shape[1] != n:
@@ -490,17 +470,18 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
             or any(np.any(patterns[:, j] <= patterns[:, j - 1]) for j in range(1, n))
         ):
             raise ValueError(f"each pattern must list strictly increasing modes in [0, {cfg.modes})")
-    modes = _table_modes(patterns, cfg.modes)
+        count, modes = len(patterns), _table_modes(patterns, cfg.modes)
+        step = 1 if modes is None else STACK
+        chunks = (patterns[lo : lo + step] for lo in range(0, count, step))
     if modes is None:  # chunks of one pattern, each evaluated with its own table
-        limits.check_slot_permanents(len(_slot_factors(cfg.source)[0]) * n, len(patterns) << n)
-        table, step = None, 1
+        limits.check_slot_permanents(len(_slot_factors(cfg.source)[0]) * n, count << n)
+        table = None
     else:
-        table, step = _subset_table(u, n, cfg.source, cfg.detector, modes, n, len(patterns)), STACK
+        table = _subset_table(u, n, cfg.source, cfg.detector, modes, n, count)
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
-    for lo in range(0, patterns.shape[0], step):
-        cols = patterns[lo : lo + step]
+    for cols in chunks:
         pideal = _squared_permanents(u[:n], cols)
         pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table, pideal)
         sum_out += float(pout.sum())

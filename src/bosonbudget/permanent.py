@@ -44,7 +44,11 @@ def permanent_ryser(a) -> complex:
     permanent 1 by convention (this keeps vacuum amplitudes normalised).
     The order is capped by the ``permanent_order`` limit.
     """
-    a = as_matrix(a)
+    return _permanent(as_matrix(a))
+
+
+def _permanent(a: np.ndarray) -> complex:
+    """``permanent_ryser`` of a matrix that ``as_matrix`` has already checked."""
     limits.check("permanent_order", a.shape[0], "permanent")
     return complex(_permanent_batch(a[None])[0])
 
@@ -72,7 +76,11 @@ def permanent_repeated(u, n, s) -> complex:
     Row/column order is immaterial: the permanent is invariant under
     permutations of either.
     """
-    m = as_matrix(u, n, s)
+    return _repeated(as_matrix(u, n, s), n, s)
+
+
+def _repeated(m: np.ndarray, n, s) -> complex:
+    """``permanent_repeated`` on a matrix and vectors that ``as_matrix`` has already checked."""
     if total_photons(n) != total_photons(s):
         raise PhotonCountError(
             f"photon totals differ: |n|={total_photons(n)} vs |s|={total_photons(s)}"
@@ -81,7 +89,7 @@ def permanent_repeated(u, n, s) -> complex:
     cols = mode_indices(s)
     if not rows:
         return 1 + 0j
-    return permanent_ryser(m[np.ix_(rows, cols)])
+    return _permanent(m[np.ix_(rows, cols)])
 
 
 def contingency_tables(row_sums, col_sums):

@@ -18,9 +18,10 @@ import numpy as np
 
 from .distinguishability import Indistinguishability, prob_mismatch, sigma_table
 from .errors import DimensionError
-from .fock import collision_free_patterns, mode_indices
+from .fock import _pattern_chunks, mode_indices
 from .ideal_sampler import _squared_permanents, full_distribution
 from .noise_model import DeviceConfig, click_pattern_prob
+from .permanent import STACK
 from .random_ensembles import as_matrix, fourier_matrix
 
 SUPPRESSION_TOL = 1e-10
@@ -45,6 +46,17 @@ def _witness_values(col_mass: np.ndarray, clicked: np.ndarray, modes: int, n: in
     return np.prod((modes / n) * col_mass[clicked], axis=-1)
 
 
+def _weighted_probs(sources: np.ndarray, col_mass: np.ndarray, chunks, probs: np.ndarray):
+    """p W of each pattern of ``chunks`` in turn, p = |per(sources[:, T])|^2; each p is stored in ``probs``."""
+    n, modes = sources.shape
+    lo = 0
+    for cols in chunks:
+        p = probs[lo : lo + len(cols)]
+        p[:] = _squared_permanents(sources, cols)
+        yield from (p * _witness_values(col_mass, cols, modes, n)).tolist()
+        lo += len(cols)
+
+
 def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     """Classify samples as device output vs uniform noise.
 
@@ -54,10 +66,16 @@ def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     Each N-click sample m scores W(m) = prod_alpha (M/N) sum_{i<=N} |U_{i,l_alpha}|^2
     over its clicked columns; real device output is biased toward columns the
     source rows weight heavily, so E[W] sits above the uniform reference.
-    Both reference means are calibrated by exact enumeration at desk scale,
-    over the collision-free outputs only: |per(U[rows, T])|^2 for every
-    N-subset T of the modes, the device reference normalised by their mass.
-    Samples whose click count differs from N are rejected and counted.
+    Both references are means over the collision-free outputs only, the
+    N-subsets T of the modes. The uniform one is in closed form: with
+    c_l = (M/N) sum_(i<=N) |U_(i,l)|^2 it is e_N(c_1 ... c_M) / C(M, N),
+    the elementary symmetric polynomial built by e_k += c_l e_(k-1) over the
+    modes, whose terms never cancel. The device one is calibrated by exact
+    enumeration at desk scale: the mean of W weighted by |per(U[rows, T])|^2,
+    both sums exactly rounded (``math.fsum``). The subsets are read
+    ``permanent.STACK`` at a time (``fock._pattern_chunks``); the weights
+    are held, 8 bytes per subset, for the normalisation. Samples whose
+    click count differs from N are rejected and counted.
 
     The call is inconclusive when the sample mean lies within two standard
     errors of the midpoint between the references.
@@ -86,11 +104,15 @@ def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     n_rejected = len(samples) - n_used
 
     # calibrate over the collision-free outputs, the N-subsets of the modes in lexicographic order
-    patterns = collision_free_patterns(modes, n)
-    p_cf = _squared_permanents(m[rows], patterns)
-    w_cf = _witness_values(col_mass, patterns, modes, n)
-    ref_uniform = float(w_cf.mean())
-    ref_device = math.fsum(p_cf * w_cf) / math.fsum(p_cf)
+    chunks = _pattern_chunks(modes, n, STACK)  # refused over the pattern cap before any row is built
+    p_cf = np.empty(math.comb(modes, n))
+    ref_device = math.fsum(_weighted_probs(m[rows], col_mass, chunks, p_cf)) / math.fsum(p_cf)
+    # the mean of W over every N-subset: e_N of the scaled column masses, e_k += c e_(k-1) over the modes
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    for c in ((modes / n) * col_mass).tolist():
+        e[1:] += c * e[:-1]
+    ref_uniform = float(e[n]) / len(p_cf)
     midpoint = 0.5 * (ref_uniform + ref_device)
 
     if n_used == 0:

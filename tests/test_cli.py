@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bosonbudget import DimensionError, haar_unitary
+from bosonbudget import DimensionError, cli, haar_unitary
 from bosonbudget.cli import (
     UsageError,
     _fmt,
@@ -265,6 +265,34 @@ def test_config_file_supplies_defaults(tmp_path):
     rc = _run("distribution", "--config", str(cfg), "--out", str(out))
     assert rc == 0
     assert _report(out)["results"]["totalMass"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_config_defaults_stay_with_their_run(tmp_path, monkeypatch, capsys):
+    # the parser of runs without --config is built once and shared; a --config run sets its
+    # defaults on a parser of its own, so the same command without --config lacks them
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps({"modes": 4, "photons": 2, "seed": 3}))
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._shared_parser.cache_clear()
+    assert _run("distribution", "--config", "c.json", "--out", "a.json") == 0
+    capsys.readouterr()
+    assert _exit_code(["distribution", "--out", "b.json"]) == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "the following arguments are required: --photons"
+    assert _run("distribution", "--modes", "4", "--photons", "2", "--seed", "3", "--out", "c.json") == 0
+    assert Path("a.json").read_bytes() == Path("c.json").read_bytes()
+    assert len(builds) == 2  # one shared parser, one for the --config run
+    cli._shared_parser.cache_clear()
+
+
+def test_wide_sweep_refused_by_the_pattern_cap(tmp_path, capsys):
+    # C(400, 3) = 10,586,800 patterns: refused before the subset table or any permanent
+    assert _run("distance", "--modes", "400", "--sources", "3", "--seed", "1", "--out", str(tmp_path / "r.json")) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"kind": "resource", "message": "3-click pattern table: 10586800 patterns, over the 'patterns' "
+                                                     "limit; capped at 4000000 patterns"}
+    assert not (tmp_path / "r.json").exists()
 
 
 # ------------------------------------------------------------ report writer

@@ -13,6 +13,8 @@ from bosonbudget import (
     mode_indices,
     mu,
 )
+from bosonbudget.fock import _pattern_chunks, _pattern_rows
+from bosonbudget.permanent import STACK
 
 
 @pytest.mark.parametrize(
@@ -141,3 +143,90 @@ def test_birthday_monotonicity():
 def test_birthday_domain_error():
     with pytest.raises(ValueError):
         birthday_bunching_bound(3, 4)
+
+
+# ------------------------------------------------------------ the chunked N-subset source
+
+
+def _assert_chunks_cut_the_table(chunks, size, count):
+    lengths = [len(chunk) for chunk in chunks]
+    assert sum(lengths) == count
+    assert all(n == size for n in lengths[:-1]) and 0 < lengths[-1] <= size
+    for chunk in chunks:
+        assert chunk.dtype == np.intp and chunk.flags.c_contiguous
+
+
+def test_pattern_chunks_are_the_table_cut_in_order():
+    # sizes 1 and 7 cut inside the runs of one prefix, as STACK does at larger M
+    for modes in range(1, 13):
+        for n in range(modes + 1):
+            want = collision_free_patterns(modes, n)
+            for size in (1, 7, STACK):
+                chunks = list(_pattern_chunks(modes, n, size))
+                _assert_chunks_cut_the_table(chunks, size, len(want))
+                np.testing.assert_array_equal(np.concatenate(chunks), want)
+
+
+@pytest.mark.parametrize("size", [997, STACK])
+def test_pattern_chunks_at_sweep_size(size):
+    # M = 180, N = 3: the ensemble sweep's shape; 955,860 rows, and chunks of either size end mid-run
+    want = collision_free_patterns(180, 3)
+    chunks = list(_pattern_chunks(180, 3, size))
+    _assert_chunks_cut_the_table(chunks, size, len(want))
+    np.testing.assert_array_equal(np.concatenate(chunks), want)
+
+
+def test_pattern_chunks_at_the_witness_size():
+    # M = 56, N = 5 without its 150 MB table: C(56, 5) rows of increasing modes in [0, 56),
+    # each lexicographically after the one before, chunk boundaries included, are the table
+    count, previous = 0, None
+    for chunk in _pattern_chunks(56, 5, STACK):
+        assert chunk.shape[1] == 5 and chunk[:, 0].min() >= 0 and chunk[:, -1].max() < 56
+        assert (np.diff(chunk, axis=1) > 0).all()
+        rows = chunk if previous is None else np.vstack((previous, chunk))
+        # lexicographic successor: the first differing column increases
+        diff = np.diff(rows, axis=0)
+        first = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+        assert (first > 0).all()
+        count += len(chunk)
+        previous = chunk[-1:]
+    assert count == math.comb(56, 5)
+
+
+def test_pattern_chunks_refuse_before_any_row():
+    with pytest.raises(ResourceLimitError, match=f"3-click pattern table: {math.comb(400, 3)} patterns"):
+        _pattern_chunks(400, 3, STACK)  # the call refuses, not the first chunk
+    with pytest.raises(ValueError, match="n_clicks"):
+        _pattern_chunks(5, 6, STACK)
+
+
+def _lex_unrank(rank, modes, n):
+    # the oracle: walk the modes, skipping the C(modes - x - 1, n - len(row) - 1) subsets that start at x
+    row, x = [], 0
+    while len(row) < n:
+        below = math.comb(modes - x - 1, n - len(row) - 1)
+        if rank < below:
+            row.append(x)
+        else:
+            rank -= below
+        x += 1
+    return row
+
+
+def test_pattern_rows_are_the_table_rows():
+    for modes in range(13):
+        for n in range(modes + 1):
+            want = collision_free_patterns(modes, n)
+            got = _pattern_rows(np.arange(len(want)), modes, n)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("modes, n", [(180, 3), (56, 5), (20, 5), (100, 4), (9, 1), (7, 7), (12, 2), (64, 60),
+                                      (30, 25)])
+def test_pattern_rows_match_the_unranking_oracle(modes, n):
+    # at (64, 60) the mirrored colex route would form C(63, 31) x 32, past int64: the complement route takes it
+    count = math.comb(modes, n)
+    ranks = np.unique(np.concatenate((np.random.default_rng(modes).integers(0, count, 200), [0, count - 1])))
+    got = _pattern_rows(ranks, modes, n)
+    assert got.tolist() == [_lex_unrank(int(r), modes, n) for r in ranks]

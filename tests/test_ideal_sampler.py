@@ -25,6 +25,21 @@ def test_hom_probabilities(beamsplitter):
     assert prob_ideal(beamsplitter, (1, 1), (0, 2)) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_prob_ideal_checks_the_network_once(monkeypatch):
+    # a plain array is scanned for non-finite entries once, by prob_ideal's own check, and a
+    # NetworkUnitary, checked when it was built, not at all; the permanent is the same either way
+    u = make_haar(6, 21)
+    n, s = (1, 1, 1, 0, 0, 0), (0, 2, 0, 1, 0, 0)
+    want = prob_ideal(u, n, s)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *args, **kwargs: calls.append(1) or isfinite(*args, **kwargs))
+    assert prob_ideal(u.matrix.copy(), n, s) == want
+    assert len(calls) == 1
+    assert prob_ideal(u, n, s) == want
+    assert len(calls) == 1
+
+
 def test_single_mode_phase_conserves():
     u = np.array([[np.exp(1.3j)]])
     assert prob_ideal(u, (4,), (4,)) == pytest.approx(1.0, rel=1e-12)

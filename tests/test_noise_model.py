@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -25,9 +26,8 @@ from bosonbudget import (
     prob_ideal,
 )
 from bosonbudget import noise_model, permanent
+from bosonbudget.fock import _colex_rank, _colex_unrank
 from bosonbudget.noise_model import (
-    _colex_rank,
-    _colex_unrank,
     _input_support,
     _pattern_probs,
     _subset_table,
@@ -424,16 +424,31 @@ def test_distance_parts_few_patterns_table_over_their_modes():
 def test_distance_parts_chunked_matches_one_pass(source):
     cfg = DeviceConfig(make_haar(40, 31), 3, source, DetectorModel(0.01, 1e-4))
     patterns = collision_free_patterns(40, 3)
-    assert math.ceil(len(patterns) / STACK) == 3  # 9880 patterns, three chunks
+    assert math.ceil(len(patterns) / STACK) == 3  # 9880 patterns, three chunks, the last short
     u = cfg.matrix
     pout = _pattern_probs(u, 3, source, cfg.detector, patterns)
     # one pass, pattern-major stack: [b, a, j] = U[a, patterns[b, j]]
     pideal = np.abs(_permanent_batch(np.moveaxis(np.take(u[:3], patterns, axis=1), 0, 1))) ** 2
     parts = distance_parts(cfg)
+    assert parts == distance_parts(cfg, patterns=patterns)  # the streamed rows are the table's, in its chunks
     modelled = (1.0 - source.truncated_mass) ** 3
     assert parts.v1 == pytest.approx(max(modelled - math.fsum(pout), 0.0), abs=1e-13)
     assert parts.v2 == pytest.approx(math.fsum(np.abs(pout - pideal)), abs=1e-13)
     assert parts.vb == pytest.approx(max(1.0 - math.fsum(pideal), 0.0), abs=1e-13)
+
+
+@pytest.mark.parametrize("modes, bound", [(120, 3_000_000), (180, 4_000_000)])
+def test_default_sweep_holds_no_pattern_table(modes, bound):
+    # the C(M, 3) x 3 intp table alone is 11.3 MB at M = 120 and 22.9 MB at M = 180
+    cfg = DeviceConfig(make_haar(modes, 5), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    cfg.matrix  # the checked matrix is the caller's, not the sweep's
+    tracemalloc.start()
+    try:
+        distance_parts(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_distance_parts_matches_slow_route():

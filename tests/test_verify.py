@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -85,14 +86,16 @@ def test_witness_reference_order(witness_unitary):
     assert res.reference_uniform == pytest.approx(1.0, abs=0.15)
 
 
-@pytest.mark.parametrize("modes, n", [(9, 3), (12, 4), (20, 2), (7, 7), (5, 1)])
+@pytest.mark.parametrize("modes, n", [(9, 3), (12, 4), (20, 2), (7, 7), (5, 1), (40, 4), (30, 6)])
 def test_witness_uniform_reference_is_the_mean_over_all_patterns(modes, n):
-    # to the last bit: the table's collision-free rows are the N-subsets in combinations order
+    # the closed form e_N(c) / C(M, N) against the mean over every N-subset, to a few ulp:
+    # both sum non-negative terms, in different orders
     u = make_haar(modes, 2)
     col_mass = (np.abs(u.matrix[:n]) ** 2).sum(axis=0)
     patterns = np.array(list(combinations(range(modes), n)))
     want = float(np.prod((modes / n) * col_mass[patterns], axis=-1).mean())
-    assert row_norm_witness(u, (1,) * n + (0,) * (modes - n), []).reference_uniform == want
+    got = row_norm_witness(u, (1,) * n + (0,) * (modes - n), []).reference_uniform
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("modes, n", [(9, 3), (12, 4), (16, 5), (10, 6), (7, 7), (5, 1)])
@@ -107,8 +110,23 @@ def test_witness_calibration_matches_the_full_table(modes, n):
     w = np.prod((modes / n) * col_mass[clicked], axis=-1)
     want_device = math.fsum(dist.probs[cf] * w) / math.fsum(dist.probs[cf])
     res = row_norm_witness(u, n0, [])
-    assert res.reference_uniform == float(w.mean())
-    assert res.reference_device == want_device
+    assert res.reference_uniform == pytest.approx(float(w.mean()), rel=1e-15, abs=0)
+    assert res.reference_device == want_device  # both sums exactly rounded: to the last bit
+
+
+def test_witness_calibration_memory_per_pattern():
+    # C(56, 4) = 367,290 subsets: the held weights take 8 bytes each, the prefix table and one
+    # chunk's arrays the rest; the full table with its weight arrays took 80 bytes each
+    u = make_haar(56, 12)
+    n0 = (1,) * 4 + (0,) * 52
+    row_norm_witness(u, n0, [])  # lazily imported code is not the calibration's
+    tracemalloc.start()
+    try:
+        row_norm_witness(u, n0, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * math.comb(56, 4)
 
 
 def test_witness_refused_by_the_table_cap():
