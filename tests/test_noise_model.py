@@ -439,7 +439,7 @@ def test_distance_parts_chunked_matches_one_pass(source):
 
 @pytest.mark.parametrize("modes, bound", [(120, 3_000_000), (180, 4_000_000)])
 def test_default_sweep_holds_no_pattern_table(modes, bound):
-    # the C(M, 3) x 3 intp table alone is 11.3 MB at M = 120 and 22.9 MB at M = 180
+    # the C(M, 3) x 3 intp table alone is 6.7 MB at M = 120 and 22.9 MB at M = 180
     cfg = DeviceConfig(make_haar(modes, 5), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
     cfg.matrix  # the checked matrix is the caller's, not the sweep's
     tracemalloc.start()
