@@ -21,6 +21,7 @@ import shutil
 import sys
 import time
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -29,8 +30,8 @@ from . import limits
 from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
 from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
-from .fock import _pattern_count, _pattern_rows
-from .ideal_sampler import _draw_indices, full_distribution
+from .fock import _occupations, _output_chunks, _pattern_count, _pattern_rows
+from .ideal_sampler import _draw_indices, _ideal_probs
 from .noise_model import DetectorModel, DeviceConfig, SourceModel, distance_parts, noise_bound, noise_bound_additive
 from .permanent import STACK, permanent_ryser
 from .random_ensembles import NetworkUnitary, haar_unitary, spawn_rngs
@@ -237,54 +238,87 @@ def report_text(obj) -> str:
     a value ``json`` cannot encode ``TypeError``. numpy arrays are leaves:
     a 1-D array of finite floats and a 2-D non-negative integer array are
     written from their elements, as the lists ``tolist()`` would give,
-    without building those lists; other arrays go through ``tolist()``.
+    without building those lists; other arrays go through ``tolist()``. A
+    ``RowChunks`` is a leaf too, written as the list of its rows.
     The standard library's indented encoder runs in pure Python, element
-    by element, which is what this writer avoids.
+    by element, which is what this writer avoids. ``emit_report`` writes
+    the same pieces as they come instead of joining them.
     """
     out: list[str] = []
-    _encode(obj, "\n", out)
-    out.append("\n")
+    _write_report(obj, out.append)
     return "".join(out)
+
+
+class RowChunks:
+    """A report leaf: a non-negative integer table that is written chunk by chunk and never held whole.
+
+    ``chunks()`` gives the table's rows in order as 2-D integer arrays of
+    at least one row and one column; it is called once per rendering.
+    """
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks: Callable[[], Iterable[np.ndarray]]):
+        self.chunks = chunks
 
 
 _leaf = json.JSONEncoder(allow_nan=False).encode
 
 
-def _encode(obj, newline: str, out: list[str]) -> None:
+def _write_report(obj, write: Callable[[str], object]) -> None:
+    """Hand the report text of ``obj`` to ``write``, piece by piece."""
+    _encode(obj, "\n", write)
+    write("\n")
+
+
+def _encode(obj, newline: str, write: Callable[[str], object]) -> None:
     # ``newline`` is a line break plus the indentation of the line that holds obj
     inner = newline + "  "
     if isinstance(obj, np.ndarray):
-        out.append(_array_text(obj, newline))
+        _array_text(obj, newline, write)
+    elif isinstance(obj, RowChunks):
+        _table_text(obj.chunks(), newline, write)
     elif isinstance(obj, (list, tuple)) and obj:
-        out.append("[")
+        write("[")
         for i, item in enumerate(obj):
-            out.append("," + inner if i else inner)
-            _encode(item, inner, out)
-        out.append(newline + "]")
+            write("," + inner if i else inner)
+            _encode(item, inner, write)
+        write(newline + "]")
     elif isinstance(obj, dict) and obj:
-        out.append("{")
+        write("{")
         for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            out.append(("," if i else "") + inner + _leaf(key) + ": ")
-            _encode(obj[key], inner, out)
-        out.append(newline + "}")
+            write(("," if i else "") + inner + _leaf(key) + ": ")
+            _encode(obj[key], inner, write)
+        write(newline + "}")
     else:
-        out.append(_leaf(obj))
+        write(_leaf(obj))
 
 
-def _array_text(a: np.ndarray, newline: str) -> str:
+def _array_text(a: np.ndarray, newline: str, write: Callable[[str], object]) -> None:
+    # long leaves go out STACK elements or rows at a time, so no whole leaf's text is held
     inner = newline + "  "
     if a.ndim == 1 and a.dtype.kind == "f" and a.size and np.isfinite(a).all():
-        body = ("," + inner).join(map(float.__repr__, a.tolist()))
+        sep = "," + inner
+        for lo in range(0, a.size, STACK):
+            write((sep if lo else "[" + inner) + sep.join(map(float.__repr__, a[lo : lo + STACK].tolist())))
+        write(newline + "]")
     elif a.ndim == 2 and a.dtype.kind in "iu" and a.size and a.min() >= 0:
-        row = inner + "  "
-        body = _int_table(a, "," + row, "[" + row, inner + "]", "," + inner)
+        _table_text((a[lo : lo + STACK] for lo in range(0, len(a), STACK)), newline, write)
     else:
-        out: list[str] = []
-        _encode(a.tolist(), newline, out)
-        return "".join(out)
-    return "[" + inner + body + newline + "]"
+        _encode(a.tolist(), newline, write)
+
+
+def _table_text(chunks: Iterable[np.ndarray], newline: str, write: Callable[[str], object]) -> None:
+    """A non-negative integer table, given as chunks of its rows, as the JSON list of those rows."""
+    inner = newline + "  "
+    row = inner + "  "
+    empty = True
+    for chunk in chunks:
+        write(("[" if empty else ",") + inner + _int_table(chunk, "," + row, "[" + row, inner + "]", "," + inner))
+        empty = False
+    write("[]" if empty else newline + "]")
 
 
 def _int_table(table: np.ndarray, sep: str, head: str = "", tail: str = "", row_sep: str = "\n") -> str:
@@ -326,11 +360,12 @@ def emit_report(command: str, args, results: dict, parameters: dict) -> dict:
         "results": _sanitize(results),
     }
     validate_report(report)
-    text = report_text(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        _write_report(report, sys.stdout.write)
+        return report
+    # the pieces go to the file as they come, so no report is held whole
+    with open(args.out, "w") as f:
+        _write_report(report, f.write)
     return report
 
 
@@ -422,22 +457,45 @@ def _occupation_first_n(modes: int, n: int) -> tuple[int, ...]:
 # commands
 
 
+def _side_file(args) -> Path | None:
+    """The path of the ``--format csv`` table next to the ``--out`` report, or None when there is none.
+
+    Refuses a report path that the table would overwrite: one that ends in ``.csv``.
+    """
+    if args.format != "csv" or not args.out:
+        return None
+    side = Path(args.out).with_suffix(".csv")
+    if side == Path(args.out):
+        raise UsageError(f"--format csv writes its table to {side}, the --out report path: give a report path "
+                         f"that does not end in .csv")
+    return side
+
+
 def cmd_distribution(args) -> None:
+    side = _side_file(args)
     u = _resolve_unitary(args)
     modes = u.modes
     n0 = _occupation_first_n(modes, args.sources)
-    dist = full_distribution(u, n0)
+    probs = _ideal_probs(u, n0)  # the one pass of permanents; refusals and numeric checks come before any output
+
+    def tables():  # the occupation rows, made again for each file, STACK at a time
+        return (_occupations(cols, modes) for cols in _output_chunks(modes, args.sources, STACK))
+
+    if side:
+        with open(side, "w") as f:
+            f.write(",".join(f"n_{j}" for j in range(modes)) + ",prob")
+            lo = 0
+            for occ in tables():
+                rows = _int_table(occ, ",").split("\n")
+                f.write("".join(f"\n{o},{_fmt(p)}" for o, p in zip(rows, probs[lo : lo + len(occ)].tolist())))
+                lo += len(occ)
+            f.write("\n")
     results = {
-        "outcomes": dist.outcomes,
-        "probs": dist.probs,
-        "totalMass": dist.total_mass,
+        "outcomes": RowChunks(tables),
+        "probs": probs,
+        "totalMass": math.fsum(probs),
         "unitarityDefect": u.unitarity_defect,
     }
-    if args.format == "csv" and args.out:
-        header = ",".join(f"n_{j}" for j in range(modes)) + ",prob"
-        occupations = _int_table(dist.outcomes, ",").split("\n")
-        rows = [f"{o},{_fmt(p)}" for o, p in zip(occupations, dist.probs.tolist())]
-        Path(args.out).with_suffix(".csv").write_text("\n".join([header, *rows]) + "\n")
     emit_report("distribution", args, results, _network_params(args, modes))
 
 
@@ -450,17 +508,18 @@ def cmd_sample(args) -> None:
     limits.check("sample_bits", args.count * modes, f"{args.count} samples of {modes} modes")
     n = args.sources
     n0 = _occupation_first_n(modes, n)
+    # the draws are ranks of the rows of a lexicographic N-subset table, mapped to rows STACK at a time
     if args.population == "uniform":
-        # lexicographic ranks of the N-subsets, mapped to rows STACK at a time: no table of C(M, N) rows
-        idx = rng.integers(0, _pattern_count(modes, n), args.count)
-        patterns = np.zeros((args.count, modes), dtype=np.uint8)
-        for lo in range(0, args.count, STACK):
-            np.put_along_axis(patterns[lo : lo + STACK], _pattern_rows(idx[lo : lo + STACK], modes, n), 1, axis=1)
-        del idx
+        idx = rng.integers(0, _pattern_count(modes, n), args.count)  # the clicked modes: an N-subset of range(M)
+        space, shift = modes, 0
     else:
-        dist = full_distribution(u, n0)
-        # the drawn rows gathered from the table's click patterns: one byte per click bit
-        patterns = (dist.outcomes != 0).astype(np.uint8)[_draw_indices(dist, args.count, rng)]
+        # from the probabilities alone; stars and bars: an N-subset of range(M + N - 1), less 0, 1, ..., N - 1
+        idx = _draw_indices(_ideal_probs(u, n0), args.count, rng)
+        space, shift = modes + n - 1, np.arange(n)
+    patterns = np.zeros((args.count, modes), dtype=np.uint8)
+    for lo in range(0, args.count, STACK):
+        np.put_along_axis(patterns[lo : lo + STACK], _pattern_rows(idx[lo : lo + STACK], space, n) - shift, 1, axis=1)
+    del idx
     write_samples(args.samples_out, patterns)
     click_counts = np.bincount(patterns.sum(axis=1, dtype=np.intp))
     results = {
@@ -492,6 +551,7 @@ def cmd_budget(args) -> None:
     source = SourceModel.single_photon(args.p1, args.p2, args.p0)
     detector = DetectorModel(args.loss, args.dark)
     indist = _indist(args, args.sources)
+    side = _side_file(args) if args.scaling else None  # a table is written only with a scaling table
     report = evaluate_budget(args.sources, args.modes, source, detector, indist,
                              args.epsilon, args.delta)
     results = _report_fields(report)
@@ -499,12 +559,12 @@ def cmd_budget(args) -> None:
         ns = [int(x) for x in args.scaling.split(",")]
         table = [_report_fields(r) for r in scaling_table(args.epsilon * args.delta, ns)]
         results["scalingTable"] = table
-        if args.format == "csv" and args.out:
+        if side:
             columns = [key for key in table[0] if key != "elementFidelity"]  # the numeric columns
             lines = [",".join(columns)]
             for row in table:
                 lines.append(",".join(str(row[c]) if isinstance(row[c], int) else _fmt(row[c]) for c in columns))
-            Path(args.out).with_suffix(".csv").write_text("\n".join(lines) + "\n")
+            side.write_text("\n".join(lines) + "\n")
     emit_report("budget", args, results, {
         "nSources": args.sources, "modes": args.modes, "p0": args.p0, "p1": args.p1, "p2": args.p2,
         "loss": args.loss, "dark": args.dark, "epsilon": args.epsilon, "delta": args.delta,

@@ -5,6 +5,8 @@ per mode; click patterns are the 0/1 special case. ``enumerate_outputs``
 returns every vector of a photon total as one ``(count, modes)`` integer
 table, which distribution builders slice instead of converting tuples; it
 is built from ``collision_free_patterns``, the N-subsets of the modes.
+``_output_chunks`` gives the same rows chunk by chunk, from
+``_pattern_chunks``, for the passes that must not hold the table.
 """
 
 from __future__ import annotations
@@ -190,7 +192,9 @@ def enumerate_outputs(modes: int, photons: int) -> np.ndarray:
 
     Rows are in descending-lexicographic order on the occupation vector,
     i.e. photons fill the lowest-index modes first. The collision-free
-    vectors alone are ``collision_free_patterns``.
+    vectors alone are ``collision_free_patterns``. A pass that reads the
+    rows in turn takes them from ``_output_chunks`` instead, without the
+    whole table.
 
     Raises
     ------
@@ -206,8 +210,36 @@ def enumerate_outputs(modes: int, photons: int) -> np.ndarray:
     # N-subset of range(M + N - 1) shifted down by 0, 1, ..., N - 1, in the same lexicographic order
     positions = collision_free_patterns(modes + photons - 1, photons)
     positions -= np.arange(photons)
-    positions += modes * np.arange(n_out)[:, None]  # in place: each photon's index in the flat table
-    return np.bincount(positions.ravel(), minlength=n_out * modes).reshape(n_out, modes)
+    return _occupations(positions, modes)
+
+
+def _output_chunks(modes: int, photons: int, size: int):
+    """The rows of ``enumerate_outputs(modes, photons)``, in order, ``size`` rows at a time, by their photons.
+
+    A chunk is a fresh (rows, photons) intp array whose row lists the
+    mode of each photon, ascending, a mode repeated once per photon it
+    holds: stars and bars over ``_pattern_chunks(modes + photons - 1,
+    photons, size)``. ``_occupations`` turns it into occupation rows.
+    Refuses over the ``outcomes`` limit when called, before any row is
+    built.
+    """
+    limits.check("outcomes", count_outputs(modes, photons), "output enumeration")
+    if not modes and photons:  # photons but no modes: no outcome
+        return iter(())
+    shift = np.arange(photons)
+    return (np.subtract(chunk, shift, out=chunk) for chunk in _pattern_chunks(modes + photons - 1, photons, size))
+
+
+def _occupations(photon_modes: np.ndarray, modes: int) -> np.ndarray:
+    """The occupation rows, a (rows, modes) intp table, of outcomes given by the mode of each photon.
+
+    ``photon_modes`` is a (rows, photons) intp array, as ``_output_chunks``
+    gives; it is used up: each entry becomes that photon's index in the
+    flat table.
+    """
+    rows = len(photon_modes)
+    flat = np.add(photon_modes, modes * np.arange(rows)[:, None], out=photon_modes)
+    return np.bincount(flat.ravel(), minlength=rows * modes).reshape(rows, modes)
 
 
 class BirthdayBound(NamedTuple):

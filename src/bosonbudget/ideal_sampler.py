@@ -3,7 +3,10 @@
 For an input occupation vector n and output s, the transition probability is
 |per(U[n|s])|^2 / (mu(n) mu(s)), zero when the photon totals differ. At desk
 scale the full table is cheap enough to materialise, which gives tests an
-unimpeachable sampling oracle.
+unimpeachable sampling oracle. The CLI commands no longer materialise it:
+``distribution`` and the device ``sample`` hold only the probabilities
+(``_ideal_probs``), and make outcome rows chunk by chunk, or only for the
+drawn indices.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .fock import enumerate_outputs, mode_indices, mu, total_photons
+from .fock import _occupations, _output_chunks, count_outputs, enumerate_outputs, mode_indices, mu, total_photons
 from .permanent import STACK, _permanent_batch, _repeated
 from .random_ensembles import as_matrix
 
@@ -82,22 +85,37 @@ def full_distribution(u, n: Sequence[int]) -> DistributionTable:
 
     Outcomes follow the deterministic descending-lexicographic enumeration
     order; the total mass is 1 up to floating-point roundoff. The
-    permanents run through the batched kernel, ``STACK`` outcomes per
-    call.
+    probabilities are those of ``_ideal_probs``, which the CLI commands
+    read without building this table.
+    """
+    probs = _ideal_probs(u, n)  # checks the network and n, and refuses over the outcomes cap, first
+    return DistributionTable(enumerate_outputs(len(n), total_photons(n)), probs)
+
+
+def _ideal_probs(u, n: Sequence[int]) -> np.ndarray:
+    """The ideal probability of every output of the photons of ``n``, in ``enumerate_outputs`` order.
+
+    The outputs are made ``STACK`` at a time by ``_output_chunks`` and
+    dropped once their permanents are taken, so only the 8 bytes per
+    outcome of the result are held. A permanent's bits depend on its
+    matrix alone, so they do not depend on the chunking either. Raises
+    ``NumericError`` if a probability is not finite.
     """
     m = as_matrix(u, n)
     modes = m.shape[0]
     photons = total_photons(n)
-    outcomes = enumerate_outputs(modes, photons)
     factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=np.float64)
     sources = m[mode_indices(n)]
-    probs = np.empty(len(outcomes))
-    for lo in range(0, len(outcomes), STACK):
-        occ = outcomes[lo : lo + STACK]
-        # (chunk, photons): one column index per photon, ascending per outcome
-        cols = np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel()).reshape(len(occ), photons)
-        probs[lo : lo + len(occ)] = _squared_permanents(sources, cols) / (mu(n) * factorials[occ].prod(axis=1))
-    return DistributionTable(outcomes, probs)
+    chunks = _output_chunks(modes, photons, STACK)  # refuses over the outcomes cap
+    probs = np.empty(count_outputs(modes, photons))
+    lo = 0
+    for cols in chunks:  # (chunk, photons): the mode of each photon
+        perms = _squared_permanents(sources, cols)
+        probs[lo : lo + len(cols)] = perms / (mu(n) * factorials[_occupations(cols, modes)].prod(axis=1))
+        lo += len(cols)
+    if not np.isfinite(probs).all():
+        raise NumericError("probabilities must be finite")
+    return probs
 
 
 def _squared_permanents(sources: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -122,20 +140,27 @@ def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) 
     Zero-probability outcomes are never drawn. Requires a complete table
     (total mass 1 within 1e-8).
     """
-    return dist.outcomes[_draw_indices(dist, count, rng)]
+    return dist.outcomes[_draw_indices(dist.probs, count, rng)]
 
 
-def _draw_indices(dist: DistributionTable, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The row indices of ``dist.outcomes`` that ``sample_ideal`` draws, from the same RNG calls."""
-    if not dist.is_complete():
-        raise ValueError(f"distribution is incomplete: total mass {dist.total_mass}")
-    cum = np.cumsum(dist.probs)
+def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` indices into ``probs`` drawn i.i.d. by inverse CDF: the rows ``sample_ideal`` draws.
+
+    Takes the probabilities alone, so the device ``sample`` holds them and
+    their running sum, 16 bytes per outcome, and no outcome table; it
+    makes the same RNG calls for the same ``probs``. Refuses probabilities
+    whose total is not 1 within 1e-8.
+    """
+    total = math.fsum(probs)
+    if not abs(total - 1.0) <= 1e-8:
+        raise ValueError(f"distribution is incomplete: total mass {total}")
+    cum = np.cumsum(probs)
     u = rng.random(count)
     idx = np.searchsorted(cum, u, side="right")
     # u >= cum[-1] can only happen through roundoff; fall back to the last
     # outcome that carries mass.
     if idx.size and idx.max() >= len(cum):
-        last = int(np.flatnonzero(dist.probs > 0)[-1])
+        last = int(np.flatnonzero(probs > 0)[-1])
         idx = np.where(idx >= len(cum), last, idx)
     return idx
 

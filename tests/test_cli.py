@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bosonbudget import DimensionError, cli, haar_unitary
+from bosonbudget import DimensionError, cli, fock, haar_unitary, ideal_sampler
 from bosonbudget.cli import (
     UsageError,
     _fmt,
@@ -32,6 +33,9 @@ from bosonbudget.cli import (
     write_matrix_json,
     write_samples,
 )
+from bosonbudget.ideal_sampler import full_distribution, sample_ideal
+from bosonbudget.permanent import STACK
+from bosonbudget.random_ensembles import spawn_rngs
 
 
 def _run(*args) -> int:
@@ -293,6 +297,155 @@ def test_wide_sweep_refused_by_the_pattern_cap(tmp_path, capsys):
     assert error == {"kind": "resource", "message": "3-click pattern table: 10586800 patterns, over the 'patterns' "
                                                      "limit; capped at 4000000 patterns"}
     assert not (tmp_path / "r.json").exists()
+
+
+# ------------------------------------------------------- streamed exact tables
+
+
+def _table_route_distribution(modes, photons, seed):
+    """The distribution report and CSV table of ``--modes --photons --seed``, made from ``full_distribution``."""
+    u = haar_unitary(modes, np.random.default_rng(seed))
+    dist = full_distribution(u, (1,) * photons + (0,) * (modes - photons))
+    results = {"outcomes": dist.outcomes, "probs": dist.probs, "totalMass": dist.total_mass,
+               "unitarityDefect": u.unitarity_defect}
+    report = {"schemaVersion": cli.SCHEMA_VERSION, "command": "distribution", "seed": seed,
+              "parameters": {"modes": modes, "nSources": photons, "unitary": None}, "results": results}
+    rows = [",".join(map(str, o)) + "," + _fmt(p) for o, p in zip(dist.outcomes.tolist(), dist.probs.tolist())]
+    header = ",".join(f"n_{j}" for j in range(modes)) + ",prob"
+    return report_text(report), "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("modes, photons, stack", [
+    (1, 1, None),  # one outcome
+    (5, 0, None),  # no photons: one outcome, all zeros
+    (4, 3, None),  # photons above M / 2
+    (3, 3, None),
+    (20, 4, None),  # 8,855 outcomes: three chunks
+    (4, 2, 10),  # exactly STACK outcomes
+    (4, 2, 9),  # STACK + 1 outcomes
+])
+def test_streamed_distribution_is_the_table_report(tmp_path, monkeypatch, capsys, modes, photons, stack):
+    # JSON to a file, JSON to stdout and the CSV table are the bytes the in-memory table gives;
+    # the table route is computed first, at the real STACK
+    want_json, want_csv = _table_route_distribution(modes, photons, 7)
+    if stack is not None:  # the chunk size of the probability pass and of the writer
+        monkeypatch.setattr(ideal_sampler, "STACK", stack)
+        monkeypatch.setattr(cli, "STACK", stack)
+    argv = ["distribution", "--modes", str(modes), "--photons", str(photons), "--seed", "7"]
+    assert _run(*argv, "--out", str(tmp_path / "r.json")) == 0
+    assert (tmp_path / "r.json").read_text() == want_json
+    capsys.readouterr()
+    assert _run(*argv) == 0
+    assert capsys.readouterr().out == want_json
+    assert _run(*argv, "--format", "csv", "--out", str(tmp_path / "c.json")) == 0
+    assert (tmp_path / "c.json").read_text() == want_json
+    assert (tmp_path / "c.csv").read_text() == want_csv
+
+
+@pytest.mark.parametrize("modes, photons, seed, count", [
+    (4, 3, 1, 0),
+    (4, 3, 2, 1),
+    (4, 3, 3, STACK + 1),
+    (3, 3, 4, STACK + 1),
+    (6, 2, 5, STACK + 1),
+    (9, 3, 6, 5000),
+    (7, 0, 7, 10),
+])
+def test_device_sample_is_the_table_route(tmp_path, modes, photons, seed, count):
+    # the sample file and report are those of sample_ideal over full_distribution, on the same RNG stream
+    samples, out, want = tmp_path / "s.txt", tmp_path / "r.json", tmp_path / "want.txt"
+    assert _run("sample", "--modes", str(modes), "--sources", str(photons), "--count", str(count), "--seed", str(seed),
+                "--samples-out", str(samples), "--out", str(out)) == 0
+    net_rng, rng = spawn_rngs(seed, 2)
+    rows = sample_ideal(full_distribution(haar_unitary(modes, net_rng), (1,) * photons + (0,) * (modes - photons)),
+                        count, rng)
+    write_samples(want, rows != 0)
+    assert samples.read_bytes() == want.read_bytes()
+    clicks = np.bincount(np.count_nonzero(rows, axis=1))
+    results = {"count": count, "population": "device", "samplesPath": str(samples),
+               "clickCounts": {str(k): int(v) for k, v in enumerate(clicks) if v}}
+    report = {"schemaVersion": cli.SCHEMA_VERSION, "command": "sample", "seed": seed,
+              "parameters": {"modes": modes, "nSources": photons, "unitary": None}, "results": results}
+    assert out.read_text() == report_text(report)
+    if count > STACK and photons > 1:
+        assert rows.max() > 1  # outcomes with a repeated mode were drawn
+
+
+# M = 24, N = 5: C(28, 5) = 118,755 outcomes, whose intp occupation table alone is 22.8 MB
+_OUTCOMES = math.comb(28, 5)
+
+
+@pytest.mark.parametrize("command", ["distribution", "sample"])
+def test_exact_table_commands_hold_only_probabilities(tmp_path, command):
+    # the probabilities and, for sample, their running sum: 16 bytes per outcome, plus kernel stacks
+    # and the text of one chunk, a few MB; no outcome table and no whole report
+    argv = {"distribution": ["distribution", "--photons", "5", "--format", "csv"],
+            "sample": ["sample", "--sources", "5", "--count", "1000", "--samples-out", str(tmp_path / "s.txt")]}[command]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--modes", "24", "--seed", "3", "--out", str(tmp_path / "r.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * _OUTCOMES + 8_000_000
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+@pytest.mark.parametrize("argv", [["distribution", "--photons", "12"],
+                                  ["distribution", "--photons", "12", "--format", "csv"],
+                                  ["sample", "--sources", "12", "--count", "3", "--samples-out", "s.txt"]])
+def test_exact_tables_refused_over_the_outcome_cap(tmp_path, monkeypatch, capsys, argv):
+    # C(51, 12) outcomes: refused with the enumeration's message before any row or permanent
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fock, "_pattern_chunks", _no_work)
+    monkeypatch.setattr(ideal_sampler, "_permanent_batch", _no_work)
+    assert _run(*argv, "--modes", "40", "--seed", "1", "--out", "r.json") == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"kind": "resource", "message": f"output enumeration: {math.comb(51, 12)} outcomes, over the "
+                                                     f"'outcomes' limit; capped at 2000000 outcomes"}
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("argv", [["distribution", "--photons", "3"],
+                                  ["distribution", "--photons", "3", "--format", "csv"],
+                                  ["sample", "--sources", "3", "--count", "10", "--samples-out", "s.txt"]])
+def test_non_finite_probability_leaves_no_file(tmp_path, monkeypatch, capsys, argv):
+    # one infinite permanent: a numeric error (exit 3) before the first byte of any output
+    real = ideal_sampler._permanent_batch
+
+    def kernel(stack):
+        out = real(stack)
+        out[-1] = np.inf
+        return out
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ideal_sampler, "_permanent_batch", kernel)
+    assert _run(*argv, "--modes", "6", "--seed", "1", "--out", "r.json") == 3
+    assert json.loads(capsys.readouterr().err)["error"] == {"kind": "numeric", "message": "probabilities must be finite"}
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("argv", [["distribution", "--modes", "3", "--photons", "2", "--seed", "1"],
+                                  ["budget", "--sources", "10", "--modes", "4000", "--epsilon", "0.1", "--delta", "0.1",
+                                   "--scaling", "5,10"]])
+def test_csv_table_never_overwrites_its_report(tmp_path, monkeypatch, capsys, argv):
+    # an --out path ending in .csv is the side table's own path: refused before any work
+    monkeypatch.chdir(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_resolve_unitary", _no_work)
+        m.setattr(cli, "evaluate_budget", _no_work)
+        assert _run(*argv, "--format", "csv", "--out", "t.csv") == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"kind": "usage", "message": "--format csv writes its table to t.csv, the --out report path: "
+                                                  "give a report path that does not end in .csv"}
+    assert os.listdir() == []
+    assert _run(*argv, "--format", "csv", "--out", "t.json") == 0
+    assert sorted(os.listdir()) == ["t.csv", "t.json"]
+    assert _report(Path("t.json"))["command"] == argv[0]
+    assert not Path("t.csv").read_text().startswith("{")
 
 
 # ------------------------------------------------------------ report writer

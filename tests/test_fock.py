@@ -13,7 +13,8 @@ from bosonbudget import (
     mode_indices,
     mu,
 )
-from bosonbudget.fock import _pattern_chunks, _pattern_rows
+from bosonbudget.fock import _occupations as _photon_occupations
+from bosonbudget.fock import _output_chunks, _pattern_chunks, _pattern_rows
 from bosonbudget.permanent import STACK
 
 
@@ -211,6 +212,33 @@ def _lex_unrank(rank, modes, n):
             rank -= below
         x += 1
     return row
+
+
+def test_output_chunks_are_the_outcome_table_cut_in_order():
+    # photons above, at and below M / 2, and chunk sizes that end inside and at a prefix's run
+    for modes in range(1, 8):
+        for photons in range(6):
+            want = enumerate_outputs(modes, photons)
+            for size in (1, 7, STACK):
+                chunks = list(_output_chunks(modes, photons, size))
+                _assert_chunks_cut_the_table(chunks, size, len(want))
+                for chunk in chunks:  # each row: the photons' modes, ascending with repeats
+                    assert chunk.shape[1] == photons and (np.diff(chunk, axis=1) >= 0).all()
+                np.testing.assert_array_equal(np.concatenate([_photon_occupations(c, modes) for c in chunks]), want)
+
+
+@pytest.mark.parametrize("modes", [STACK, STACK + 1])
+def test_output_chunks_at_stack_size(modes):
+    # one photon: STACK outcomes in one chunk, and STACK + 1 in a full chunk and a one-row chunk
+    chunks = list(_output_chunks(modes, 1, STACK))
+    _assert_chunks_cut_the_table(chunks, STACK, modes)
+    np.testing.assert_array_equal(np.concatenate(chunks), np.arange(modes)[:, None])
+
+
+def test_output_chunks_refuse_before_any_row():
+    with pytest.raises(ResourceLimitError, match=f"output enumeration: {math.comb(51, 12)} outcomes"):
+        _output_chunks(40, 12, STACK)  # the call refuses, not the first chunk
+    assert list(_output_chunks(0, 3, STACK)) == []  # photons but no modes: no outcome
 
 
 def test_pattern_rows_are_the_table_rows():
