@@ -494,6 +494,18 @@ def test_report_text_matches_json_dumps(obj):
         assert report_text(obj) == want
 
 
+@pytest.mark.parametrize("sizes", [(), (1,), (3, 1), (4, 4, 2)])
+def test_row_chunks_are_written_as_their_table(sizes):
+    # a RowChunks leaf is the list of its rows, whatever the chunk sizes, and is rendered afresh each time
+    rng = np.random.default_rng(len(sizes))
+    chunks = [rng.integers(0, 120, (size, 3)) for size in sizes]
+    obj = {"b": cli.RowChunks(lambda: iter(chunks)), "a": [cli.RowChunks(lambda: iter(chunks)), 1.5]}
+    rows = np.concatenate(chunks).tolist() if chunks else []
+    want = json.dumps({"b": rows, "a": [rows, 1.5]}, sort_keys=True, indent=2) + "\n"
+    assert report_text(obj) == want
+    assert report_text(obj) == want
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_report_text_refuses_non_finite_floats(bad):
     for obj in (bad, {"a": [1.0, bad]}, {"a": np.array([0.5, bad])}):
