@@ -30,7 +30,7 @@ from . import limits
 from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
 from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
-from .fock import _occupations, _output_chunks, _pattern_count, _pattern_rows
+from .fock import _occupations, _output_chunks, _output_rows, _pattern_count, _pattern_rows
 from .ideal_sampler import _draw_indices, _ideal_probs
 from .noise_model import DetectorModel, DeviceConfig, SourceModel, distance_parts, noise_bound, noise_bound_additive
 from .permanent import STACK, permanent_ryser
@@ -508,17 +508,16 @@ def cmd_sample(args) -> None:
     limits.check("sample_bits", args.count * modes, f"{args.count} samples of {modes} modes")
     n = args.sources
     n0 = _occupation_first_n(modes, n)
-    # the draws are ranks of the rows of a lexicographic N-subset table, mapped to rows STACK at a time
+    # the draws are ranks of the rows of a lexicographic table, mapped to rows STACK at a time
     if args.population == "uniform":
         idx = rng.integers(0, _pattern_count(modes, n), args.count)  # the clicked modes: an N-subset of range(M)
-        space, shift = modes, 0
+        rows_of = _pattern_rows
     else:
-        # from the probabilities alone; stars and bars: an N-subset of range(M + N - 1), less 0, 1, ..., N - 1
-        idx = _draw_indices(_ideal_probs(u, n0), args.count, rng)
-        space, shift = modes + n - 1, np.arange(n)
+        idx = _draw_indices(_ideal_probs(u, n0), args.count, rng)  # from the probabilities alone
+        rows_of = _output_rows  # the mode of each photon
     patterns = np.zeros((args.count, modes), dtype=np.uint8)
     for lo in range(0, args.count, STACK):
-        np.put_along_axis(patterns[lo : lo + STACK], _pattern_rows(idx[lo : lo + STACK], space, n) - shift, 1, axis=1)
+        np.put_along_axis(patterns[lo : lo + STACK], rows_of(idx[lo : lo + STACK], modes, n), 1, axis=1)
     del idx
     write_samples(args.samples_out, patterns)
     click_counts = np.bincount(patterns.sum(axis=1, dtype=np.intp))

@@ -1,12 +1,12 @@
 """Occupation-vector combinatorics for M-mode photon states.
 
 Occupation vectors are plain sequences of non-negative integers, one entry
-per mode; click patterns are the 0/1 special case. ``enumerate_outputs``
-returns every vector of a photon total as one ``(count, modes)`` integer
-table, which distribution builders slice instead of converting tuples; it
-is built from ``collision_free_patterns``, the N-subsets of the modes.
-``_output_chunks`` gives the same rows chunk by chunk, from
-``_pattern_chunks``, for the passes that must not hold the table.
+per mode; click patterns are the 0/1 special case. The lexicographic
+N-subsets of the modes have two builders: ``_pattern_rows`` unranks any
+rows, so it makes every whole table and every draw, and ``_pattern_chunks``
+walks them in order for the sweeps. ``enumerate_outputs``, every vector
+of a photon total as one ``(count, modes)`` integer table, and its chunks
+``_output_chunks`` are stars and bars over them (``_stars_and_bars``).
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ def mode_indices(occupations: Sequence[int]) -> list[int]:
 
 
 def count_outputs(modes: int, photons: int) -> int:
-    """Number of occupation vectors with the given photon total."""
+    """Number of occupation vectors with the given photon total; no modes hold only the vacuum."""
     if modes < 0 or photons < 0:
         raise ValueError("modes and photons must be non-negative")
-    return math.comb(modes + photons - 1, photons)
+    return math.comb(modes + photons - 1, photons) if modes else int(photons == 0)
 
 
 def _pattern_count(modes: int, n_clicks: int) -> int:
@@ -65,35 +65,15 @@ def _pattern_count(modes: int, n_clicks: int) -> int:
     return count
 
 
-def _append_mode(table: np.ndarray, last: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``table``, whose last member is ``last``, continued by every mode from last + 1 to ``top``.
-
-    Returns the new table, one row per continuation in increasing order,
-    and its new last column.
-    """
-    counts = top - last
-    starts = np.cumsum(counts) - counts
-    table = np.repeat(table, counts, axis=0)
-    last = np.arange(len(table), dtype=np.intp) + np.repeat(last + 1 - starts, counts)
-    return np.column_stack((table, last)), last
-
-
 def collision_free_patterns(modes: int, n_clicks: int) -> np.ndarray:
     """Index array (count, n_clicks) of every pattern with exactly n_clicks clicks.
 
     Rows are the n_clicks-subsets of range(modes) in lexicographic order,
-    the order of ``itertools.combinations``. The table is grown one column
-    at a time: a prefix ending in mode c continues with every mode from
-    c + 1 up to the last that still leaves room for the remaining clicks.
-    A sweep that reads the rows in turn takes them from ``_pattern_chunks``
-    instead, without the whole table.
+    the order of ``itertools.combinations``: ``_pattern_rows`` at every
+    rank. A sweep that reads the rows in turn takes them from
+    ``_pattern_chunks`` instead, without the whole table.
     """
-    _pattern_count(modes, n_clicks)
-    table = np.zeros((1, 0), dtype=np.intp)
-    last = np.full(1, -1, dtype=np.intp)
-    for t in range(n_clicks):
-        table, last = _append_mode(table, last, modes - n_clicks + t)
-    return table
+    return _pattern_rows(np.arange(_pattern_count(modes, n_clicks)), modes, n_clicks)
 
 
 def _pattern_chunks(modes: int, n_clicks: int, size: int):
@@ -120,7 +100,11 @@ def _pattern_chunks(modes: int, n_clicks: int, size: int):
             hi = min(lo + size, total)
             a, b = np.searchsorted(ends, (lo, hi - 1), side="right")  # the prefixes of rows lo and hi - 1
             first = ends[a] - (modes - 1 - last[a])  # the full table's index of prefix a's first row
-            rows, _ = _append_mode(prefixes[a : b + 1], last[a : b + 1], modes - 1)
+            counts = modes - 1 - last[a : b + 1]  # the length of each prefix's run
+            starts = np.cumsum(counts) - counts
+            rows = np.repeat(prefixes[a : b + 1], counts, axis=0)
+            # row i of prefix P's run ends in mode P[-1] + 1 + i
+            rows = np.column_stack((rows, np.arange(len(rows)) + np.repeat(last[a : b + 1] + 1 - starts, counts)))
             yield rows[lo - first : hi - first]
 
     return chunks()
@@ -191,10 +175,10 @@ def enumerate_outputs(modes: int, photons: int) -> np.ndarray:
     """Every occupation vector with ``photons`` photons, as a ``(count, modes)`` intp table.
 
     Rows are in descending-lexicographic order on the occupation vector,
-    i.e. photons fill the lowest-index modes first. The collision-free
-    vectors alone are ``collision_free_patterns``. A pass that reads the
-    rows in turn takes them from ``_output_chunks`` instead, without the
-    whole table.
+    i.e. photons fill the lowest-index modes first: ``_output_rows`` at
+    every rank. The collision-free vectors alone are
+    ``collision_free_patterns``. A pass that reads the rows in turn takes
+    them from ``_output_chunks`` instead, without the whole table.
 
     Raises
     ------
@@ -206,11 +190,7 @@ def enumerate_outputs(modes: int, photons: int) -> np.ndarray:
     limits.check("outcomes", n_out, "output enumeration")
     if n_out == 0:  # photons but no modes
         return np.zeros((0, modes), dtype=np.intp)
-    # stars and bars: the occupied modes of an outcome, ascending with repeats, are an
-    # N-subset of range(M + N - 1) shifted down by 0, 1, ..., N - 1, in the same lexicographic order
-    positions = collision_free_patterns(modes + photons - 1, photons)
-    positions -= np.arange(photons)
-    return _occupations(positions, modes)
+    return _occupations(_output_rows(np.arange(n_out), modes, photons), modes)
 
 
 def _output_chunks(modes: int, photons: int, size: int):
@@ -218,16 +198,34 @@ def _output_chunks(modes: int, photons: int, size: int):
 
     A chunk is a fresh (rows, photons) intp array whose row lists the
     mode of each photon, ascending, a mode repeated once per photon it
-    holds: stars and bars over ``_pattern_chunks(modes + photons - 1,
-    photons, size)``. ``_occupations`` turns it into occupation rows.
-    Refuses over the ``outcomes`` limit when called, before any row is
-    built.
+    holds: ``_stars_and_bars`` over ``_pattern_chunks``.
+    ``_occupations`` turns it into occupation rows. Refuses over the
+    ``outcomes`` limit when called, before any row is built.
     """
     limits.check("outcomes", count_outputs(modes, photons), "output enumeration")
     if not modes and photons:  # photons but no modes: no outcome
         return iter(())
+    return _stars_and_bars(modes, photons, lambda space, n: _pattern_chunks(space, n, size))
+
+
+def _output_rows(ranks: np.ndarray, modes: int, photons: int) -> np.ndarray:
+    """The ``_output_chunks(modes, photons, ...)`` rows at ``ranks``; callers keep them under the ``outcomes`` limit."""
+    (rows,) = _stars_and_bars(modes, photons, lambda space, n: [_pattern_rows(ranks, space, n)])
+    return rows
+
+
+def _stars_and_bars(modes: int, photons: int, subsets):
+    """The N = ``photons`` modes of each photon, ascending, of the outcomes given by N-subset rows of range(M + N - 1).
+
+    Stars and bars: the subset less 0, 1, ..., N - 1 is the outcome's
+    modes with repeats, in the same lexicographic order, so outcome r of
+    ``enumerate_outputs`` is the subset of rank r. ``subsets(M + N - 1, N)``
+    is called at once, so its refusals come first; each fresh intp array
+    it gives is shifted in place. No modes hold one outcome, of no photons:
+    the empty subset of range(0).
+    """
     shift = np.arange(photons)
-    return (np.subtract(chunk, shift, out=chunk) for chunk in _pattern_chunks(modes + photons - 1, photons, size))
+    return (np.subtract(rows, shift, out=rows) for rows in subsets(max(modes + photons - 1, 0), photons))
 
 
 def _occupations(photon_modes: np.ndarray, modes: int) -> np.ndarray:
