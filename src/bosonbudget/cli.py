@@ -31,7 +31,7 @@ from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
 from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
 from .fock import _occupations, _output_chunks, _output_rows, _pattern_count, _pattern_rows
-from .ideal_sampler import _draw_indices, _ideal_probs
+from .ideal_sampler import _device_probs, _draw_indices, _ideal_probs
 from .noise_model import DetectorModel, DeviceConfig, SourceModel, distance_parts, noise_bound, noise_bound_additive
 from .permanent import STACK, permanent_ryser
 from .random_ensembles import NetworkUnitary, haar_unitary, spawn_rngs
@@ -513,7 +513,7 @@ def cmd_sample(args) -> None:
         idx = rng.integers(0, _pattern_count(modes, n), args.count)  # the clicked modes: an N-subset of range(M)
         rows_of = _pattern_rows
     else:
-        idx = _draw_indices(_ideal_probs(u, n0), args.count, rng)  # from the probabilities alone
+        idx = _draw_indices(_device_probs(u, n0), args.count, rng)  # from the probabilities alone
         rows_of = _output_rows  # the mode of each photon
     patterns = np.zeros((args.count, modes), dtype=np.uint8)
     for lo in range(0, args.count, STACK):

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import limits
 from .distinguishability import Indistinguishability, prob_mismatch, sigma_table
 from .errors import DimensionError
 from .fock import _pattern_chunks, mode_indices
@@ -88,6 +89,7 @@ def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     n = len(rows)
     if n == 0:
         raise ValueError("n0 must contain at least one photon")
+    limits.check("permanent_order", n, "permanent")  # before any pattern or permanent
 
     col_mass = np.abs(m[rows, :]) ** 2
     col_mass = col_mass.sum(axis=0)  # (modes,)

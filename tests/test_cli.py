@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bosonbudget import DimensionError, cli, fock, haar_unitary, ideal_sampler
+from bosonbudget import DimensionError, cli, fock, haar_unitary, ideal_sampler, verify
 from bosonbudget.cli import (
     UsageError,
     _fmt,
@@ -406,6 +406,46 @@ def test_exact_tables_refused_over_the_outcome_cap(tmp_path, monkeypatch, capsys
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"kind": "resource", "message": f"output enumeration: {math.comb(51, 12)} outcomes, over the "
                                                      f"'outcomes' limit; capped at 2000000 outcomes"}
+    assert os.listdir() == []
+
+
+def test_witness_refused_over_the_permanent_order(tmp_path, monkeypatch, capsys):
+    # 31 sources on 32 modes: 32 patterns, each a permanent of order 31, refused before any pattern or permanent
+    monkeypatch.chdir(tmp_path)
+    write_matrix_json("u.json", haar_unitary(32, np.random.default_rng(1)).matrix)
+    Path("s.txt").write_text("")
+    monkeypatch.setattr(verify, "_pattern_chunks", _no_work)
+    monkeypatch.setattr(ideal_sampler, "_permanent_batch", _no_work)
+    assert _run("verify", "--test", "witness", "--unitary", "u.json", "--sources", "31", "--samples", "s.txt",
+                "--out", "r.json") == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"kind": "resource", "message": "permanent: 31 rows, over the 'permanent_order' limit; capped at 30 rows"}
+    assert sorted(os.listdir()) == ["s.txt", "u.json"]
+
+
+def test_device_sample_takes_every_network_distribution_takes(tmp_path, monkeypatch):
+    # defect 9.8e-9, under the 1e-8 a --unitary file may carry, moves the total mass by N d = 4.9e-8
+    monkeypatch.chdir(tmp_path)
+    write_matrix_json("u.json", haar_unitary(16, np.random.default_rng(0)).matrix * (1 + 4.9e-9))
+    assert _run("distribution", "--unitary", "u.json", "--photons", "5", "--out", "d.json") == 0
+    assert _report(Path("d.json"))["results"]["totalMass"] > 1 + 4e-8
+    assert _run("sample", "--unitary", "u.json", "--sources", "5", "--count", "10", "--seed", "1",
+                "--samples-out", "s.txt", "--out", "r.json") == 0
+    assert read_samples("s.txt").shape == (10, 16)
+
+
+def test_device_sample_refuses_mass_off_the_network(tmp_path, monkeypatch, capsys):
+    # a kernel that moves the total mass by 1e-6 on a Haar network (defect near 1e-15): exit 3, no file
+    real = ideal_sampler._permanent_batch
+    monkeypatch.setattr(ideal_sampler, "_permanent_batch", lambda stack: real(stack) * math.sqrt(1 + 1e-6))
+    monkeypatch.chdir(tmp_path)
+    assert _run("sample", "--modes", "6", "--sources", "3", "--count", "10", "--seed", "1", "--samples-out", "s.txt",
+                "--out", "r.json") == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "numeric"
+    named = re.fullmatch(r"device distribution has total mass (\S+), further from 1 than the network's "
+                         r"unitarity defect (\S+) allows", error["message"])
+    assert float(named[1]) == pytest.approx(1 + 1e-6, abs=1e-12) and 0 < float(named[2]) < 1e-12
     assert os.listdir() == []
 
 

@@ -98,6 +98,25 @@ def test_enumerate_matches_tuple_generator(collision_free):
             assert got.tolist() == want
 
 
+@pytest.mark.parametrize("modes,photons", [(2, 1024), (3, 300)])
+def test_few_modes_many_photons_are_their_closed_form(modes, photons):
+    # descending-lexicographic: the first mode's photons fall from N to 0, and within each the second's
+    if modes == 2:
+        k = np.arange(photons + 1)
+        want = np.column_stack((photons - k, k))
+    else:
+        first = np.repeat(np.arange(photons, -1, -1), np.arange(1, photons + 2))
+        second = np.concatenate([np.arange(photons - a, -1, -1) for a in range(photons, -1, -1)])
+        want = np.column_stack((first, second, photons - first - second))
+    np.testing.assert_array_equal(enumerate_outputs(modes, photons), want)
+
+
+def test_no_modes_hold_only_the_vacuum():
+    assert count_outputs(0, 0) == 1 and count_outputs(0, 3) == 0
+    assert enumerate_outputs(0, 0).shape == (1, 0) and enumerate_outputs(0, 3).shape == (0, 0)
+    assert [chunk.shape for chunk in _output_chunks(0, 0, STACK)] == [(1, 0)]
+
+
 def test_enumeration_is_an_array_and_budgeted():
     table = enumerate_outputs(6, 2)
     assert table.dtype == np.intp and table.shape == (21, 6)
@@ -242,12 +261,15 @@ def test_output_chunks_refuse_before_any_row():
 
 
 def test_pattern_rows_are_the_table_rows():
+    # the itertools.combinations table at ranks in any order, repeats included, as the samplers draw them
+    rng = np.random.default_rng(0)
     for modes in range(13):
         for n in range(modes + 1):
-            want = collision_free_patterns(modes, n)
-            got = _pattern_rows(np.arange(len(want)), modes, n)
+            want = np.array(list(combinations(range(modes), n)), dtype=np.intp).reshape(math.comb(modes, n), n)
+            ranks = np.concatenate((rng.permutation(len(want)), rng.integers(0, len(want), 5)))
+            got = _pattern_rows(ranks, modes, n)
             assert got.dtype == np.intp
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, want[ranks])
 
 
 @pytest.mark.parametrize("modes, n", [(180, 3), (56, 5), (20, 5), (100, 4), (9, 1), (7, 7), (12, 2), (64, 60),

@@ -13,6 +13,7 @@ from bosonbudget import (
     sample_ideal,
     variational_distance,
 )
+from bosonbudget import fock, ideal_sampler
 from bosonbudget.fock import enumerate_outputs, mu
 from bosonbudget.permanent import permanent_contingency
 
@@ -96,6 +97,21 @@ def test_sampling_never_hits_zero_outcome(beamsplitter):
     dist = full_distribution(beamsplitter, (1, 1))
     draws = sample_ideal(dist, 100_000, np.random.default_rng(1))
     assert [1, 1] not in draws.tolist()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+def test_exact_table_refused_over_the_permanent_order(monkeypatch):
+    # 32 outcomes, each a permanent of order 31: refused like prob_ideal, before any outcome or permanent
+    monkeypatch.setattr(fock, "_pattern_chunks", _no_work)
+    monkeypatch.setattr(ideal_sampler, "_permanent_batch", _no_work)
+    message = "^permanent: 31 rows, over the 'permanent_order' limit; capped at 30 rows$"
+    with pytest.raises(ResourceLimitError, match=message):
+        prob_ideal(np.eye(2), (31, 0), (31, 0))
+    with pytest.raises(ResourceLimitError, match=message):
+        full_distribution(np.eye(2), (31, 0))
 
 
 def test_sampling_incomplete_rejected():
