@@ -153,14 +153,14 @@ def _colex_unrank(ranks: np.ndarray, m: int, k: int) -> np.ndarray:
 
 
 def _pattern_rows(ranks: np.ndarray, modes: int, n_clicks: int) -> np.ndarray:
-    """The rows of ``collision_free_patterns(modes, n_clicks)`` at the given ranks, without the table.
+    """The n_clicks-subsets of range(modes) of the given lexicographic ranks, as increasing rows.
 
     Mirroring the modes, l -> modes - 1 - l, turns lexicographic order
     into reversed colex order, so lex rank r is the mirror of the colex
     rank C(modes, n_clicks) - 1 - r. Taking complements reverses both
     orders, so above modes / 2 clicks the row is the complement of the
     (modes - n_clicks)-subset of colex rank r, mirrored: ``_colex_unrank``
-    then forms no binomial above C(modes, n_clicks).
+    then forms no binomial above C(modes, n_clicks), which callers cap.
     """
     ranks = np.asarray(ranks, dtype=np.intp)
     if 2 * n_clicks <= modes:
