@@ -168,7 +168,8 @@ def _pattern_rows(ranks: np.ndarray, modes: int, n_clicks: int) -> np.ndarray:
         return modes - 1 - mirrored[:, ::-1]
     clicked = np.ones((len(ranks), modes), dtype=bool)
     np.put_along_axis(clicked, modes - 1 - _colex_unrank(ranks, modes, modes - n_clicks), False, axis=1)
-    return np.nonzero(clicked)[1].reshape(len(ranks), n_clicks)
+    # the clicked modes of each row, in order, gathered alone: np.nonzero would hold a (row, mode) pair per entry
+    return np.broadcast_to(np.arange(modes, dtype=np.intp), clicked.shape)[clicked].reshape(len(ranks), n_clicks)
 
 
 def enumerate_outputs(modes: int, photons: int) -> np.ndarray:
