@@ -419,7 +419,8 @@ def test_witness_refused_over_the_permanent_order(tmp_path, monkeypatch, capsys)
     assert _run("verify", "--test", "witness", "--unitary", "u.json", "--sources", "31", "--samples", "s.txt",
                 "--out", "r.json") == 2
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == {"kind": "resource", "message": "permanent: 31 rows, over the 'permanent_order' limit; capped at 30 rows"}
+    assert error == {"kind": "resource",
+                     "message": "permanent: 31 rows, over the 'permanent_order' limit; capped at 30 rows"}
     assert sorted(os.listdir()) == ["s.txt", "u.json"]
 
 
