@@ -7,6 +7,8 @@ rows, so it makes every whole table and every draw, and ``_pattern_chunks``
 walks them in order for the sweeps. ``enumerate_outputs``, every vector
 of a photon total as one ``(count, modes)`` integer table, and its chunks
 ``_output_chunks`` are stars and bars over them (``_stars_and_bars``).
+Subsets in colex order, the order of ``noise_model``'s subset tables, are
+ranked and unranked through one table of binomial terms, ``_colex_terms``.
 """
 
 from __future__ import annotations
@@ -110,45 +112,38 @@ def _pattern_chunks(modes: int, n_clicks: int, size: int):
     return chunks()
 
 
-def _binom(a: np.ndarray, k: int) -> np.ndarray:
-    """C(a, k) as ``intp`` for each entry of a non-negative integer array, k >= 1.
+def _colex_terms(m: int, k: int) -> np.ndarray:
+    """The (k, m) intp table of colex terms: row t holds C(a, t + 1) for every a < m.
 
-    Works in ``intp`` whatever the dtype of ``a``, so that a narrow one
-    cannot wrap; an ``intp`` array is returned as is at k = 1.
+    A k-subset of range(m) with members a_0 < ... < a_(k-1) has colex rank
+    sum_t C(a_t, t + 1): the ranks number the k-subsets 0 .. C(m, k) - 1
+    for every m, ordered by their largest member first. Row 0 is a itself;
+    row t + 1 is the running sum of row t, C(a, t + 2) = sum_(b<a) C(b, t + 1),
+    so no entry is formed by division and no intermediate exceeds the
+    table's largest entry: callers keep that, at most max_(j<=k) C(m - 1, j),
+    in ``intp`` by bounding it with a limit.
     """
-    out = a = np.asarray(a, dtype=np.intp)
-    for j in range(1, k):  # C(a, j + 1) = C(a, j) (a - j) / (j + 1), exact at every step
-        out = out * (a - j) // (j + 1)
-    return out
+    terms = np.zeros((k, m), dtype=np.intp)
+    terms[:1] = np.arange(m)
+    for t in range(1, k):
+        np.cumsum(terms[t - 1, :-1], out=terms[t, 1:])
+    return terms
 
 
-def _colex_rank(members) -> np.ndarray:
-    """Colex rank of subsets given member by member: ``members[t]`` holds the t-th smallest of each.
-
-    The rank sum_t C(members[t], t + 1) numbers the k-subsets of range(m)
-    0 .. C(m, k) - 1 for every m, ordered by their largest member first.
-    """
-    ranks = np.zeros(np.shape(members)[1:], dtype=np.intp)
-    for t, a in enumerate(members):
-        ranks += _binom(a, t + 1)
-    return ranks
-
-
-def _colex_unrank(ranks: np.ndarray, m: int, k: int) -> np.ndarray:
+def _colex_unrank(ranks: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """The (count, k) increasing rows of range(m) whose colex ranks are ``ranks``.
 
-    Every binomial it forms, C(a, t) with a < m and t <= k, is at most
-    max_(j<=k) C(m, j), which is C(m, k) when 2k <= m, and ``_binom``'s
-    intermediates at most k times that: callers keep it in ``intp`` by
-    bounding those binomials with a limit.
+    ``terms`` is the term table ``_colex_terms(m, k)``, or the first k
+    rows of a larger one; each member, the largest first, is found by one
+    binary search of its row, so no binomial is formed here.
     """
+    k = len(terms)
     rows = np.empty((len(ranks), k), dtype=np.intp)
     rest = ranks.copy()
     for t in reversed(range(k)):
         # the largest member left is the largest a with C(a, t + 1) <= rest
-        column = _binom(np.arange(m), t + 1)
-        rows[:, t] = np.searchsorted(column, rest, side="right") - 1
-        rest -= column[rows[:, t]]
+        rows[:, t] = np.searchsorted(terms[t], rest, side="right") - 1
+        rest -= terms[t][rows[:, t]]
     return rows
 
 
@@ -159,17 +154,28 @@ def _pattern_rows(ranks: np.ndarray, modes: int, n_clicks: int) -> np.ndarray:
     into reversed colex order, so lex rank r is the mirror of the colex
     rank C(modes, n_clicks) - 1 - r. Taking complements reverses both
     orders, so above modes / 2 clicks the row is the complement of the
-    (modes - n_clicks)-subset of colex rank r, mirrored: ``_colex_unrank``
-    then forms no binomial above C(modes, n_clicks), which callers cap.
+    (modes - n_clicks)-subset of colex rank r, mirrored: the term table
+    then holds no entry above C(modes, n_clicks), which callers cap.
     """
     ranks = np.asarray(ranks, dtype=np.intp)
     if 2 * n_clicks <= modes:
-        mirrored = _colex_unrank(math.comb(modes, n_clicks) - 1 - ranks, modes, n_clicks)
+        mirrored = _colex_unrank(math.comb(modes, n_clicks) - 1 - ranks, _colex_terms(modes, n_clicks))
         return modes - 1 - mirrored[:, ::-1]
     clicked = np.ones((len(ranks), modes), dtype=bool)
-    np.put_along_axis(clicked, modes - 1 - _colex_unrank(ranks, modes, modes - n_clicks), False, axis=1)
-    # the clicked modes of each row, in order, gathered alone: np.nonzero would hold a (row, mode) pair per entry
-    return np.broadcast_to(np.arange(modes, dtype=np.intp), clicked.shape)[clicked].reshape(len(ranks), n_clicks)
+    subsets = _colex_unrank(ranks, _colex_terms(modes, modes - n_clicks))
+    np.put_along_axis(clicked, modes - 1 - subsets, False, axis=1)
+    return _clicked_modes(clicked, n_clicks)
+
+
+def _clicked_modes(clicked: np.ndarray, n_clicks: int) -> np.ndarray:
+    """The clicked modes of each row of a (rows, modes) bool mask of ``n_clicks`` clicks a row, as increasing rows.
+
+    Gathered by mask into a C-contiguous (rows, n_clicks) intp array, 8
+    bytes a click: ``np.nonzero(clicked)[1]``, the same modes in the same
+    order, would first hold a (row, mode) pair per click.
+    """
+    modes = np.broadcast_to(np.arange(clicked.shape[1], dtype=np.intp), clicked.shape)
+    return modes[clicked].reshape(len(clicked), n_clicks)
 
 
 def enumerate_outputs(modes: int, photons: int) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 from . import limits
 from .errors import DimensionError
 from .fock import (
-    _colex_rank,
+    _colex_terms,
     _colex_unrank,
     _pattern_chunks,
     collision_free_patterns,  # re-exported: perfbench's tracer times it under this module
@@ -294,7 +294,9 @@ class _SubsetTable(NamedTuple):
     base: np.ndarray  # (K, K): the slot matrix at T empty, X + w r I[sigma|sigma]
     # (K, K, M): what mode l adds to it on joining T, w (1 - r) conj(U[sigma, l]) U[sigma, l]^T
     proj: np.ndarray
+    w: float  # the factors' common slope, g(z) = prod_j (x_j + w z) (``_slot_factors``)
     modes: np.ndarray  # the sorted modes the subsets are drawn from
+    terms: np.ndarray  # ``fock._colex_terms`` over ``modes``, one row per position in the largest subset
     values: np.ndarray  # f(T) by size of T, then by colex rank of T within ``modes``
     offsets: list  # offsets[k]: index of the first subset of size k; the last is the size
 
@@ -322,12 +324,13 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     base = np.diag(xs) + (w * r) * (rows[:, None] == rows[None, :])
     v = u[rows]
     proj = (w * (1.0 - r)) * (v.conj()[:, None, :] * v[None, :, :])
+    terms = _colex_terms(m, max(clicks - 1, 0))
     values = np.empty(offsets[-1])
     for k, (start, end) in enumerate(zip(offsets, offsets[1:])):
         for lo in range(start, end, STACK):
             hi = min(lo + STACK, end)
-            values[lo:hi] = _slot_perms(base, proj, modes[_colex_unrank(np.arange(lo - start, hi - start), m, k)])
-    return _SubsetTable(base, proj, modes, values, offsets)
+            values[lo:hi] = _slot_perms(base, proj, modes[_colex_unrank(np.arange(lo - start, hi - start), terms[:k])])
+    return _SubsetTable(base, proj, w, modes, terms, values, offsets)
 
 
 def _table_modes(patterns: np.ndarray, modes: int) -> np.ndarray | None:
@@ -367,32 +370,49 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None)
     at c = K and 0 above. ``ideal`` may hold the |per(U[:N, C])|^2, read
     when sigma is the N source rows; otherwise they are evaluated here.
 
-    The f(T) of each size are summed first, row by row (numpy's ``sum``
-    would add a lone pattern's pairwise), then the sizes in increasing
-    order, the full subset last, so a result's bits depend neither on its
-    batch nor on the stacks. The full-size permanents go to the kernel as
-    one stack, so callers keep ``cols`` to ``permanent.STACK`` patterns.
+    A proper subset's f(T) is read from the size-|T| part of
+    ``table.values`` at its colex rank, the sum of its members' terms
+    C(l, t + 1) (``fock._colex_terms``). The clicks are taken once, as the
+    (clicks, batch) rows of ``cols.T``, contiguous when the caller passes
+    the transpose of a C-contiguous array, as the sweep does; each click's
+    term at each position is gathered once and shared by every subset that
+    has the click there. The empty subset's f is one scalar.
+
+    The f(T) of each size are summed first, in ``combinations`` order, row
+    by row (numpy's ``sum`` would add a lone pattern's pairwise), then the
+    sizes in increasing order, the full subset last, so a result's bits
+    depend neither on its batch nor on the stacks. The full-size
+    permanents go to the kernel as one stack, so callers keep ``cols`` to
+    ``permanent.STACK`` patterns.
     """
     batch, clicks = cols.shape
     nu = detector.dark_rate
     if table is None:
         table = _subset_table(u, n_sources, source, detector, _table_modes(cols, u.shape[0]), clicks, batch)
-    local = cols if len(table.modes) == u.shape[0] else np.searchsorted(table.modes, cols)
+    clicked = cols.T  # clicked[j]: the j-th smallest clicked mode of every pattern, within ``table.modes``
+    if len(table.modes) != u.shape[0]:
+        clicked = np.searchsorted(table.modes, clicked)
+    # term[t, j]: click j's colex term at position t of a subset, C(clicked[j], t + 1); row 0 is the mode
+    term = {(0, j): clicked[j] for j in range(clicks)}
+    term.update(((t, j), table.terms[t][clicked[j]]) for t in range(1, clicks - 1) for j in range(t, clicks))
     slots = len(table.base)
     dark = math.expm1 if clicks >= slots else math.exp
     pout = np.zeros(batch)
     for k in range(clicks):
-        # members[t, s, b]: the t-th smallest clicked mode of the s-th k-subset of pattern b
-        positions = np.array(list(combinations(range(clicks), k)), dtype=np.intp)
-        members = local.T[positions.T]
         coeff = (-1.0) ** (clicks - k) * dark(-(clicks - k) * nu)
-        pout += coeff * reduce(np.add, table.values[table.offsets[k] + _colex_rank(members)])
+        if k == 0:
+            pout += coeff * table.values[0]  # f of the empty subset, shared by every pattern
+            continue
+        sized = table.values[table.offsets[k] : table.offsets[k + 1]]  # f(T) of the k-subsets, by colex rank
+        # the rank of the k-subset at positions s of the clicks is the sum of its members' terms
+        ranks = (reduce(np.add, (term[t, j] for t, j in enumerate(s))) for s in combinations(range(clicks), k))
+        pout += coeff * reduce(np.add, (sized[r] for r in ranks))
     if clicks < slots:
         pout += _slot_perms(table.base, table.proj, cols)
     elif clicks == slots:
         if ideal is None or slots != n_sources:
             ideal = _squared_permanents(np.tile(u[:n_sources], (slots // n_sources, 1)), cols)
-        pout += (_slot_factors(source)[1] * (1.0 - detector.loss_prob)) ** slots * ideal
+        pout += (table.w * (1.0 - detector.loss_prob)) ** slots * ideal
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
@@ -481,7 +501,8 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
-    for cols in chunks:
+    for chunk in chunks:
+        cols = np.ascontiguousarray(chunk.T).T  # each click's modes one contiguous row, for every gather
         pideal = _squared_permanents(u[:n], cols)
         pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table, pideal)
         sum_out += float(pout.sum())

@@ -19,7 +19,7 @@ import numpy as np
 from . import limits
 from .distinguishability import Indistinguishability, prob_mismatch, sigma_table
 from .errors import DimensionError
-from .fock import _pattern_chunks, mode_indices
+from .fock import _clicked_modes, _pattern_chunks, mode_indices
 from .ideal_sampler import _squared_permanents, full_distribution
 from .noise_model import DeviceConfig, click_pattern_prob
 from .permanent import STACK
@@ -120,7 +120,7 @@ def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     if n_used == 0:
         return WitnessResult(math.nan, math.inf, ref_uniform, ref_device, midpoint,
                              "inconclusive", 0, n_rejected)
-    w_samples = _witness_values(col_mass, np.nonzero(kept)[1].reshape(n_used, n), modes, n)
+    w_samples = _witness_values(col_mass, _clicked_modes(kept, n), modes, n)
     mean = float(w_samples.mean())
     se = float(w_samples.std(ddof=1) / math.sqrt(n_used)) if n_used > 1 else math.inf
 

@@ -25,8 +25,9 @@ from bosonbudget import (
     output_click_distribution,
     prob_ideal,
 )
-from bosonbudget import noise_model, permanent
-from bosonbudget.fock import _colex_rank, _colex_unrank
+from bosonbudget import limits, noise_model, permanent
+from bosonbudget.fock import _colex_terms, _colex_unrank
+from bosonbudget.ideal_sampler import _squared_permanents
 from bosonbudget.noise_model import (
     _input_support,
     _pattern_probs,
@@ -222,6 +223,66 @@ def test_pattern_probs_independent_of_subset_stacking(monkeypatch):
         np.testing.assert_array_equal(got, results[0])
 
 
+def _literal_pattern_probs(u, n_sources, source, detector, cols, table):
+    """``_pattern_probs`` as a per-pattern loop, adding every term in the evaluator's order.
+
+    Each proper subset of a pattern's clicks, taken in ``combinations`` order,
+    is read from ``table.values`` at its size's offset plus its colex index
+    within ``table.modes``, sum_t C(l_t, t + 1) from ``math.comb``. A size's
+    reads are added left to right; the sizes in increasing order, then the
+    full subset's term, as the evaluator makes it, then the no-click factor.
+    """
+    batch, clicks = cols.shape
+    slots = len(table.base)
+    nu = detector.dark_rate
+    dark = math.expm1 if clicks >= slots else math.exp
+    if clicks < slots:
+        full = noise_model._slot_perms(table.base, table.proj, cols).tolist()
+    elif clicks == slots:
+        ideal = _squared_permanents(np.tile(u[:n_sources], (slots // n_sources, 1)), cols)
+        scale = (noise_model._slot_factors(source)[1] * (1.0 - detector.loss_prob)) ** slots
+        full = (scale * ideal).tolist()
+    local = {mode: i for i, mode in enumerate(table.modes.tolist())}
+    out = []
+    for b, row in enumerate(cols.tolist()):
+        total = 0.0
+        for k in range(clicks):
+            part = None
+            for subset in combinations([local[l] for l in row], k):
+                index = sum(math.comb(l, t + 1) for t, l in enumerate(subset))
+                value = float(table.values[table.offsets[k] + index])
+                part = value if part is None else part + value
+            total += (-1.0) ** (clicks - k) * dark(-(clicks - k) * nu) * part
+        if clicks <= slots:
+            total += full[b]
+        out.append(total * math.exp(-(u.shape[0] - clicks) * nu))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("clicks", range(1, 6))
+@pytest.mark.parametrize(
+    "n_sources, source",
+    [(1, SourceModel((0.02, 0.98))), (2, SourceModel((0.02, 0.98))), (3, SourceModel((0.02, 0.98))),
+     (1, SourceModel((0.02, 0.97, 0.01))), (2, SourceModel((0.02, 0.97, 0.01)))],
+    ids=["kmax1-N1", "kmax1-N2", "kmax1-N3", "kmax2-N1", "kmax2-N2"],
+)
+def test_pattern_probs_are_the_literal_table_sum(n_sources, source, clicks):
+    # every pattern of 1..5 clicks on 8 modes, to the bit: fewer clicks than
+    # the K = N kmax slots (a slot permanent for the full set), exactly K (the
+    # ideal |per|^2) and more (no full-set term), over the all-mode table and
+    # over each pattern's own table of the modes it touches
+    cfg = DeviceConfig(make_haar(8, 11), n_sources, source, DetectorModel(0.01, 1e-4))
+    args = (cfg.matrix, n_sources, source, cfg.detector)
+    cols = collision_free_patterns(8, clicks)
+    table = _subset_table(*args, np.arange(8), clicks, len(cols))
+    assert np.all(_pattern_probs(*args, cols, table) == _literal_pattern_probs(*args, cols, table))
+    for row in cols[::3]:
+        lone = _subset_table(*args, row, clicks, 1)
+        assert len(lone.values) == (1 << clicks) - 1
+        got = _pattern_probs(*args, row[None, :], lone)
+        assert got == _literal_pattern_probs(*args, row[None, :], lone)
+
+
 def _mp_pattern_prob(cfg, clicked):
     """P_out of one click pattern as the per-input sum, at 40 digits.
 
@@ -376,18 +437,29 @@ def test_collision_free_patterns_matches_itertools():
             collision_free_patterns(5, k)
 
 
-def test_colex_rank_matches_itertools():
+def test_colex_terms_rank_and_unrank_the_colex_order():
     # colex order: by largest member first, i.e. lexicographic on the reversed tuples
     for m in range(13):
         for k in range(m + 1):
             rows = collision_free_patterns(m, k)
             colex = sorted(combinations(range(m), k), key=lambda c: c[::-1])
             want = [colex.index(tuple(row)) for row in rows.tolist()]
-            got = _colex_rank(rows.T)
+            terms = _colex_terms(m, k)
+            got = np.zeros(len(rows), dtype=np.intp)
+            for t in range(k):  # a row's rank is the sum of its members' terms
+                got += terms[t, rows[:, t]]
             assert sorted(got.tolist()) == list(range(math.comb(m, k)))
             np.testing.assert_array_equal(got, want)
-            unranked = _colex_unrank(np.arange(math.comb(m, k)), m, k)
+            unranked = _colex_unrank(np.arange(math.comb(m, k)), terms)
             np.testing.assert_array_equal(unranked, np.array(colex, dtype=np.intp))
+
+
+def test_colex_terms_are_the_binomials():
+    # every entry, up to C(63, 32) ~ 9.2e17, and at the Haar draw's largest mode count
+    for m in range(65):
+        assert _colex_terms(m, m).tolist() == [[math.comb(a, t + 1) for a in range(m)] for t in range(m)]
+    m = limits.cap("haar_modes")
+    assert _colex_terms(m, 3).tolist() == [[math.comb(a, t + 1) for a in range(m)] for t in range(3)]
 
 
 @pytest.mark.parametrize("bad", [[[-1, 0]], [[0, 0]], [[3, 1]], [[0, 6]], [[0.0, 1.0]]],
@@ -449,6 +521,25 @@ def test_default_sweep_holds_no_pattern_table(modes, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@pytest.mark.parametrize(
+    "modes, n, want",
+    [(180, 3, ("0x1.0b0c94853adb8p-3", "0x1.8f1da0bf86803p-4", "0x1.0e2c8b85b5b40p-5")),
+     (60, 4, ("0x1.2e30d42736a9ap-2", "0x1.7ec55d860e3fcp-4", "0x1.9d06f1835c8ccp-3"))],
+    ids=["M180-N3", "M60-N4"],
+)
+def test_distance_parts_keeps_its_bits(modes, n, want):
+    # The perfbench ensemble_sweep shape (p0 0.02, p1 0.98, loss 0.01, dark
+    # 1e-4) and one N = 4 sweep; a change to the order of the sweep's adds
+    # moves these bits. The Haar draw is rounded to multiples of 2^-30, so
+    # that the QR's last bits, which differ between BLAS builds and thread
+    # counts, do not reach the pins; the defect left, about 2e-9, does not
+    # matter to them.
+    u = make_haar(modes, 23).matrix
+    u = (np.round(u.real * 2**30) + 1j * np.round(u.imag * 2**30)) / 2**30
+    cfg = DeviceConfig(u, n, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    assert tuple(x.hex() for x in distance_parts(cfg)) == want
 
 
 def test_distance_parts_matches_slow_route():

@@ -22,6 +22,7 @@ from bosonbudget import (
     unitarity_roundtrip,
     verify,
 )
+from bosonbudget.fock import _clicked_modes
 from bosonbudget.verify import SUPPRESSION_TOL
 
 from conftest import make_haar
@@ -77,6 +78,29 @@ def test_witness_rejects_wrong_click_counts(witness_unitary):
     res = row_norm_witness(witness_unitary, N0, bad)
     assert res.n_rejected == 2
     assert res.decision == "inconclusive"
+
+
+def test_witness_gathers_the_kept_clicks_by_mask(witness_unitary, monkeypatch):
+    # rows of 0, 2, 3 and 4 clicks, photon counts above 1 among them: the
+    # kept rows' clicked modes, gathered by mask, are np.nonzero's columns
+    rng = np.random.default_rng(23)
+    samples = (rng.random((400, M)) < 0.35) * rng.integers(1, 3, (400, M))
+    clicks = samples != 0
+    kept = clicks[clicks.sum(axis=1) == N]
+    assert 0 < len(kept) < len(samples) and np.any(samples[clicks.sum(axis=1) == N] > 1)
+    want = np.nonzero(kept)[1].reshape(len(kept), N)
+    np.testing.assert_array_equal(_clicked_modes(kept, N), want)
+    seen = []
+    values = verify._witness_values
+
+    def spy(col_mass, clicked, modes, n):
+        seen.append(clicked)
+        return values(col_mass, clicked, modes, n)
+
+    monkeypatch.setattr(verify, "_witness_values", spy)
+    res = row_norm_witness(witness_unitary, N0, samples)
+    assert (res.n_used, res.n_rejected) == (len(kept), len(samples) - len(kept))
+    np.testing.assert_array_equal(seen[-1], want)
 
 
 def test_witness_reference_order(witness_unitary):
