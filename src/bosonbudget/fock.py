@@ -82,32 +82,34 @@ def _pattern_chunks(modes: int, n_clicks: int, size: int):
     """The rows of ``collision_free_patterns(modes, n_clicks)``, in order, ``size`` rows at a time.
 
     Refuses over the ``patterns`` limit when called, before any row is
-    built. The chunks are cut from the prefix table of the first
-    n_clicks - 1 clicks, ``collision_free_patterns(modes - 1, n_clicks - 1)``,
-    n_clicks / modes the size of the full table: prefix P is continued
-    by every last mode from P[-1] + 1 to modes - 1, and a chunk expands
-    only the prefixes whose runs it overlaps, so no more than ``size``
-    rows and two partial runs are held at once. Each chunk is a fresh
-    C-contiguous (rows, n_clicks) intp array.
+    built. The chunks are cut from the head columns of the first
+    n_clicks - 1 clicks, ``collision_free_patterns(modes - 1, n_clicks - 1)``
+    as one (n_clicks - 1, prefixes) array made by this walk as its own
+    single chunk, n_clicks / modes the size of the full table. Prefix P is
+    continued by every last mode from P[-1] + 1 to modes - 1, so its run
+    ends at row ends[P] - 1 and row r of it ends in mode r + modes - ends[P];
+    a chunk gathers the heads of the prefixes that own its rows, so no
+    more than ``size`` rows are held at once. Each chunk is the transpose
+    of a fresh C-contiguous (n_clicks, rows) intp array: each click's
+    modes are one contiguous row of its ``.T``, as the sweeps read them.
     """
     total = _pattern_count(modes, n_clicks)
     if n_clicks == 0:
-        return iter([np.zeros((1, 0), dtype=np.intp)])
-    prefixes = collision_free_patterns(modes - 1, n_clicks - 1)
-    last = prefixes[:, -1] if n_clicks > 1 else np.full(1, -1, dtype=np.intp)
-    ends = np.cumsum(modes - 1 - last)  # ends[i]: the full table's rows up to the end of prefix i's run
+        return iter([np.zeros((0, 1), dtype=np.intp).T])
+    heads = next(_pattern_chunks(modes - 1, n_clicks - 1, math.comb(modes - 1, n_clicks - 1))).T
+    # ends[P]: the full table's rows up to the end of prefix P's run, of modes - 1 - P[-1] rows
+    ends = np.cumsum(modes - 1 - heads[-1]) if n_clicks > 1 else np.full(1, modes, dtype=np.intp)
 
     def chunks():
         for lo in range(0, total, size):
             hi = min(lo + size, total)
             a, b = np.searchsorted(ends, (lo, hi - 1), side="right")  # the prefixes of rows lo and hi - 1
-            first = ends[a] - (modes - 1 - last[a])  # the full table's index of prefix a's first row
-            counts = modes - 1 - last[a : b + 1]  # the length of each prefix's run
-            starts = np.cumsum(counts) - counts
-            rows = np.repeat(prefixes[a : b + 1], counts, axis=0)
-            # row i of prefix P's run ends in mode P[-1] + 1 + i
-            rows = np.column_stack((rows, np.arange(len(rows)) + np.repeat(last[a : b + 1] + 1 - starts, counts)))
-            yield rows[lo - first : hi - first]
+            # owner[i]: the prefix of row lo + i, each prefix repeated once per row of its run in [lo, hi)
+            owner = np.repeat(np.arange(a, b + 1), np.diff(np.minimum(ends[a : b + 1], hi), prepend=lo))
+            out = np.empty((n_clicks, hi - lo), dtype=np.intp)
+            np.take(heads, owner, axis=1, out=out[:-1], mode="clip")  # in range: "clip" writes unbuffered
+            np.subtract(np.arange(lo + modes, hi + modes), ends[owner], out=out[-1])
+            yield out.T
 
     return chunks()
 
@@ -205,7 +207,9 @@ def _output_chunks(modes: int, photons: int, size: int):
 
     A chunk is a fresh (rows, photons) intp array whose row lists the
     mode of each photon, ascending, a mode repeated once per photon it
-    holds: ``_stars_and_bars`` over ``_pattern_chunks``.
+    holds: ``_stars_and_bars`` over ``_pattern_chunks``, so it is laid out
+    as those chunks are, the transpose of a C-contiguous (photons, rows)
+    array.
     ``_occupations`` turns it into occupation rows. Refuses over the
     ``outcomes`` limit when called, before any row is built.
     """

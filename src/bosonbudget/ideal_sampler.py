@@ -21,7 +21,7 @@ from . import limits
 from .errors import DimensionError, NumericError
 from .fock import _occupations, _output_chunks, count_outputs, enumerate_outputs, mode_indices, mu, total_photons
 from .permanent import STACK, _permanent_batch, _repeated
-from .random_ensembles import NetworkUnitary, as_matrix
+from .random_ensembles import NetworkUnitary, _unitarity_defect, as_matrix
 
 Outcome = tuple[int, ...]
 
@@ -32,10 +32,14 @@ class DistributionTable:
 
     ``outcomes`` is a read-only ``(count, modes)`` intp table, one outcome
     per row; any sequence of equal-length rows is accepted and converted.
+    ``tol`` is how far from 1 the total mass of a complete table may lie:
+    1e-8 unless given, and the network's bound (``_mass_tolerance``) in a
+    ``full_distribution``.
     """
 
     outcomes: np.ndarray
     probs: np.ndarray
+    tol: float = 1e-8
 
     def __post_init__(self):
         o = np.asarray(self.outcomes, dtype=np.intp).view()
@@ -61,8 +65,8 @@ class DistributionTable:
     def total_mass(self) -> float:
         return float(math.fsum(self.probs))
 
-    def is_complete(self, tol: float = 1e-8) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def is_complete(self, tol: float | None = None) -> bool:
+        return abs(self.total_mass - 1.0) <= (self.tol if tol is None else tol)
 
     def as_dict(self) -> dict[Outcome, float]:
         return dict(zip(map(tuple, self.outcomes.tolist()), self.probs.tolist()))
@@ -85,12 +89,15 @@ def full_distribution(u, n: Sequence[int]) -> DistributionTable:
     """Exact table over every output with the same photon total as ``n``.
 
     Outcomes follow the deterministic descending-lexicographic enumeration
-    order; the total mass is 1 up to floating-point roundoff. The
+    order; the total mass is 1 up to floating-point roundoff and the
+    network's unitarity defect, and the table's ``tol`` is the bound the
+    defect sets (``_mass_tolerance``), so ``sample_ideal`` draws from it
+    whenever the device ``sample`` draws from the same network. The
     probabilities are those of ``_ideal_probs``, which the CLI commands
     read without building this table.
     """
     probs = _ideal_probs(u, n)  # checks the network and n, and refuses over the outcomes cap, first
-    return DistributionTable(enumerate_outputs(len(n), total_photons(n)), probs)
+    return DistributionTable(enumerate_outputs(len(n), total_photons(n)), probs, _mass_tolerance(u, n))
 
 
 def _ideal_probs(u, n: Sequence[int]) -> np.ndarray:
@@ -122,24 +129,35 @@ def _ideal_probs(u, n: Sequence[int]) -> np.ndarray:
     return probs
 
 
-def _device_probs(u: NetworkUnitary, n: Sequence[int]) -> np.ndarray:
-    """``_ideal_probs(u, n)`` for a 0/1 input, refused unless their total is within 1e-8 + 2 N d of 1.
+def _mass_tolerance(u, n: Sequence[int]) -> float:
+    """1e-8 + 2 N d: how far from 1 the total of ``_ideal_probs(u, n)`` may lie.
 
     N is the photon count and d the network's ``unitarity_defect``, the
     largest |entry| of U^dag U - I. By Cauchy-Binet the exact total is
     per(I + F[R, R]) over the source modes R, with F = U U^dag - I, so it
     is within sum_(k>=1) N!/(N - k)! f^k <= N f / (1 - N f) of 1 when no
-    |F_ij| exceeds f: at most 2 N f while N f <= 1/2. F has the spectrum
-    of U^dag U - I, and |total - 1| / (N d) is 1 for a scalar U (1 + e)
-    and was at most 0.77 over 40 random complex perturbations of a Haar U
-    at M = 6..16, N = 2..7; 1e-8 covers the roundoff of the sum. A total
-    outside the bound raises ``NumericError``, naming it and the defect.
+    |F_ij| exceeds f: at most 2 N f while N f <= 1/2. A repeated source
+    mode keeps the bound, as each term's count of permutations is then at
+    most k! mu(n). F has the spectrum of U^dag U - I, and |total - 1| / (N d)
+    is 1 for a scalar U (1 + e) and was at most 0.77 over 40 random complex
+    perturbations of a Haar U at M = 6..16, N = 2..7; 1e-8 covers the
+    roundoff of the sum.
+    """
+    defect = u.unitarity_defect if isinstance(u, NetworkUnitary) else _unitarity_defect(as_matrix(u))
+    return 1e-8 + 2 * total_photons(n) * defect
+
+
+def _device_probs(u: NetworkUnitary, n: Sequence[int]) -> np.ndarray:
+    """``_ideal_probs(u, n)`` for a 0/1 input, refused unless their total is within ``_mass_tolerance`` of 1.
+
+    A total outside the bound raises ``NumericError``, naming it and the
+    network's unitarity defect.
     """
     probs = _ideal_probs(u, n)
-    total, defect = math.fsum(probs), u.unitarity_defect
-    if not abs(total - 1.0) <= 1e-8 + 2 * total_photons(n) * defect:
+    total = math.fsum(probs)
+    if not abs(total - 1.0) <= _mass_tolerance(u, n):
         raise NumericError(f"device distribution has total mass {total}, further from 1 than the network's "
-                           f"unitarity defect {defect:.3e} allows")
+                           f"unitarity defect {u.unitarity_defect:.3e} allows")
     return probs
 
 
@@ -163,10 +181,10 @@ def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) 
     """i.i.d. draws by inverse CDF over the materialised table, one row of ``dist.outcomes`` each.
 
     Zero-probability outcomes are never drawn. Requires a complete table
-    (total mass 1 within 1e-8).
+    (total mass 1 within the table's ``tol``).
     """
     if not dist.is_complete():
-        raise ValueError(f"distribution is incomplete: total mass {dist.total_mass}")
+        raise ValueError(f"distribution is incomplete: total mass {dist.total_mass}, not within {dist.tol:.3e} of 1")
     return dist.outcomes[_draw_indices(dist.probs, count, rng)]
 
 

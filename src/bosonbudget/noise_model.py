@@ -373,10 +373,11 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None)
     A proper subset's f(T) is read from the size-|T| part of
     ``table.values`` at its colex rank, the sum of its members' terms
     C(l, t + 1) (``fock._colex_terms``). The clicks are taken once, as the
-    (clicks, batch) rows of ``cols.T``, contiguous when the caller passes
-    the transpose of a C-contiguous array, as the sweep does; each click's
-    term at each position is gathered once and shared by every subset that
-    has the click there. The empty subset's f is one scalar.
+    (clicks, batch) rows of ``cols.T``, each contiguous when ``cols`` is
+    the transpose of a (clicks, batch) array, as ``fock._pattern_chunks``
+    gives and ``distance_parts`` passes; each click's term at each
+    position is gathered once and shared by every subset that has the
+    click there. The empty subset's f is one scalar.
 
     The f(T) of each size are summed first, in ``combinations`` order, row
     by row (numpy's ``sum`` would add a lone pattern's pairwise), then the
@@ -472,7 +473,10 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     patterns: it reads the same rows, in the same chunks, from
     ``fock._pattern_chunks``, so its memory does not grow with C(M, N).
     What it holds is the subset table, sum_(k<N) C(M, k) floats, the
-    prefix table of C(M - 1, N - 1) rows, and one chunk's arrays.
+    walk's N - 1 head columns and run ends over C(M - 1, N - 1) prefixes,
+    and one chunk's arrays. Each chunk is the transpose of a contiguous
+    (N, rows) array, which ``_pattern_probs`` and ``_squared_permanents``
+    read as it is; given ``patterns`` are transposed so once, not per chunk.
     """
     u = cfg.matrix
     n = cfg.n_sources
@@ -492,6 +496,7 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
             raise ValueError(f"each pattern must list strictly increasing modes in [0, {cfg.modes})")
         count, modes = len(patterns), _table_modes(patterns, cfg.modes)
         step = 1 if modes is None else STACK
+        patterns = np.ascontiguousarray(patterns.T).T  # each click's modes one contiguous row, as the walk gives
         chunks = (patterns[lo : lo + step] for lo in range(0, count, step))
     if modes is None:  # chunks of one pattern, each evaluated with its own table
         limits.check_slot_permanents(len(_slot_factors(cfg.source)[0]) * n, count << n)
@@ -501,8 +506,7 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
-    for chunk in chunks:
-        cols = np.ascontiguousarray(chunk.T).T  # each click's modes one contiguous row, for every gather
+    for cols in chunks:
         pideal = _squared_permanents(u[:n], cols)
         pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table, pideal)
         sum_out += float(pout.sum())

@@ -39,6 +39,11 @@ def as_matrix(u, *occupations) -> np.ndarray:
     return m
 
 
+def _unitarity_defect(m: np.ndarray) -> float:
+    """The max-norm of U^dag U - I for a square matrix U; 0 for the empty one."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m))), initial=0.0))
+
+
 @dataclass(frozen=True)
 class NetworkUnitary:
     """An M-mode network matrix with its unitarity certificate.
@@ -64,8 +69,7 @@ class NetworkUnitary:
 
     @cached_property
     def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(self.modes))))
+        return _unitarity_defect(self.matrix)
 
     @classmethod
     def from_matrix(cls, matrix, *, max_defect: float = 1e-10) -> "NetworkUnitary":

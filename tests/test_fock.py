@@ -173,7 +173,10 @@ def _assert_chunks_cut_the_table(chunks, size, count):
     assert sum(lengths) == count
     assert all(n == size for n in lengths[:-1]) and 0 < lengths[-1] <= size
     for chunk in chunks:
-        assert chunk.dtype == np.intp and chunk.flags.c_contiguous
+        # (rows, clicks) to index, each click's modes one contiguous row of chunk.T
+        assert chunk.dtype == np.intp and chunk.T.flags.c_contiguous
+    # each chunk is fresh: callers shift one in place while holding the next
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(chunks) for b in chunks[i + 1 :])
 
 
 def test_pattern_chunks_are_the_table_cut_in_order():

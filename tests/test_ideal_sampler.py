@@ -6,6 +6,7 @@ from scipy import stats
 
 from bosonbudget import (
     DistributionTable,
+    NetworkUnitary,
     NumericError,
     ResourceLimitError,
     full_distribution,
@@ -15,6 +16,7 @@ from bosonbudget import (
 )
 from bosonbudget import fock, ideal_sampler
 from bosonbudget.fock import enumerate_outputs, mu
+from bosonbudget.ideal_sampler import _device_probs, _draw_indices
 from bosonbudget.permanent import permanent_contingency
 
 from conftest import make_haar
@@ -112,6 +114,18 @@ def test_exact_table_refused_over_the_permanent_order(monkeypatch):
         prob_ideal(np.eye(2), (31, 0), (31, 0))
     with pytest.raises(ResourceLimitError, match=message):
         full_distribution(np.eye(2), (31, 0))
+
+
+def test_table_route_draws_from_the_networks_the_device_sample_accepts():
+    # a Haar network scaled by 1 + 4.9e-9: its defect, 9.8e-9, is under the 1e-8 that --unitary accepts,
+    # and the five photons' total mass is 1 + 4.9e-8, over a fixed 1e-8 but within 1e-8 + 2 N d
+    u = NetworkUnitary.from_matrix(make_haar(16, 0).matrix * (1 + 4.9e-9), max_defect=1e-8)
+    n = (1,) * 5 + (0,) * 11
+    for network in (u, u.matrix):
+        dist = full_distribution(network, n)
+        assert dist.is_complete() and not dist.is_complete(1e-8)
+        draws = sample_ideal(dist, 10, np.random.default_rng(3))
+        np.testing.assert_array_equal(draws, dist.outcomes[_draw_indices(_device_probs(u, n), 10, np.random.default_rng(3))])
 
 
 def test_sampling_incomplete_rejected():

@@ -25,7 +25,7 @@ from bosonbudget import (
     output_click_distribution,
     prob_ideal,
 )
-from bosonbudget import limits, noise_model, permanent
+from bosonbudget import fock, limits, noise_model, permanent
 from bosonbudget.fock import _colex_terms, _colex_unrank
 from bosonbudget.ideal_sampler import _squared_permanents
 from bosonbudget.noise_model import (
@@ -521,6 +521,32 @@ def test_default_sweep_holds_no_pattern_table(modes, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_default_sweep_reads_the_walks_chunks_without_a_copy(monkeypatch):
+    # each chunk the walk gives is what the evaluator and the ideal |per|^2 read, not a transposed copy
+    walked, seen = [], {"probs": [], "ideal": []}
+
+    def walk(*args):
+        for chunk in fock._pattern_chunks(*args):
+            walked.append(chunk)
+            yield chunk
+
+    def spy(key, real):
+        def call(*args, **kwargs):
+            seen[key].append(args[4] if key == "probs" else args[1])
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(noise_model, "_pattern_chunks", walk)
+    monkeypatch.setattr(noise_model, "_pattern_probs", spy("probs", noise_model._pattern_probs))
+    monkeypatch.setattr(noise_model, "_squared_permanents", spy("ideal", noise_model._squared_permanents))
+    cfg = DeviceConfig(make_haar(40, 31), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    distance_parts(cfg)
+    assert len(walked) == 3  # 9,880 patterns in chunks of STACK
+    for key, cols in seen.items():
+        assert len(cols) == len(walked), key
+        assert all(c.T.flags.c_contiguous and np.shares_memory(c, w) for c, w in zip(cols, walked)), key
 
 
 @pytest.mark.parametrize(
