@@ -96,16 +96,20 @@ def _pattern_chunks(modes: int, n_clicks: int, size: int):
     total = _pattern_count(modes, n_clicks)
     if n_clicks == 0:
         return iter([np.zeros((0, 1), dtype=np.intp).T])
-    heads = next(_pattern_chunks(modes - 1, n_clicks - 1, math.comb(modes - 1, n_clicks - 1))).T
-    # ends[P]: the full table's rows up to the end of prefix P's run, of modes - 1 - P[-1] rows
-    ends = np.cumsum(modes - 1 - heads[-1]) if n_clicks > 1 else np.full(1, modes, dtype=np.intp)
+    prefixes = math.comb(modes - 1, n_clicks - 1)
+    heads = next(_pattern_chunks(modes - 1, n_clicks - 1, prefixes)).T
+    # prefix P's run is rows bounds[P] .. ends[P] - 1 of the full table, modes - 1 - P[-1] rows
+    bounds = np.zeros(prefixes + 1, dtype=np.intp)
+    np.cumsum(modes - 1 - heads[-1] if n_clicks > 1 else modes, out=bounds[1:])
+    ends = bounds[1:]
 
     def chunks():
         for lo in range(0, total, size):
             hi = min(lo + size, total)
             a, b = np.searchsorted(ends, (lo, hi - 1), side="right")  # the prefixes of rows lo and hi - 1
             # owner[i]: the prefix of row lo + i, each prefix repeated once per row of its run in [lo, hi)
-            owner = np.repeat(np.arange(a, b + 1), np.diff(np.minimum(ends[a : b + 1], hi), prepend=lo))
+            cut = np.minimum(np.maximum(bounds[a : b + 2], lo), hi)
+            owner = np.repeat(np.arange(a, b + 1), cut[1:] - cut[:-1])
             out = np.empty((n_clicks, hi - lo), dtype=np.intp)
             np.take(heads, owner, axis=1, out=out[:-1], mode="clip")  # in range: "clip" writes unbuffered
             np.subtract(np.arange(lo + modes, hi + modes), ends[owner], out=out[-1])
