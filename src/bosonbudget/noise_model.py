@@ -476,7 +476,8 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
     walk's N - 1 head columns and run ends over C(M - 1, N - 1) prefixes,
     and one chunk's arrays. Each chunk is the transpose of a contiguous
     (N, rows) array, which ``_pattern_probs`` and ``_squared_permanents``
-    read as it is; given ``patterns`` are transposed so once, not per chunk.
+    read as it is; given ``patterns`` are copied into that layout a chunk at
+    a time, so the call holds no second copy of them.
     """
     u = cfg.matrix
     n = cfg.n_sources
@@ -496,8 +497,8 @@ def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> 
             raise ValueError(f"each pattern must list strictly increasing modes in [0, {cfg.modes})")
         count, modes = len(patterns), _table_modes(patterns, cfg.modes)
         step = 1 if modes is None else STACK
-        patterns = np.ascontiguousarray(patterns.T).T  # each click's modes one contiguous row, as the walk gives
-        chunks = (patterns[lo : lo + step] for lo in range(0, count, step))
+        # each click's modes one contiguous row, as the walk gives them; a chunk at a time, so no second table is held
+        chunks = (np.ascontiguousarray(patterns[lo : lo + step].T).T for lo in range(0, count, step))
     if modes is None:  # chunks of one pattern, each evaluated with its own table
         limits.check_slot_permanents(len(_slot_factors(cfg.source)[0]) * n, count << n)
         table = None

@@ -126,6 +126,8 @@ def test_table_route_draws_from_the_networks_the_device_sample_accepts():
         assert dist.is_complete() and not dist.is_complete(1e-8)
         draws = sample_ideal(dist, 10, np.random.default_rng(3))
         np.testing.assert_array_equal(draws, dist.outcomes[_draw_indices(_device_probs(u, n), 10, np.random.default_rng(3))])
+    # twice a unitary, defect 3: past N d = 1/2 the bound is void, and a total mass of 4 is refused
+    assert not full_distribution(2 * make_haar(4, 0).matrix, (1, 0, 0, 0)).is_complete()
 
 
 def test_sampling_incomplete_rejected():
