@@ -130,7 +130,7 @@ def _ideal_probs(u, n: Sequence[int]) -> np.ndarray:
 
 
 def _mass_tolerance(u, n: Sequence[int]) -> float:
-    """1e-8 + 2 N d: how far from 1 the total of ``_ideal_probs(u, n)`` may lie.
+    """1e-8 + 2 N d while d <= 1e-8, else 1e-8: how far from 1 the total of ``_ideal_probs(u, n)`` may lie.
 
     N is the photon count and d the network's ``unitarity_defect``, the
     largest |entry| of U^dag U - I. By Cauchy-Binet the exact total is
@@ -141,12 +141,14 @@ def _mass_tolerance(u, n: Sequence[int]) -> float:
     most k! mu(n). F has the spectrum of U^dag U - I, and |total - 1| / (N d)
     is 1 for a scalar U (1 + e) and was at most 0.77 over 40 random complex
     perturbations of a Haar U at M = 6..16, N = 2..7; 1e-8 covers the
-    roundoff of the sum. Beyond N d = 1/2 the bound does not hold, and
-    1e-8 is all that is left.
+    roundoff of the sum. The bound is widened only for a defect that a
+    network may carry, at most the 1e-8 that ``--unitary`` accepts (N d
+    is then far below 1/2): a matrix visibly off the unitary group keeps
+    1e-8, so its table is incomplete rather than drawn from with the
+    missing or surplus mass piled on one outcome.
     """
     defect = u.unitarity_defect if isinstance(u, NetworkUnitary) else _unitarity_defect(as_matrix(u))
-    spread = total_photons(n) * defect
-    return 1e-8 + (2 * spread if spread <= 0.5 else 0.0)
+    return 1e-8 + (2 * total_photons(n) * defect if defect <= 1e-8 else 0.0)
 
 
 def _device_probs(u: NetworkUnitary, n: Sequence[int]) -> np.ndarray:

@@ -126,8 +126,12 @@ def test_table_route_draws_from_the_networks_the_device_sample_accepts():
         assert dist.is_complete() and not dist.is_complete(1e-8)
         draws = sample_ideal(dist, 10, np.random.default_rng(3))
         np.testing.assert_array_equal(draws, dist.outcomes[_draw_indices(_device_probs(u, n), 10, np.random.default_rng(3))])
-    # twice a unitary, defect 3: past N d = 1/2 the bound is void, and a total mass of 4 is refused
-    assert not full_distribution(2 * make_haar(4, 0).matrix, (1, 0, 0, 0)).is_complete()
+    # off the unitary group the bound stays 1e-8: 0.9 U (defect 0.19, total mass 0.6561) and 2 U (defect 3, mass 4)
+    for matrix, n in ((0.9 * make_haar(4, 0).matrix, (1, 1, 0, 0)), (2 * make_haar(4, 0).matrix, (1, 0, 0, 0))):
+        dist = full_distribution(matrix, n)
+        assert dist.tol == 1e-8 and not dist.is_complete()
+        with pytest.raises(ValueError, match="^distribution is incomplete"):
+            sample_ideal(dist, 10, np.random.default_rng(3))
 
 
 def test_sampling_incomplete_rejected():
