@@ -82,10 +82,12 @@ def _pattern_chunks(modes: int, n_clicks: int, size: int):
     """The rows of ``collision_free_patterns(modes, n_clicks)``, in order, ``size`` rows at a time.
 
     Refuses over the ``patterns`` limit when called, before any row is
-    built. The chunks are cut from the head columns of the first
-    n_clicks - 1 clicks, ``collision_free_patterns(modes - 1, n_clicks - 1)``
-    as one (n_clicks - 1, prefixes) array made by this walk as its own
-    single chunk, n_clicks / modes the size of the full table. Prefix P is
+    built: the call only counts the rows, and the walk's set-up runs with
+    the first chunk, after the caller's own checks. The chunks are cut
+    from the head columns of the first n_clicks - 1 clicks,
+    ``collision_free_patterns(modes - 1, n_clicks - 1)`` as one
+    (n_clicks - 1, prefixes) array made by this walk as its own single
+    chunk, n_clicks / modes the size of the full table. Prefix P is
     continued by every last mode from P[-1] + 1 to modes - 1, so its run
     ends at row ends[P] - 1 and row r of it ends in mode r + modes - ends[P];
     a chunk gathers the heads of the prefixes that own its rows, so no
@@ -96,14 +98,14 @@ def _pattern_chunks(modes: int, n_clicks: int, size: int):
     total = _pattern_count(modes, n_clicks)
     if n_clicks == 0:
         return iter([np.zeros((0, 1), dtype=np.intp).T])
-    prefixes = math.comb(modes - 1, n_clicks - 1)
-    heads = next(_pattern_chunks(modes - 1, n_clicks - 1, prefixes)).T
-    # prefix P's run is rows bounds[P] .. ends[P] - 1 of the full table, modes - 1 - P[-1] rows
-    bounds = np.zeros(prefixes + 1, dtype=np.intp)
-    np.cumsum(modes - 1 - heads[-1] if n_clicks > 1 else modes, out=bounds[1:])
-    ends = bounds[1:]
 
     def chunks():
+        prefixes = math.comb(modes - 1, n_clicks - 1)
+        heads = next(_pattern_chunks(modes - 1, n_clicks - 1, prefixes)).T
+        # prefix P's run is rows bounds[P] .. ends[P] - 1 of the full table, modes - 1 - P[-1] rows
+        bounds = np.zeros(prefixes + 1, dtype=np.intp)
+        np.cumsum(modes - 1 - heads[-1] if n_clicks > 1 else modes, out=bounds[1:])
+        ends = bounds[1:]
         for lo in range(0, total, size):
             hi = min(lo + size, total)
             a, b = np.searchsorted(ends, (lo, hi - 1), side="right")  # the prefixes of rows lo and hi - 1

@@ -170,15 +170,10 @@ def _squared_permanents(sources: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     ``sources`` holds the N source rows of the network; for a collision-free
     output given by its N clicked modes this is its ideal probability. The
-    kernel takes ``STACK`` rows per call, each as an entry-major
-    (N, N, chunk) stack that it reads without a copy.
+    rows go to the kernel in one call, as an entry-major (N, N, rows) stack
+    that it reads without a copy, so callers keep them to ``STACK``.
     """
-    out = np.empty(len(cols))
-    for lo in range(0, len(cols), STACK):
-        chunk = cols[lo : lo + STACK]
-        stack = np.take(sources, chunk.T, axis=1).transpose(2, 0, 1)
-        out[lo : lo + len(chunk)] = np.abs(_permanent_batch(stack)) ** 2
-    return out
+    return np.abs(_permanent_batch(np.take(sources, cols.T, axis=1).transpose(2, 0, 1))) ** 2
 
 
 def sample_ideal(dist: DistributionTable, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -333,23 +333,6 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     return _SubsetTable(base, proj, w, modes, terms, values, offsets)
 
 
-def _table_modes(patterns: np.ndarray, modes: int) -> np.ndarray | None:
-    """The modes one subset table for ``patterns`` covers, or None when no one table pays.
-
-    Over all modes the table needs no remapping of mode indices; it covers
-    only the modes the patterns touch when it would otherwise hold more
-    entries than the patterns have proper subsets, as for a lone pattern.
-    When even that table would hold more, the patterns are few and spread
-    over many modes, and each is better evaluated with a table of its own.
-    """
-    batch, clicks = patterns.shape
-    subsets = batch * ((1 << clicks) - 1)
-    if sum(math.comb(modes, k) for k in range(clicks)) <= subsets:
-        return np.arange(modes)
-    touched = np.unique(patterns)
-    return touched if sum(math.comb(len(touched), k) for k in range(clicks)) <= subsets else None
-
-
 def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None):
     """P_out for a batch of click patterns, each given by its increasing clicked modes.
 
@@ -358,8 +341,9 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None)
     of the clicked modes kept un-expanded, the sign (-1)^(clicks - |T|)
     and dark factor e^(-(clicks - |T|) nu) on f(T) (``_slot_perms``). Every
     proper subset is read from ``table``, a ``_subset_table`` over modes
-    that hold every clicked mode, built here (over ``_table_modes``, which
-    always covers a lone pattern) if none is given.
+    that hold every clicked mode, built here over the modes ``cols``
+    touches if none is given; f(T) does not depend on the table that
+    holds it.
 
     f(T) is the chance that every detected photon lands in T: the sum of
     g(C') over C' in T, g(C') the chance that they cover exactly C'. Below
@@ -389,7 +373,7 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None)
     batch, clicks = cols.shape
     nu = detector.dark_rate
     if table is None:
-        table = _subset_table(u, n_sources, source, detector, _table_modes(cols, u.shape[0]), clicks, batch)
+        table = _subset_table(u, n_sources, source, detector, np.unique(cols), clicks, batch)
     clicked = cols.T  # clicked[j]: the j-th smallest clicked mode of every pattern, within ``table.modes``
     if len(table.modes) != u.shape[0]:
         clicked = np.searchsorted(table.modes, clicked)
@@ -444,66 +428,38 @@ class DistanceParts(NamedTuple):
     vb: float  # bunched-output mass of the ideal device
 
 
-def distance_parts(cfg: DeviceConfig, *, patterns: np.ndarray | None = None) -> DistanceParts:
+def distance_parts(cfg: DeviceConfig) -> DistanceParts:
     """Exact decomposition of the distance between the device and its ideal twin.
 
     v1 collects the output mass that lands on patterns with the wrong click
     count, v2 the pointwise L1 gap on patterns with exactly N clicks, and vb
     the bunched-output mass of the ideal device. All three are computed
-    exactly; pass a precomputed ``patterns`` array when sweeping many
-    networks of the same shape; each row must list strictly increasing modes
-    in [0, M). Truncated source mass, if any, is unmodelled output and is
-    excluded from v1.
+    exactly, over every N-click pattern. Truncated source mass, if any, is
+    unmodelled output and is excluded from v1.
 
     Every kept-click subset smaller than N is evaluated once per call, in
-    a table over every mode or over the modes the patterns touch
-    (``_table_modes``); each pattern then costs 2^N - 1 table reads and
-    one permanent of its full click set, which for sources of at most one
-    photon is the ideal |per|^2 that v2 and vb read anyway. A few patterns
-    spread over many modes, for which even the touched-mode table would
-    hold more entries than the patterns have proper subsets, are each
-    evaluated with a table of their own, with the same bits. The sweep sums
-    the probabilities in chunks of ``permanent.STACK`` (4096) patterns, or
-    of one pattern on that route, in order; that order is part of the
-    reproducibility contract: a sweep of at most 4096 patterns gives the
-    same bytes as one pass over the whole table. The work of the whole call
-    is checked against the limits once, before any permanent is evaluated.
+    a table over every mode; each pattern then costs 2^N - 1 table reads
+    and one permanent of its full click set, which for sources of at most
+    one photon is the ideal |per|^2 that v2 and vb read anyway. The work
+    of the whole call is checked against the limits once, before any
+    permanent is evaluated.
 
-    Without ``patterns`` the sweep never holds the C(M, N) x N table of
-    patterns: it reads the same rows, in the same chunks, from
-    ``fock._pattern_chunks``, so its memory does not grow with C(M, N).
-    What it holds is the subset table, sum_(k<N) C(M, k) floats, the
-    walk's N - 1 head columns and run ends over C(M - 1, N - 1) prefixes,
-    and one chunk's arrays. Each chunk is the transpose of a contiguous
-    (N, rows) array, which ``_pattern_probs`` and ``_squared_permanents``
-    read as it is; given ``patterns`` are copied into that layout a chunk at
-    a time, so the call holds no second copy of them.
+    The sweep never holds the C(M, N) x N table of patterns: it reads its
+    rows, in order, from ``fock._pattern_chunks``, ``permanent.STACK``
+    (4096) at a time, so its memory does not grow with C(M, N). What it
+    holds is the subset table, sum_(k<N) C(M, k) floats, the walk's N - 1
+    head columns and run ends over C(M - 1, N - 1) prefixes, and one
+    chunk's arrays. Each chunk is the transpose of a contiguous (N, rows)
+    array, which ``_pattern_probs`` and ``_squared_permanents`` read as it
+    is. The probabilities are summed a chunk at a time, in order; that
+    order is part of the reproducibility contract: a sweep of at most 4096
+    patterns gives the same bytes as one pass over the whole table.
     """
     u = cfg.matrix
     n = cfg.n_sources
-    if patterns is None:
-        # every subset smaller than N lies in some N-subset, so the table over all modes always pays
-        chunks = _pattern_chunks(cfg.modes, n, STACK)
-        count, modes = math.comb(cfg.modes, n), np.arange(cfg.modes)
-    else:
-        patterns = np.asarray(patterns)
-        if patterns.ndim != 2 or patterns.shape[1] != n:
-            raise DimensionError(f"patterns must be (count, {n}) mode indices")
-        if not np.issubdtype(patterns.dtype, np.integer) or len(patterns) and (
-            patterns[:, 0].min() < 0
-            or patterns[:, -1].max() >= cfg.modes
-            or any(np.any(patterns[:, j] <= patterns[:, j - 1]) for j in range(1, n))
-        ):
-            raise ValueError(f"each pattern must list strictly increasing modes in [0, {cfg.modes})")
-        count, modes = len(patterns), _table_modes(patterns, cfg.modes)
-        step = 1 if modes is None else STACK
-        # each click's modes one contiguous row, as the walk gives them; a chunk at a time, so no second table is held
-        chunks = (np.ascontiguousarray(patterns[lo : lo + step].T).T for lo in range(0, count, step))
-    if modes is None:  # chunks of one pattern, each evaluated with its own table
-        limits.check_slot_permanents(len(_slot_factors(cfg.source)[0]) * n, count << n)
-        table = None
-    else:
-        table = _subset_table(u, n, cfg.source, cfg.detector, modes, n, count)
+    chunks = _pattern_chunks(cfg.modes, n, STACK)  # refused over the pattern cap before any row is built
+    # every subset smaller than N lies in some N-subset, so one table over all modes serves every pattern
+    table = _subset_table(u, n, cfg.source, cfg.detector, np.arange(cfg.modes), n, math.comb(cfg.modes, n))
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0

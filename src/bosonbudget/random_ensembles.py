@@ -22,8 +22,10 @@ def as_matrix(u, *occupations) -> np.ndarray:
     """The complex matrix of a NetworkUnitary or array-like ``u``: the package's one matrix check.
 
     Raises ``DimensionError`` unless the matrix is square (0 x 0 included)
-    and each occupation vector has one entry per mode, and ``NumericError``
-    if an entry is not finite. A NetworkUnitary, checked by its
+    and each occupation vector has one entry per mode, ``NumericError``
+    if a matrix entry is not finite, and ``ValueError``, naming the entry,
+    if an occupation entry is not a non-negative integer (an integral
+    float such as 1.0 is one). A NetworkUnitary, checked by its
     constructor, is not scanned again; a complex array is not copied.
     """
     if isinstance(u, NetworkUnitary):
@@ -36,6 +38,12 @@ def as_matrix(u, *occupations) -> np.ndarray:
             raise NumericError("matrix has non-finite entries")
     if any(len(occ) != len(m) for occ in occupations):
         raise DimensionError("occupation vectors must have one entry per mode")
+    for occ in occupations:
+        a = np.asarray(occ)
+        with np.errstate(invalid="ignore"):  # inf % 1 is NaN, and refused with NaN
+            bad = np.flatnonzero(~((a >= 0) & (a % 1 == 0)))
+        if bad.size:
+            raise ValueError(f"occupation entry {a[bad[0]].item()!r} at mode {bad[0]} is not a non-negative integer")
     return m
 
 

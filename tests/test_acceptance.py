@@ -171,12 +171,11 @@ def test_c06_noise_bound_dominates_ensemble_mean():
         (3, 180, SourceModel.single_photon(0.98), DetectorModel(0.02, 1e-4), 1007),
     )
     for n, m, src, det, seed in cases:
-        patterns = collision_free_patterns(m, n)
         rng = np.random.default_rng(seed)
         totals = np.empty(200)
         for i in range(200):
             cfg = DeviceConfig(haar_unitary(m, rng), n, src, det)
-            parts = distance_parts(cfg, patterns=patterns)
+            parts = distance_parts(cfg)
             totals[i] = parts.v1 + parts.v2 + parts.vb
         bound = noise_bound(n, m, src, det).value
         ok = ok and totals.mean() <= bound

@@ -674,6 +674,8 @@ _TWO_NETWORKS = "--unitary and --modes are alternative networks: give one"
         (None, ["distance", "--modes", "2", "--sources", "2", "--dark", "inf", "--seed", "1"], 1,
          "dark_rate must be finite and non-negative"),
         (_UNIT, ["distance", "--sources", "1", "--modes", "99"], 1, _TWO_NETWORKS),
+        # C(1001, 1000) patterns pass the pattern cap; the walk's 1000-deep set-up must not run before the table's
+        (None, ["distance", "--modes", "1001", "--sources", "1000", "--seed", "1"], 2, "subset table"),
         (_UNIT, ["verify", "--test", "roundtrip", "--sources", "1", "--modes", "99"], 1, _TWO_NETWORKS),
         ((_UNIT, ("--config", "c.json", '{"modes": 99}')), ["distribution", "--photons", "1"], 1, _TWO_NETWORKS),
         ((_UNIT, ("--config", "c.json", '{"modes": 99}')), ["sample", "--sources", "1", "--count", "3", "--seed", "1",
@@ -695,7 +697,8 @@ _TWO_NETWORKS = "--unitary and --modes are alternative networks: give one"
          "jitter-without-tau", "jitter-without-omega", "g-and-fidelity", "fidelity-and-jitter",
          "g-list-at-one-photon", "budget-unitary", "distribution-loss", "distribution-config-p0",
          "sample-p1", "sample-p2", "sample-dark", "config-names-config", "roundtrip-term-cap",
-         "distance-support-cap", "distance-dark-inf", "distance-unitary-modes", "roundtrip-unitary-modes",
+         "distance-support-cap", "distance-dark-inf", "distance-unitary-modes", "distance-deep-walk",
+         "roundtrip-unitary-modes",
          "distribution-unitary-config-modes", "sample-unitary-config-modes", "source-p1-p2-over-one",
          "source-p0-p1-p2-over-one", "sample-count-over-bit-cap", "sample-no-seed", "bench-no-seed"],
 )

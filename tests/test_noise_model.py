@@ -187,6 +187,19 @@ def test_click_pattern_prob_matches_table(source):
         assert click_pattern_prob(cfg, pattern) == pytest.approx(p_slow, abs=1e-12)
 
 
+def test_click_pattern_prob_over_many_modes_takes_a_table_of_its_own():
+    # a table over all 60 modes would hold sum_(k<8) C(60, k), about 4.4e8 entries,
+    # over the cap; the pattern's own table holds its 255 proper subsets
+    cfg = DeviceConfig(make_haar(60, 6), 8, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    args = (cfg.matrix, 8, cfg.source, cfg.detector)
+    clicked = np.array([[0, 7, 15, 22, 30, 37, 45, 59]])
+    with pytest.raises(ResourceLimitError, match="subset table"):
+        _subset_table(*args, np.arange(60), 8, 1)
+    lone = _subset_table(*args, clicked[0], 8, 1)
+    bits = np.isin(np.arange(60), clicked).astype(int).tolist()
+    assert click_pattern_prob(cfg, bits) == _literal_pattern_probs(*args, clicked, lone)[0] > 0.0
+
+
 def test_click_pattern_prob_brute_force():
     # third route: literal sum of P_I * P_U * P_D straight from the definitions
     from bosonbudget.fock import enumerate_outputs
@@ -384,6 +397,10 @@ def test_subset_table_matches_lone_pattern_tables_and_oracle(source):
     shared = _pattern_probs(*args, cols, table)
     lone = np.array([_pattern_probs(*args, cols[i : i + 1])[0] for i in range(len(cols))])
     np.testing.assert_array_equal(shared, lone)
+    # a batch that misses mode 4 takes a table over the eight modes it touches, read at remapped ranks
+    batch = cols[(cols != 4).all(axis=1)]
+    assert np.unique(batch).tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+    np.testing.assert_array_equal(_pattern_probs(*args, batch), _pattern_probs(*args, batch, table))
     want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols[::3]])
     np.testing.assert_allclose(shared[::3], want, rtol=5e-13, atol=0)
 
@@ -462,34 +479,6 @@ def test_colex_terms_are_the_binomials():
     assert _colex_terms(m, 3).tolist() == [[math.comb(a, t + 1) for a in range(m)] for t in range(3)]
 
 
-@pytest.mark.parametrize("bad", [[[-1, 0]], [[0, 0]], [[3, 1]], [[0, 6]], [[0.0, 1.0]]],
-                         ids=["negative", "repeated", "unsorted", "past-last", "float"])
-def test_distance_parts_refuses_bad_patterns(bad):
-    cfg = DeviceConfig(make_haar(6, 2), 2, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        distance_parts(cfg, patterns=np.array(bad))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        distance_parts(cfg, patterns=bad)
-
-
-@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int32])
-def test_distance_parts_any_integer_patterns(dtype):
-    # colex ranks reach C(39, 2) = 741, past what 8-bit indices hold
-    cfg = DeviceConfig(make_haar(40, 3), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
-    patterns = collision_free_patterns(40, 3)
-    assert distance_parts(cfg, patterns=patterns.astype(dtype)) == distance_parts(cfg)
-
-
-def test_distance_parts_few_patterns_table_over_their_modes():
-    # a table over all 60 modes would hold sum_(k<8) C(60, k), about 4.4e8 entries,
-    # over the cap; one pattern needs only its own 255 proper subsets
-    cfg = DeviceConfig(make_haar(60, 6), 8, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
-    clicked = [0, 7, 15, 22, 30, 37, 45, 59]
-    parts = distance_parts(cfg, patterns=np.array([clicked]))
-    bits = [int(l in clicked) for l in range(60)]
-    assert parts.v1 == pytest.approx(1.0 - click_pattern_prob(cfg, bits), abs=1e-14)
-
-
 @pytest.mark.parametrize(
     "source", [SourceModel((0.02, 0.98)), SourceModel((0.02, 0.97, 0.01))], ids=["kmax1", "p2"]
 )
@@ -502,7 +491,6 @@ def test_distance_parts_chunked_matches_one_pass(source):
     # one pass, pattern-major stack: [b, a, j] = U[a, patterns[b, j]]
     pideal = np.abs(_permanent_batch(np.moveaxis(np.take(u[:3], patterns, axis=1), 0, 1))) ** 2
     parts = distance_parts(cfg)
-    assert parts == distance_parts(cfg, patterns=patterns)  # the streamed rows are the table's, in its chunks
     modelled = (1.0 - source.truncated_mass) ** 3
     assert parts.v1 == pytest.approx(max(modelled - math.fsum(pout), 0.0), abs=1e-13)
     assert parts.v2 == pytest.approx(math.fsum(np.abs(pout - pideal)), abs=1e-13)
@@ -595,18 +583,6 @@ def test_distance_parts_single_photon_support_path():
     table = output_click_distribution(cfg).as_dict()
     v1_slow = sum(p for m, p in table.items() if sum(m) != 2)
     assert parts.v1 == pytest.approx(v1_slow, abs=1e-12)
-
-
-def test_distance_parts_few_patterns_over_many_modes():
-    # ten 8-click patterns over 60 modes: a table over the modes they touch would hold
-    # tens of millions of subsets, so each pattern gets a table of its own, as a lone one does
-    cfg = DeviceConfig(make_haar(60, 6), 8, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
-    rng = np.random.default_rng(1)
-    patterns = np.array([np.sort(rng.choice(60, 8, replace=False)) for _ in range(10)])
-    assert len(np.unique(patterns)) > 40
-    parts = distance_parts(cfg, patterns=patterns)
-    lone = [click_pattern_prob(cfg, np.isin(np.arange(60), row).astype(int).tolist()) for row in patterns]
-    assert abs(parts.v1 - (1.0 - math.fsum(lone))) <= 1e-14
 
 
 def test_distance_parts_ideal_device():

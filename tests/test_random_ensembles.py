@@ -15,6 +15,7 @@ from bosonbudget import (
     full_distribution,
     gaussian_submatrix,
     haar_unitary,
+    input_prob,
     prob_ideal,
     prob_mismatch,
     row_norm_witness,
@@ -115,22 +116,42 @@ NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
 G = Indistinguishability((0.9,))
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda: full_distribution(WIDE, (1, 0)), DimensionError),
-    (lambda: row_norm_witness(WIDE, (1, 0), []), DimensionError),
-    (lambda: prob_mismatch(WIDE, (1, 1), (1, 1), G), DimensionError),
-    (lambda: permanent_contingency(WIDE, (1, 0), (0, 1)), DimensionError),
-    (lambda: prob_ideal(WIDE, (1, 0), (1, 0)), DimensionError),
-    (lambda: permanent_repeated(WIDE, (1, 0), (1, 0)), DimensionError),
-    (lambda: DeviceConfig(WIDE, 1, SourceModel.ideal(), DetectorModel.ideal()), DimensionError),
-    (lambda: NetworkUnitary(NAN), NumericError),
-    (lambda: NetworkUnitary.from_matrix(NAN), NumericError),
-    (lambda: prob_mismatch(fourier_matrix(3), (1, 0, 0, 1), (1, 0, 0, 1), G), DimensionError),
+U4 = haar_unitary(4, np.random.default_rng(1))
+CFG4 = DeviceConfig(U4, 2, SourceModel.single_photon(0.9), DetectorModel.ideal())
+NEGATIVE = "occupation entry -1 at mode 0 is not a non-negative integer"
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: full_distribution(WIDE, (1, 0)), DimensionError, None),
+    (lambda: row_norm_witness(WIDE, (1, 0), []), DimensionError, None),
+    (lambda: prob_mismatch(WIDE, (1, 1), (1, 1), G), DimensionError, None),
+    (lambda: permanent_contingency(WIDE, (1, 0), (0, 1)), DimensionError, None),
+    (lambda: prob_ideal(WIDE, (1, 0), (1, 0)), DimensionError, None),
+    (lambda: permanent_repeated(WIDE, (1, 0), (1, 0)), DimensionError, None),
+    (lambda: DeviceConfig(WIDE, 1, SourceModel.ideal(), DetectorModel.ideal()), DimensionError, None),
+    (lambda: NetworkUnitary(NAN), NumericError, None),
+    (lambda: NetworkUnitary.from_matrix(NAN), NumericError, None),
+    (lambda: prob_mismatch(fourier_matrix(3), (1, 0, 0, 1), (1, 0, 0, 1), G), DimensionError, None),
+    (lambda: prob_ideal(U4, (1.5, 0, 0, 0), (1, 0, 0, 0)), ValueError, "occupation entry 1.5 at mode 0"),
+    (lambda: prob_ideal(U4, (0.5, 0.5, 0, 0), (1, 0, 0, 0)), ValueError, "occupation entry 0.5 at mode 0"),
+    (lambda: full_distribution(U4, (1.5, 0, 0, 0)), ValueError, "occupation entry 1.5 at mode 0"),
+    (lambda: input_prob(CFG4, (0.5, 1, 0, 0)), ValueError, "occupation entry 0.5 at mode 0"),
+    (lambda: prob_ideal(U4, (-1, 2, 0, 0), (1, 0, 0, 0)), ValueError, NEGATIVE),
+    (lambda: permanent_repeated(U4, (-1, 2, 0, 0), (1, 0, 0, 0)), ValueError, NEGATIVE),
+    (lambda: full_distribution(U4, (-1, 2, 0, 0)), ValueError, NEGATIVE),
+    (lambda: prob_mismatch(U4, (-1, 2, 0, 0), (1, 0, 0, 0), G), ValueError, NEGATIVE),
 ], ids=["full_distribution", "row_norm_witness", "prob_mismatch", "permanent_contingency", "prob_ideal",
-        "permanent_repeated", "DeviceConfig", "NetworkUnitary-nan", "from_matrix-nan", "prob_mismatch-occupation"])
-def test_every_matrix_argument_is_checked(call, error):
-    with pytest.raises(error):
+        "permanent_repeated", "DeviceConfig", "NetworkUnitary-nan", "from_matrix-nan", "prob_mismatch-occupation",
+        "prob_ideal-fraction", "prob_ideal-halves", "full_distribution-fraction", "input_prob-fraction",
+        "prob_ideal-negative", "permanent_repeated-negative", "full_distribution-negative",
+        "prob_mismatch-negative"])
+def test_every_matrix_argument_is_checked(call, error, match):
+    with pytest.raises(error, match=match):
         call()
+
+
+def test_integral_float_occupations_are_integers():
+    assert prob_ideal(U4, (1.0, 1.0, 0, 0), (0, 1, 1.0, 0)) == prob_ideal(U4, (1, 1, 0, 0), (0, 1, 1, 0))
 
 
 def test_matrix_is_frozen():
