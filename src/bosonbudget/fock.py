@@ -82,42 +82,75 @@ def _pattern_chunks(modes: int, n_clicks: int, size: int):
     """The rows of ``collision_free_patterns(modes, n_clicks)``, in order, ``size`` rows at a time.
 
     Refuses over the ``patterns`` limit when called, before any row is
-    built: the call only counts the rows, and the walk's set-up runs with
-    the first chunk, after the caller's own checks. The chunks are cut
-    from the head columns of the first n_clicks - 1 clicks,
-    ``collision_free_patterns(modes - 1, n_clicks - 1)`` as one
-    (n_clicks - 1, prefixes) array made by this walk as its own single
-    chunk, n_clicks / modes the size of the full table. Prefix P is
-    continued by every last mode from P[-1] + 1 to modes - 1, so its run
-    ends at row ends[P] - 1 and row r of it ends in mode r + modes - ends[P];
-    a chunk gathers the heads of the prefixes that own its rows, so no
-    more than ``size`` rows are held at once. Each chunk is the transpose
-    of a fresh C-contiguous (n_clicks, rows) intp array: each click's
-    modes are one contiguous row of its ``.T``, as the sweeps read them.
+    built: the call only counts the rows, and the walk's set-up
+    (``_pattern_heads``) runs with the first chunk, after the caller's own
+    checks. The chunks are cut from the head columns of the first
+    n_clicks - 1 clicks, ``collision_free_patterns(modes - 1, n_clicks - 1)``
+    as one (n_clicks - 1, prefixes) array, n_clicks / modes the size of the
+    full table. Prefix P is continued by every last mode from P[-1] + 1 to
+    modes - 1, so its run ends at row ends[P] - 1 and row r of it ends in
+    mode r + modes - ends[P]; a chunk gathers the heads of the prefixes
+    that own its rows, so no more than ``size`` rows are held at once. Each
+    chunk is the transpose of a fresh C-contiguous (n_clicks, rows) intp
+    array: each click's modes are one contiguous row of its ``.T``, as the
+    sweeps read them.
     """
     total = _pattern_count(modes, n_clicks)
     if n_clicks == 0:
         return iter([np.zeros((0, 1), dtype=np.intp).T])
 
     def chunks():
-        prefixes = math.comb(modes - 1, n_clicks - 1)
-        heads = next(_pattern_chunks(modes - 1, n_clicks - 1, prefixes)).T
-        # prefix P's run is rows bounds[P] .. ends[P] - 1 of the full table, modes - 1 - P[-1] rows
-        bounds = np.zeros(prefixes + 1, dtype=np.intp)
-        np.cumsum(modes - 1 - heads[-1] if n_clicks > 1 else modes, out=bounds[1:])
+        heads, bounds = _pattern_heads(modes, n_clicks)
         ends = bounds[1:]
         for lo in range(0, total, size):
             hi = min(lo + size, total)
-            a, b = np.searchsorted(ends, (lo, hi - 1), side="right")  # the prefixes of rows lo and hi - 1
-            # owner[i]: the prefix of row lo + i, each prefix repeated once per row of its run in [lo, hi)
-            cut = np.minimum(np.maximum(bounds[a : b + 2], lo), hi)
-            owner = np.repeat(np.arange(a, b + 1), cut[1:] - cut[:-1])
+            owner = _run_owners(bounds, lo, hi)
             out = np.empty((n_clicks, hi - lo), dtype=np.intp)
             np.take(heads, owner, axis=1, out=out[:-1], mode="clip")  # in range: "clip" writes unbuffered
             np.subtract(np.arange(lo + modes, hi + modes), ends[owner], out=out[-1])
             yield out.T
 
     return chunks()
+
+
+def _run_owners(bounds: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """owner[i]: the prefix whose run holds row lo + i, for prefix P's run rows bounds[P] .. bounds[P + 1] - 1."""
+    a, b = np.searchsorted(bounds[1:], (lo, hi - 1), side="right")  # the prefixes of rows lo and hi - 1
+    cut = np.minimum(np.maximum(bounds[a : b + 2], lo), hi)
+    return np.repeat(np.arange(a, b + 1), cut[1:] - cut[:-1])
+
+
+def _pattern_heads(modes: int, n_clicks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's head columns, a C-contiguous (n_clicks - 1, prefixes) array, and the bounds of each prefix's run.
+
+    Level t of the walk is the t-subsets of range(modes - n_clicks + t)
+    in order, each continued at level t + 1 by every mode from its last
+    member + 1 to modes - n_clicks + t: a level's last members follow from
+    the level before's alone. So a loop builds the last members of each
+    level, one array each, and then each head column from them: member v
+    at position t of a head row is repeated once per head row that its
+    prefix starts, a count that depends on v and t alone, the sum of the
+    counts at t + 1 over the members above v. No level is held with all
+    its columns, so the work is that of the head table, not of every
+    level's.
+    """
+    last = np.array([-1], dtype=np.intp)  # level 0: the empty prefix, continued from mode 0
+    levels = []
+    for t in range(1, n_clicks + 1):
+        space = modes - n_clicks + t
+        # prefix P's run is rows bounds[P] .. bounds[P + 1] - 1 of level t, space - 1 - P[-1] rows
+        bounds = np.zeros(len(last) + 1, dtype=np.intp)
+        np.cumsum(space - 1 - last, out=bounds[1:])
+        if t < n_clicks:
+            last = np.arange(space, bounds[-1] + space) - bounds[1:][_run_owners(bounds, 0, bounds[-1])]
+            levels.append(last)
+    heads = np.empty((n_clicks - 1, len(last)), dtype=np.intp)
+    rows = np.ones(modes - 1, dtype=np.intp)  # rows[v]: the head rows whose prefix through position t ends in v
+    for t in reversed(range(n_clicks - 1)):
+        members = levels.pop()  # each level is let go once its column is written
+        heads[t] = np.repeat(members, rows[members])
+        rows = np.cumsum(rows[:0:-1])[::-1]  # at t - 1: the sum of rows[u] over u > v
+    return heads, bounds
 
 
 def _colex_terms(m: int, k: int) -> np.ndarray:

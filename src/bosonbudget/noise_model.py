@@ -29,7 +29,11 @@ the pattern, scaled. So a sweep over the N-click patterns of M modes from
 sources of at most one photon costs sum_(k<N) C(M, k) slot permanents per
 network besides the ideal |per|^2 it needs anyway, and a lone pattern with
 c clicks 2^c permanents. That is what makes exact evaluation possible at
-hundreds of modes.
+hundreds of modes. For 2 <= N <= 4 the sweep does not evaluate a permanent
+per pattern for that |per|^2 either: the kernel's closed forms there are
+Laplace expansions along row 0, so it tabulates the C(M, N - 1) minors
+per(U[1:N, T]) once and adds N products per pattern, with the kernel's
+bits.
 """
 
 from __future__ import annotations
@@ -333,7 +337,7 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     return _SubsetTable(base, proj, w, modes, terms, values, offsets)
 
 
-def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None):
+def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None, ranks=None):
     """P_out for a batch of click patterns, each given by its increasing clicked modes.
 
     ``cols`` is a (batch, clicks) array of clicked mode indices, any click
@@ -355,13 +359,9 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None)
     when sigma is the N source rows; otherwise they are evaluated here.
 
     A proper subset's f(T) is read from the size-|T| part of
-    ``table.values`` at its colex rank, the sum of its members' terms
-    C(l, t + 1) (``fock._colex_terms``). The clicks are taken once, as the
-    (clicks, batch) rows of ``cols.T``, each contiguous when ``cols`` is
-    the transpose of a (clicks, batch) array, as ``fock._pattern_chunks``
-    gives and ``distance_parts`` passes; each click's term at each
-    position is gathered once and shared by every subset that has the
-    click there. The empty subset's f is one scalar.
+    ``table.values`` at its colex rank, as ``_subset_ranks(table, cols)``
+    forms them; ``ranks`` may hold those, sizes in turn, if the caller has
+    formed them already. The empty subset's f is one scalar.
 
     The f(T) of each size are summed first, in ``combinations`` order, row
     by row (numpy's ``sum`` would add a lone pattern's pairwise), then the
@@ -374,12 +374,7 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None)
     nu = detector.dark_rate
     if table is None:
         table = _subset_table(u, n_sources, source, detector, np.unique(cols), clicks, batch)
-    clicked = cols.T  # clicked[j]: the j-th smallest clicked mode of every pattern, within ``table.modes``
-    if len(table.modes) != u.shape[0]:
-        clicked = np.searchsorted(table.modes, clicked)
-    # term[t, j]: click j's colex term at position t of a subset, C(clicked[j], t + 1); row 0 is the mode
-    term = {(0, j): clicked[j] for j in range(clicks)}
-    term.update(((t, j), table.terms[t][clicked[j]]) for t in range(1, clicks - 1) for j in range(t, clicks))
+    ranks = iter(_subset_ranks(table, cols) if ranks is None else ranks)
     slots = len(table.base)
     dark = math.expm1 if clicks >= slots else math.exp
     pout = np.zeros(batch)
@@ -389,9 +384,7 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None)
             pout += coeff * table.values[0]  # f of the empty subset, shared by every pattern
             continue
         sized = table.values[table.offsets[k] : table.offsets[k + 1]]  # f(T) of the k-subsets, by colex rank
-        # the rank of the k-subset at positions s of the clicks is the sum of its members' terms
-        ranks = (reduce(np.add, (term[t, j] for t, j in enumerate(s))) for s in combinations(range(clicks), k))
-        pout += coeff * reduce(np.add, (sized[r] for r in ranks))
+        pout += coeff * reduce(np.add, (sized[r] for r in next(ranks)))
     if clicks < slots:
         pout += _slot_perms(table.base, table.proj, cols)
     elif clicks == slots:
@@ -400,6 +393,30 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None)
         pout += (table.w * (1.0 - detector.loss_prob)) ** slots * ideal
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
+
+
+def _subset_ranks(table, cols):
+    """For k = 1 .. clicks - 1, the colex ranks within ``table.modes`` of the k-subsets of each pattern's clicks.
+
+    Yields one iterable per size, of one (batch,) rank array per k-subset
+    of the click positions, in ``combinations`` order: at k = clicks - 1
+    the rank of C minus c_p, for pattern C, is entry clicks - 1 - p. A
+    rank is the sum of its members' terms C(l, t + 1)
+    (``fock._colex_terms``). The clicks are taken once, as the (clicks,
+    batch) rows of ``cols.T``, each contiguous when ``cols`` is the
+    transpose of a (clicks, batch) array, as ``fock._pattern_chunks`` gives
+    and ``distance_parts`` passes; each click's term at each position is
+    gathered once and shared by every subset that has the click there.
+    """
+    clicks = cols.shape[1]
+    clicked = cols.T  # clicked[j]: the j-th smallest clicked mode of every pattern, within ``table.modes``
+    if len(table.modes) != table.proj.shape[2]:
+        clicked = np.searchsorted(table.modes, clicked)
+    # term[t, j]: click j's colex term at position t of a subset, C(clicked[j], t + 1); row 0 is the mode
+    term = {(0, j): clicked[j] for j in range(clicks)}
+    term.update(((t, j), table.terms[t][clicked[j]]) for t in range(1, clicks - 1) for j in range(t, clicks))
+    for k in range(1, clicks):
+        yield (reduce(np.add, (term[t, j] for t, j in enumerate(s))) for s in combinations(range(clicks), k))
 
 
 def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
@@ -422,6 +439,40 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
     return max(float(prob[0]), 0.0)
 
 
+def _row0_minors(u, n, terms) -> np.ndarray:
+    """per(U[1:n, T]) for every (n - 1)-subset T of the modes, by colex rank: the row-0 Laplace minors.
+
+    ``terms`` is ``fock._colex_terms`` over the modes, at least n - 1 rows.
+    The subsets are unranked and go to the kernel ``permanent.STACK`` at
+    a time: C(M, n - 1) complex values, 16 bytes each.
+    """
+    count = math.comb(u.shape[0], n - 1)
+    minors = np.empty(count, dtype=np.complex128)
+    for lo in range(0, count, STACK):
+        hi = min(lo + STACK, count)
+        subsets = _colex_unrank(np.arange(lo, hi), terms[: n - 1])
+        minors[lo:hi] = _permanent_batch(np.take(u[1:n], subsets.T, axis=1).transpose(2, 0, 1))
+    return minors
+
+
+def _laplace_squares(row0, minors, cols, complements) -> np.ndarray:
+    """|per(U[:N, C])|^2 for each pattern C of ``cols`` by Laplace expansion along row 0.
+
+    per = sum_p U[0, c_p] per(U[1:N, C minus c_p]), each minor read from
+    ``minors`` (``_row0_minors``) at the rank of C minus c_p, which is entry
+    N - 1 - p of ``complements`` (``_subset_ranks``'s last size). Added for
+    p = 0, 1, ... in turn and squared as ``_squared_permanents`` squares,
+    this is the kernel's own sum for N = 2, 3 and 4: its closed forms are
+    this expansion, in this order, with the same minors. So each |per|^2
+    has the bits ``_squared_permanents`` gives on the same SIMD target.
+    """
+    n = cols.shape[1]
+    amp = row0[cols[:, 0]] * minors[complements[n - 1]]
+    for p in range(1, n):
+        amp += row0[cols[:, p]] * minors[complements[n - 1 - p]]
+    return np.abs(amp) ** 2
+
+
 class DistanceParts(NamedTuple):
     v1: float  # probability mass on patterns with a click count other than N
     v2: float  # L1 gap to the ideal device on the N-click patterns
@@ -439,19 +490,24 @@ def distance_parts(cfg: DeviceConfig) -> DistanceParts:
 
     Every kept-click subset smaller than N is evaluated once per call, in
     a table over every mode; each pattern then costs 2^N - 1 table reads
-    and one permanent of its full click set, which for sources of at most
-    one photon is the ideal |per|^2 that v2 and vb read anyway. The work
-    of the whole call is checked against the limits once, before any
-    permanent is evaluated.
+    and the term of its full click set, which for sources of at most one
+    photon is the ideal |per|^2 that v2 and vb read anyway (a slot
+    permanent otherwise). For 2 <= N <= 4 that |per|^2 is N products read
+    from a second table, built once per call: the C(M, N - 1) permanents
+    per(U[1:N, T]), the row-0 Laplace minors (``_row0_minors``), indexed
+    by the ranks the subset table's reads use (``_laplace_squares``); it
+    has the bits the kernel gives. At N = 1 and N >= 5 it is one kernel
+    permanent per pattern. The work of the whole call is checked against
+    the limits once, before any permanent is evaluated.
 
     The sweep never holds the C(M, N) x N table of patterns: it reads its
     rows, in order, from ``fock._pattern_chunks``, ``permanent.STACK``
     (4096) at a time, so its memory does not grow with C(M, N). What it
-    holds is the subset table, sum_(k<N) C(M, k) floats, the walk's N - 1
-    head columns and run ends over C(M - 1, N - 1) prefixes, and one
-    chunk's arrays. Each chunk is the transpose of a contiguous (N, rows)
-    array, which ``_pattern_probs`` and ``_squared_permanents`` read as it
-    is. The probabilities are summed a chunk at a time, in order; that
+    holds is the subset table, sum_(k<N) C(M, k) floats, for 2 <= N <= 4
+    the minors, 16 bytes per (N - 1)-subset, the walk's N - 1 head
+    columns and run ends over C(M - 1, N - 1) prefixes, and one chunk's
+    arrays. Each chunk is the transpose of a contiguous (N, rows) array,
+    which ``_pattern_probs`` and the ideal |per|^2 read as it is. The probabilities are summed a chunk at a time, in order; that
     order is part of the reproducibility contract: a sweep of at most 4096
     patterns gives the same bytes as one pass over the whole table.
     """
@@ -460,12 +516,18 @@ def distance_parts(cfg: DeviceConfig) -> DistanceParts:
     chunks = _pattern_chunks(cfg.modes, n, STACK)  # refused over the pattern cap before any row is built
     # every subset smaller than N lies in some N-subset, so one table over all modes serves every pattern
     table = _subset_table(u, n, cfg.source, cfg.detector, np.arange(cfg.modes), n, math.comb(cfg.modes, n))
+    minors = _row0_minors(u, n, table.terms) if 2 <= n <= 4 else None
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
     for cols in chunks:
-        pideal = _squared_permanents(u[:n], cols)
-        pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table, pideal)
+        if minors is None:
+            ranks = None
+            pideal = _squared_permanents(u[:n], cols)
+        else:
+            ranks = [list(sized) for sized in _subset_ranks(table, cols)]
+            pideal = _laplace_squares(u[0], minors, cols, ranks[-1])
+        pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table, pideal, ranks)
         sum_out += float(pout.sum())
         sum_gap += float(np.abs(pout - pideal).sum())
         sum_ideal += float(pideal.sum())

@@ -14,7 +14,7 @@ from bosonbudget import (
     mu,
 )
 from bosonbudget.fock import _occupations as _photon_occupations
-from bosonbudget.fock import _output_chunks, _pattern_chunks, _pattern_rows
+from bosonbudget.fock import _output_chunks, _output_rows, _pattern_chunks, _pattern_rows
 from bosonbudget.permanent import STACK
 
 
@@ -261,6 +261,17 @@ def test_output_chunks_refuse_before_any_row():
     with pytest.raises(ResourceLimitError, match=f"output enumeration: {math.comb(51, 12)} outcomes"):
         _output_chunks(40, 12, STACK)  # the call refuses, not the first chunk
     assert list(_output_chunks(0, 3, STACK)) == []  # photons but no modes: no outcome
+
+
+def test_output_chunks_walk_thousands_of_clicks():
+    # 4,096 photons on 2 modes: a walk of 4,096 clicks, one level each, far past Python's recursion
+    # limit, gives the rows that _output_rows unranks, chunk by chunk
+    photons, size, lo = 4096, 512, 0
+    for chunk in _output_chunks(2, photons, size):
+        assert chunk.T.flags.c_contiguous and len(chunk) <= size
+        np.testing.assert_array_equal(chunk, _output_rows(np.arange(lo, lo + len(chunk)), 2, photons))
+        lo += len(chunk)
+    assert lo == photons + 1
 
 
 def test_pattern_rows_are_the_table_rows():

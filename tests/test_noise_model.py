@@ -479,22 +479,78 @@ def test_colex_terms_are_the_binomials():
     assert _colex_terms(m, 3).tolist() == [[math.comb(a, t + 1) for a in range(m)] for t in range(3)]
 
 
+def _assert_parts_match_one_pass(cfg):
+    # the sweep's parts against one pass over the whole pattern table, fsum-added
+    n, modes = cfg.n_sources, cfg.modes
+    patterns = collision_free_patterns(modes, n)
+    u = cfg.matrix
+    pout = _pattern_probs(u, n, cfg.source, cfg.detector, patterns)
+    # one pass, pattern-major stack: [b, a, j] = U[a, patterns[b, j]]
+    pideal = np.abs(_permanent_batch(np.moveaxis(np.take(u[:n], patterns, axis=1), 0, 1))) ** 2
+    parts = distance_parts(cfg)
+    modelled = (1.0 - cfg.source.truncated_mass) ** n
+    assert parts.v1 == pytest.approx(max(modelled - math.fsum(pout), 0.0), abs=1e-13)
+    assert parts.v2 == pytest.approx(math.fsum(np.abs(pout - pideal)), abs=1e-13)
+    assert parts.vb == pytest.approx(max(1.0 - math.fsum(pideal), 0.0), abs=1e-13)
+
+
 @pytest.mark.parametrize(
     "source", [SourceModel((0.02, 0.98)), SourceModel((0.02, 0.97, 0.01))], ids=["kmax1", "p2"]
 )
 def test_distance_parts_chunked_matches_one_pass(source):
     cfg = DeviceConfig(make_haar(40, 31), 3, source, DetectorModel(0.01, 1e-4))
-    patterns = collision_free_patterns(40, 3)
-    assert math.ceil(len(patterns) / STACK) == 3  # 9880 patterns, three chunks, the last short
-    u = cfg.matrix
-    pout = _pattern_probs(u, 3, source, cfg.detector, patterns)
-    # one pass, pattern-major stack: [b, a, j] = U[a, patterns[b, j]]
-    pideal = np.abs(_permanent_batch(np.moveaxis(np.take(u[:3], patterns, axis=1), 0, 1))) ** 2
-    parts = distance_parts(cfg)
-    modelled = (1.0 - source.truncated_mass) ** 3
-    assert parts.v1 == pytest.approx(max(modelled - math.fsum(pout), 0.0), abs=1e-13)
-    assert parts.v2 == pytest.approx(math.fsum(np.abs(pout - pideal)), abs=1e-13)
-    assert parts.vb == pytest.approx(max(1.0 - math.fsum(pideal), 0.0), abs=1e-13)
+    assert math.ceil(math.comb(40, 3) / STACK) == 3  # 9880 patterns, three chunks, the last short
+    _assert_parts_match_one_pass(cfg)
+
+
+@pytest.mark.parametrize("modes, n", [(100, 2), (40, 3), (20, 4), (2, 2), (3, 3), (4, 4)])
+def test_swept_ideal_is_the_kernels_to_the_bit(monkeypatch, modes, n):
+    # 2 <= N <= 4: the sweep takes each pattern's |per|^2 from the row-0 minors, never from the
+    # kernel, and every value keeps the kernel's bits; at M = 100, 40 and 20 the last chunk is short
+    seen, kernel = [], []
+
+    def probs(*args):
+        seen.append((args[4], args[6]))
+        return _pattern_probs(*args)
+
+    monkeypatch.setattr(noise_model, "_pattern_probs", probs)
+    monkeypatch.setattr(noise_model, "_squared_permanents", lambda *args: kernel.append(args))
+    u = make_haar(modes, 40 + n).matrix  # unrounded: every bit of the draw reaches the products
+    distance_parts(DeviceConfig(u, n, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4)))
+    assert kernel == []
+    assert len(seen) == math.ceil(math.comb(modes, n) / STACK)
+    assert sum(len(cols) for cols, _ in seen) == math.comb(modes, n)
+    for cols, ideal in seen:
+        assert ideal.tobytes() == _squared_permanents(u[:n], cols).tobytes()
+
+
+def test_glynn_sweep_reads_the_walks_chunks_through_the_kernel(monkeypatch):
+    # N = 5 keeps the kernel's |per|^2: each chunk the walk gives goes to it, and to the
+    # evaluator, as it is, and the parts match the one-pass route
+    walked, seen = [], {"probs": [], "ideal": []}
+
+    def walk(*args):
+        for chunk in fock._pattern_chunks(*args):
+            walked.append(chunk)
+            yield chunk
+
+    def spy(key, real):
+        def call(*args, **kwargs):
+            seen[key].append(args[4] if key == "probs" else args[1])
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(noise_model, "_pattern_chunks", walk)
+    monkeypatch.setattr(noise_model, "_pattern_probs", spy("probs", noise_model._pattern_probs))
+    monkeypatch.setattr(noise_model, "_squared_permanents", spy("ideal", noise_model._squared_permanents))
+    cfg = DeviceConfig(make_haar(16, 31), 5, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    distance_parts(cfg)
+    assert len(walked) == 2  # 4,368 patterns in chunks of STACK, the last short
+    for key, cols in seen.items():
+        assert len(cols) == len(walked), key
+        assert all(c.T.flags.c_contiguous and np.shares_memory(c, w) for c, w in zip(cols, walked)), key
+    monkeypatch.undo()
+    _assert_parts_match_one_pass(cfg)
 
 
 @pytest.mark.parametrize("modes, bound", [(120, 3_000_000), (180, 4_000_000)])
@@ -512,29 +568,25 @@ def test_default_sweep_holds_no_pattern_table(modes, bound):
 
 
 def test_default_sweep_reads_the_walks_chunks_without_a_copy(monkeypatch):
-    # each chunk the walk gives is what the evaluator and the ideal |per|^2 read, not a transposed copy
-    walked, seen = [], {"probs": [], "ideal": []}
+    # each chunk the walk gives is what the evaluator reads, not a transposed copy
+    walked, seen = [], []
 
     def walk(*args):
         for chunk in fock._pattern_chunks(*args):
             walked.append(chunk)
             yield chunk
 
-    def spy(key, real):
-        def call(*args, **kwargs):
-            seen[key].append(args[4] if key == "probs" else args[1])
-            return real(*args, **kwargs)
-        return call
+    def probs(*args):
+        seen.append(args[4])
+        return _pattern_probs(*args)
 
     monkeypatch.setattr(noise_model, "_pattern_chunks", walk)
-    monkeypatch.setattr(noise_model, "_pattern_probs", spy("probs", noise_model._pattern_probs))
-    monkeypatch.setattr(noise_model, "_squared_permanents", spy("ideal", noise_model._squared_permanents))
+    monkeypatch.setattr(noise_model, "_pattern_probs", probs)
     cfg = DeviceConfig(make_haar(40, 31), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
     distance_parts(cfg)
     assert len(walked) == 3  # 9,880 patterns in chunks of STACK
-    for key, cols in seen.items():
-        assert len(cols) == len(walked), key
-        assert all(c.T.flags.c_contiguous and np.shares_memory(c, w) for c, w in zip(cols, walked)), key
+    assert len(seen) == len(walked)
+    assert all(c.T.flags.c_contiguous and np.shares_memory(c, w) for c, w in zip(seen, walked))
 
 
 @pytest.mark.parametrize(
