@@ -507,9 +507,10 @@ def distance_parts(cfg: DeviceConfig) -> DistanceParts:
     the minors, 16 bytes per (N - 1)-subset, the walk's N - 1 head
     columns and run ends over C(M - 1, N - 1) prefixes, and one chunk's
     arrays. Each chunk is the transpose of a contiguous (N, rows) array,
-    which ``_pattern_probs`` and the ideal |per|^2 read as it is. The probabilities are summed a chunk at a time, in order; that
-    order is part of the reproducibility contract: a sweep of at most 4096
-    patterns gives the same bytes as one pass over the whole table.
+    which ``_pattern_probs`` and the ideal |per|^2 read as it is. The
+    probabilities are summed a chunk at a time, in order; that order is
+    part of the reproducibility contract: a sweep of at most 4096 patterns
+    gives the same bytes as one pass over the whole table.
     """
     u = cfg.matrix
     n = cfg.n_sources

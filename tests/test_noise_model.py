@@ -524,32 +524,39 @@ def test_swept_ideal_is_the_kernels_to_the_bit(monkeypatch, modes, n):
         assert ideal.tobytes() == _squared_permanents(u[:n], cols).tobytes()
 
 
-def test_glynn_sweep_reads_the_walks_chunks_through_the_kernel(monkeypatch):
-    # N = 5 keeps the kernel's |per|^2: each chunk the walk gives goes to it, and to the
-    # evaluator, as it is, and the parts match the one-pass route
-    walked, seen = [], {"probs": [], "ideal": []}
+def _assert_sweep_reads_the_walks_chunks(monkeypatch, cfg, readers):
+    # runs distance_parts(cfg); each reader, a noise_model name and the index of its chunk argument, must
+    # read each chunk the walk gives as it is, not a transposed copy; returns the walked chunks
+    walked, seen = [], {name: [] for name in readers}
 
     def walk(*args):
         for chunk in fock._pattern_chunks(*args):
             walked.append(chunk)
             yield chunk
 
-    def spy(key, real):
+    def spy(name, real):
         def call(*args, **kwargs):
-            seen[key].append(args[4] if key == "probs" else args[1])
+            seen[name].append(args[readers[name]])
             return real(*args, **kwargs)
         return call
 
     monkeypatch.setattr(noise_model, "_pattern_chunks", walk)
-    monkeypatch.setattr(noise_model, "_pattern_probs", spy("probs", noise_model._pattern_probs))
-    monkeypatch.setattr(noise_model, "_squared_permanents", spy("ideal", noise_model._squared_permanents))
-    cfg = DeviceConfig(make_haar(16, 31), 5, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    for name in readers:
+        monkeypatch.setattr(noise_model, name, spy(name, getattr(noise_model, name)))
     distance_parts(cfg)
-    assert len(walked) == 2  # 4,368 patterns in chunks of STACK, the last short
-    for key, cols in seen.items():
-        assert len(cols) == len(walked), key
-        assert all(c.T.flags.c_contiguous and np.shares_memory(c, w) for c, w in zip(cols, walked)), key
     monkeypatch.undo()
+    for name, cols in seen.items():
+        assert len(cols) == len(walked), name
+        assert all(c.T.flags.c_contiguous and np.shares_memory(c, w) for c, w in zip(cols, walked)), name
+    return walked
+
+
+def test_glynn_sweep_reads_the_walks_chunks_through_the_kernel(monkeypatch):
+    # N = 5 keeps the kernel's |per|^2: each chunk the walk gives goes to it, and to the
+    # evaluator, as it is, and the parts match the one-pass route
+    cfg = DeviceConfig(make_haar(16, 31), 5, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+    walked = _assert_sweep_reads_the_walks_chunks(monkeypatch, cfg, {"_pattern_probs": 4, "_squared_permanents": 1})
+    assert len(walked) == 2  # 4,368 patterns in chunks of STACK, the last short
     _assert_parts_match_one_pass(cfg)
 
 
@@ -569,24 +576,9 @@ def test_default_sweep_holds_no_pattern_table(modes, bound):
 
 def test_default_sweep_reads_the_walks_chunks_without_a_copy(monkeypatch):
     # each chunk the walk gives is what the evaluator reads, not a transposed copy
-    walked, seen = [], []
-
-    def walk(*args):
-        for chunk in fock._pattern_chunks(*args):
-            walked.append(chunk)
-            yield chunk
-
-    def probs(*args):
-        seen.append(args[4])
-        return _pattern_probs(*args)
-
-    monkeypatch.setattr(noise_model, "_pattern_chunks", walk)
-    monkeypatch.setattr(noise_model, "_pattern_probs", probs)
     cfg = DeviceConfig(make_haar(40, 31), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
-    distance_parts(cfg)
+    walked = _assert_sweep_reads_the_walks_chunks(monkeypatch, cfg, {"_pattern_probs": 4})
     assert len(walked) == 3  # 9,880 patterns in chunks of STACK
-    assert len(seen) == len(walked)
-    assert all(c.T.flags.c_contiguous and np.shares_memory(c, w) for c, w in zip(seen, walked))
 
 
 @pytest.mark.parametrize(
