@@ -4,8 +4,9 @@ Occupation vectors are plain sequences of non-negative integers, one entry
 per mode; click patterns are the 0/1 special case. The lexicographic
 N-subsets of the modes have two builders: ``_pattern_rows`` unranks any
 rows, so it makes every whole table and every draw, and ``_pattern_chunks``
-walks them in order for the sweeps. ``enumerate_outputs``, every vector
-of a photon total as one ``(count, modes)`` integer table, and its chunks
+walks them in order for the sweeps, by first click
+(``_first_click_pieces``). ``enumerate_outputs``, every vector of a photon
+total as one ``(count, modes)`` integer table, and its chunks
 ``_output_chunks`` are stars and bars over them (``_stars_and_bars``).
 Subsets in colex order, the order of ``noise_model``'s subset tables, are
 ranked and unranked through one table of binomial terms, ``_colex_terms``.
@@ -82,75 +83,82 @@ def _pattern_chunks(modes: int, n_clicks: int, size: int):
     """The rows of ``collision_free_patterns(modes, n_clicks)``, in order, ``size`` rows at a time.
 
     Refuses over the ``patterns`` limit when called, before any row is
-    built: the call only counts the rows, and the walk's set-up
-    (``_pattern_heads``) runs with the first chunk, after the caller's own
-    checks. The chunks are cut from the head columns of the first
-    n_clicks - 1 clicks, ``collision_free_patterns(modes - 1, n_clicks - 1)``
-    as one (n_clicks - 1, prefixes) array, n_clicks / modes the size of the
-    full table. Prefix P is continued by every last mode from P[-1] + 1 to
-    modes - 1, so its run ends at row ends[P] - 1 and row r of it ends in
-    mode r + modes - ends[P]; a chunk gathers the heads of the prefixes
-    that own its rows, so no more than ``size`` rows are held at once. Each
+    built: the call only counts the rows, and the walk's set-up, the
+    suffix table ``_suffix_rows``, is built with the first chunk, after the
+    caller's own checks. Each chunk is put together from the pieces of
+    ``_first_click_pieces`` (``_piece_rows``), so the walk holds the
+    suffix table, (n_clicks - 1) C(modes - 1, n_clicks - 1) intp entries,
+    n_clicks / modes the size of the full table, and one chunk. Each
     chunk is the transpose of a fresh C-contiguous (n_clicks, rows) intp
     array: each click's modes are one contiguous row of its ``.T``, as the
     sweeps read them.
     """
-    total = _pattern_count(modes, n_clicks)
+    _pattern_count(modes, n_clicks)
     if n_clicks == 0:
         return iter([np.zeros((0, 1), dtype=np.intp).T])
 
     def chunks():
-        heads, bounds = _pattern_heads(modes, n_clicks)
-        ends = bounds[1:]
-        for lo in range(0, total, size):
-            hi = min(lo + size, total)
-            owner = _run_owners(bounds, lo, hi)
-            out = np.empty((n_clicks, hi - lo), dtype=np.intp)
-            np.take(heads, owner, axis=1, out=out[:-1], mode="clip")  # in range: "clip" writes unbuffered
-            np.subtract(np.arange(lo + modes, hi + modes), ends[owner], out=out[-1])
-            yield out.T
+        suffix = _suffix_rows(modes, n_clicks, size)
+        for pieces in _first_click_pieces(modes, n_clicks, size):
+            yield _piece_rows(suffix, pieces)
 
     return chunks()
 
 
-def _run_owners(bounds: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """owner[i]: the prefix whose run holds row lo + i, for prefix P's run rows bounds[P] .. bounds[P + 1] - 1."""
-    a, b = np.searchsorted(bounds[1:], (lo, hi - 1), side="right")  # the prefixes of rows lo and hi - 1
-    cut = np.minimum(np.maximum(bounds[a : b + 2], lo), hi)
-    return np.repeat(np.arange(a, b + 1), cut[1:] - cut[:-1])
+def _suffix_rows(modes: int, n_clicks: int, size: int) -> np.ndarray:
+    """S = ``collision_free_patterns(modes - 1, n_clicks - 1) + 1``: the clicks that may follow a first click.
 
-
-def _pattern_heads(modes: int, n_clicks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The walk's head columns, a C-contiguous (n_clicks - 1, prefixes) array, and the bounds of each prefix's run.
-
-    Level t of the walk is the t-subsets of range(modes - n_clicks + t)
-    in order, each continued at level t + 1 by every mode from its last
-    member + 1 to modes - n_clicks + t: a level's last members follow from
-    the level before's alone. So a loop builds the last members of each
-    level, one array each, and then each head column from them: member v
-    at position t of a head row is repeated once per head row that its
-    prefix starts, a count that depends on v and t alone, the sum of the
-    counts at t + 1 over the members above v. No level is held with all
-    its columns, so the work is that of the head table, not of every
-    level's.
+    A (C(modes - 1, n_clicks - 1), n_clicks - 1) intp array of the
+    (n_clicks - 1)-subsets of 1 .. modes - 1 in lexicographic order, so
+    the rows whose first member exceeds c0 are one contiguous tail of it,
+    the last C(modes - 1 - c0, n_clicks - 1) rows. It is unranked ``size``
+    rows at a time (``_pattern_rows``), so building it holds S and the
+    work arrays of one block. Callers keep n_clicks >= 1 and the full
+    table under the ``patterns`` limit, which bounds S.
     """
-    last = np.array([-1], dtype=np.intp)  # level 0: the empty prefix, continued from mode 0
-    levels = []
-    for t in range(1, n_clicks + 1):
-        space = modes - n_clicks + t
-        # prefix P's run is rows bounds[P] .. bounds[P + 1] - 1 of level t, space - 1 - P[-1] rows
-        bounds = np.zeros(len(last) + 1, dtype=np.intp)
-        np.cumsum(space - 1 - last, out=bounds[1:])
-        if t < n_clicks:
-            last = np.arange(space, bounds[-1] + space) - bounds[1:][_run_owners(bounds, 0, bounds[-1])]
-            levels.append(last)
-    heads = np.empty((n_clicks - 1, len(last)), dtype=np.intp)
-    rows = np.ones(modes - 1, dtype=np.intp)  # rows[v]: the head rows whose prefix through position t ends in v
-    for t in reversed(range(n_clicks - 1)):
-        members = levels.pop()  # each level is let go once its column is written
-        heads[t] = np.repeat(members, rows[members])
-        rows = np.cumsum(rows[:0:-1])[::-1]  # at t - 1: the sum of rows[u] over u > v
-    return heads, bounds
+    rows = np.empty((math.comb(modes - 1, n_clicks - 1), n_clicks - 1), dtype=np.intp)
+    for lo in range(0, len(rows), size):
+        hi = min(lo + size, len(rows))
+        np.add(_pattern_rows(np.arange(lo, hi), modes - 1, n_clicks - 1), 1, out=rows[lo:hi])
+    return rows
+
+
+def _first_click_pieces(modes: int, n_clicks: int, size: int):
+    """The patterns of ``collision_free_patterns(modes, n_clicks)``, in order, as chunks of pieces.
+
+    In lexicographic order the patterns with first click c0 are c0 followed
+    by each row of the tail of S = ``_suffix_rows(modes, n_clicks, ...)`` whose
+    first member exceeds c0. A piece (c0, lo, hi) stands for the patterns
+    (c0, *S[r]) for r = lo .. hi - 1. Yields one list of pieces per chunk
+    of ``size`` patterns, the last chunk possibly short, so a piece never
+    holds more than ``size`` rows nor crosses a chunk's end. Only counts
+    are formed here; callers keep 1 <= n_clicks <= modes.
+    """
+    rows = math.comb(modes - 1, n_clicks - 1)
+    chunk, room = [], size
+    for first in range(modes - n_clicks + 1):
+        lo = rows - math.comb(modes - 1 - first, n_clicks - 1)
+        while lo < rows:
+            hi = min(lo + room, rows)
+            chunk.append((first, lo, hi))
+            room -= hi - lo
+            lo = hi
+            if not room:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk
+
+
+def _piece_rows(suffix: np.ndarray, pieces) -> np.ndarray:
+    """The patterns of ``pieces`` over the suffix table ``suffix``, as the transpose of a fresh C-contiguous (clicks, rows) intp array."""
+    out = np.empty((suffix.shape[1] + 1, sum(hi - lo for _, lo, hi in pieces)), dtype=np.intp)
+    at = 0
+    for first, lo, hi in pieces:
+        out[0, at : at + hi - lo] = first
+        out[1:, at : at + hi - lo] = suffix[lo:hi].T
+        at += hi - lo
+    return out.T
 
 
 def _colex_terms(m: int, k: int) -> np.ndarray:

@@ -9,8 +9,9 @@ probabilities, and the per-detector response:
 Two independent evaluation routes are provided. ``output_click_distribution``
 performs the literal triple sum (desk scale only). The other route is one
 evaluator, ``_pattern_probs``, which folds the detector weights into small
-permanents for a batch of click patterns; ``click_pattern_prob`` (and so the
-round-trip test) and ``distance_parts`` both run on it. For factorised
+permanents for a piece of click patterns, one first click followed by rows
+of clicks after it; ``click_pattern_prob`` (and so the round-trip test) and
+``distance_parts`` both run on it. For factorised
 per-mode weights x_l the network satisfies
 
     sum_s P_U(s|n) prod_l x_l^(s_l) = per(W(x)) / mu(n),
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +52,10 @@ from .errors import DimensionError
 from .fock import (
     _colex_terms,
     _colex_unrank,
-    _pattern_chunks,
+    _first_click_pieces,
+    _pattern_count,
+    _piece_rows,
+    _suffix_rows,
     collision_free_patterns,  # re-exported: perfbench's tracer times it under this module
     count_outputs,
     enumerate_outputs,
@@ -337,17 +341,65 @@ def _subset_table(u, n_sources, source, detector, modes, clicks, patterns) -> _S
     return _SubsetTable(base, proj, w, modes, terms, values, offsets)
 
 
-def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None, ranks=None):
-    """P_out for a batch of click patterns, each given by its increasing clicked modes.
+def _local(table, modes):
+    """The positions within ``table.modes`` of the network modes ``modes``, which the table holds."""
+    return modes if len(table.modes) == table.proj.shape[2] else np.searchsorted(table.modes, modes)
 
-    ``cols`` is a (batch, clicks) array of clicked mode indices, any click
-    count. Expanding prod_(clicked)(1 - e^-nu r^s) gives, for each subset T
-    of the clicked modes kept un-expanded, the sign (-1)^(clicks - |T|)
-    and dark factor e^(-(clicks - |T|) nu) on f(T) (``_slot_perms``). Every
-    proper subset is read from ``table``, a ``_subset_table`` over modes
-    that hold every clicked mode, built here over the modes ``cols``
-    touches if none is given; f(T) does not depend on the table that
-    holds it.
+
+class _Suffix(NamedTuple):
+    """What ``_pattern_probs`` reads of some rows, each the clicks that follow a first click, over one subset table.
+
+    A pattern's clicks are numbered by position from 0, the first click; a
+    key P is a tuple of the positions 1 .. clicks - 1 of a kept-click
+    subset that come from the row. Every entry is one column, a value per
+    row (``_suffix_columns``).
+    """
+
+    modes: np.ndarray  # (clicks - 1, rows) intp, C-contiguous: the network mode at each position 1 .. clicks - 1
+    values: dict  # P -> f of the subset at positions P, read from the table
+    ranks: dict  # P, 1 <= |P| <= clicks - 2 -> the colex rank of the subset at (0, *P) less the first click's term
+
+
+def _suffix_columns(table, rows) -> _Suffix:
+    """The ``_Suffix`` of ``rows``, a (count, clicks - 1) array of increasing modes, over ``table``.
+
+    A subset's colex rank within ``table.modes`` is sum_t C(l_t, t + 1)
+    over its members l_0 < l_1 < ... (``fock._colex_terms``). A subset
+    that holds the first click l_0 has the rank l_0 + rank', where rank'
+    sums the terms of the row's members at subset positions 1, 2, ...,
+    which do not depend on the first click. Each key's sums are its
+    prefix's plus one term, and each column is formed from ``table`` by
+    integer sums and reads alone, so it holds exactly what a read at each
+    pattern's own ranks gives. The columns take 8 bytes a row each:
+    clicks - 1 modes, 2^(clicks - 1) - 1 values and 2^(clicks - 1) - 2
+    ranks.
+    """
+    modes = np.ascontiguousarray(rows.T)
+    local = _local(table, modes)
+    count = len(modes)
+    # term[t, p]: C(l, t + 1) for the row's mode l at position p, its term as member t of a subset
+    term = {(t, p): table.terms[t][local[p - 1]] for p in range(1, count + 1) for t in range(min(p + 1, count))}
+    own, shifted = {}, {}  # each key's rank, without and with the first click ahead of it
+    for k in range(1, count + 1):
+        for key in combinations(range(1, count + 1), k):
+            own[key] = term[k - 1, key[-1]] + own[key[:-1]] if k > 1 else term[0, key[0]]
+            if k < count:
+                shifted[key] = term[k, key[-1]] + shifted[key[:-1]] if k > 1 else term[1, key[0]]
+    values = {key: table.values[table.offsets[len(key)] :][rank] for key, rank in own.items()}
+    return _Suffix(modes, values, shifted)
+
+
+def _pattern_probs(u, n_sources, source, detector, table, suffix, piece, ideal=None):
+    """P_out for a piece of click patterns: one first click, followed by each of some rows of ``suffix``.
+
+    ``piece`` is (first, lo, hi): the patterns (first, *row) for the rows
+    lo .. hi - 1 of ``suffix`` (``_suffix_columns``). The no-click pattern
+    is the piece (None, 0, 1) of a suffix with no positions. Expanding
+    prod_(clicked)(1 - e^-nu r^s) gives, for each subset T of the clicked
+    modes kept un-expanded, the sign (-1)^(clicks - |T|) and dark factor
+    e^(-(clicks - |T|) nu) on f(T) (``_slot_perms``). Every proper subset
+    is read from ``table``, a ``_subset_table`` over modes that hold every
+    clicked mode; f(T) does not depend on the table that holds it.
 
     f(T) is the chance that every detected photon lands in T: the sum of
     g(C') over C' in T, g(C') the chance that they cover exactly C'. Below
@@ -358,65 +410,64 @@ def _pattern_probs(u, n_sources, source, detector, cols, table=None, ideal=None,
     at c = K and 0 above. ``ideal`` may hold the |per(U[:N, C])|^2, read
     when sigma is the N source rows; otherwise they are evaluated here.
 
-    A proper subset's f(T) is read from the size-|T| part of
-    ``table.values`` at its colex rank, as ``_subset_ranks(table, cols)``
-    forms them; ``ranks`` may hold those, sizes in turn, if the caller has
-    formed them already. The empty subset's f is one scalar.
+    A proper subset T is read in one of three ways. Without the first
+    click, f(T) is a column of ``suffix``, formed once for every first
+    click that reads its rows. The first click alone is one entry of the
+    table. With the first click and more,
+    f(T) is read at the first click's position within ``table.modes``
+    plus the rank' column of the rest of T, from the part of the table
+    that starts there.
 
     The f(T) of each size are summed first, in ``combinations`` order, row
     by row (numpy's ``sum`` would add a lone pattern's pairwise), then the
     sizes in increasing order, the full subset last, so a result's bits
-    depend neither on its batch nor on the stacks. The full-size
-    permanents go to the kernel as one stack, so callers keep ``cols`` to
+    depend neither on its piece nor on the stacks. The full-size
+    permanents go to the kernel as one stack, so callers keep a piece to
     ``permanent.STACK`` patterns.
     """
-    batch, clicks = cols.shape
+    first, lo, hi = piece
+    clicks = len(suffix.modes) + (first is not None)
     nu = detector.dark_rate
-    if table is None:
-        table = _subset_table(u, n_sources, source, detector, np.unique(cols), clicks, batch)
-    ranks = iter(_subset_ranks(table, cols) if ranks is None else ranks)
     slots = len(table.base)
     dark = math.expm1 if clicks >= slots else math.exp
-    pout = np.zeros(batch)
-    for k in range(clicks):
-        coeff = (-1.0) ** (clicks - k) * dark(-(clicks - k) * nu)
-        if k == 0:
-            pout += coeff * table.values[0]  # f of the empty subset, shared by every pattern
-            continue
-        sized = table.values[table.offsets[k] : table.offsets[k + 1]]  # f(T) of the k-subsets, by colex rank
-        pout += coeff * reduce(np.add, (sized[r] for r in next(ranks)))
+    values, offsets = table.values, table.offsets
+    # 0 + the term of f of the empty subset, which every pattern with a click holds, as one scalar
+    empty = 0.0 + (-1.0) ** clicks * dark(-clicks * nu) * values[0] if clicks else 0.0
+    pout = np.full(hi - lo, empty) if clicks < 2 else np.empty(hi - lo)
+    part, read = np.empty((2, hi - lo))
+    at = _local(table, first) if clicks else 0
+    for k in range(1, clicks):
+        held = values[offsets[k] + at : offsets[k + 1]]  # f of the k-subsets that hold the first click, by rank'
+        keys = combinations(range(clicks), k)
+        rest = next(keys)[1:]  # the first key, (0, 1, ..., k - 1)
+        if rest:
+            np.take(held, suffix.ranks[rest][lo:hi], out=part, mode="clip")  # in range: "clip" writes unbuffered
+        else:
+            part.fill(held[0])
+        for key in keys:
+            if key[0]:
+                np.add(part, suffix.values[key][lo:hi], out=part)
+            else:
+                np.add(part, np.take(held, suffix.ranks[key[1:]][lo:hi], out=read, mode="clip"), out=part)
+        np.multiply(part, (-1.0) ** (clicks - k) * dark(-(clicks - k) * nu), out=part)
+        if k == 1:
+            np.add(part, empty, out=pout)
+        else:
+            pout += part
     if clicks < slots:
-        pout += _slot_perms(table.base, table.proj, cols)
+        pout += _slot_perms(table.base, table.proj, _piece_cols(suffix, piece))
     elif clicks == slots:
         if ideal is None or slots != n_sources:
-            ideal = _squared_permanents(np.tile(u[:n_sources], (slots // n_sources, 1)), cols)
-        pout += (table.w * (1.0 - detector.loss_prob)) ** slots * ideal
+            ideal = _squared_permanents(np.tile(u[:n_sources], (slots // n_sources, 1)), _piece_cols(suffix, piece))
+        pout += np.multiply(ideal, (table.w * (1.0 - detector.loss_prob)) ** slots, out=part)
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
 
-def _subset_ranks(table, cols):
-    """For k = 1 .. clicks - 1, the colex ranks within ``table.modes`` of the k-subsets of each pattern's clicks.
-
-    Yields one iterable per size, of one (batch,) rank array per k-subset
-    of the click positions, in ``combinations`` order: at k = clicks - 1
-    the rank of C minus c_p, for pattern C, is entry clicks - 1 - p. A
-    rank is the sum of its members' terms C(l, t + 1)
-    (``fock._colex_terms``). The clicks are taken once, as the (clicks,
-    batch) rows of ``cols.T``, each contiguous when ``cols`` is the
-    transpose of a (clicks, batch) array, as ``fock._pattern_chunks`` gives
-    and ``distance_parts`` passes; each click's term at each position is
-    gathered once and shared by every subset that has the click there.
-    """
-    clicks = cols.shape[1]
-    clicked = cols.T  # clicked[j]: the j-th smallest clicked mode of every pattern, within ``table.modes``
-    if len(table.modes) != table.proj.shape[2]:
-        clicked = np.searchsorted(table.modes, clicked)
-    # term[t, j]: click j's colex term at position t of a subset, C(clicked[j], t + 1); row 0 is the mode
-    term = {(0, j): clicked[j] for j in range(clicks)}
-    term.update(((t, j), table.terms[t][clicked[j]]) for t in range(1, clicks - 1) for j in range(t, clicks))
-    for k in range(1, clicks):
-        yield (reduce(np.add, (term[t, j] for t, j in enumerate(s))) for s in combinations(range(clicks), k))
+def _piece_cols(suffix, piece) -> np.ndarray:
+    """The (rows, clicks) modes of the patterns of ``piece``, as ``fock._piece_rows`` lays them out."""
+    first, lo, hi = piece
+    return suffix.modes[:, lo:hi].T if first is None else _piece_rows(suffix.modes.T, [piece])
 
 
 def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
@@ -434,8 +485,13 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
         raise DimensionError("pattern must have one bit per mode")
     if any(b not in (0, 1) for b in pattern):
         raise ValueError("pattern entries must be 0 or 1")
-    cols = np.array([[l for l, b in enumerate(pattern) if b]], dtype=np.intp)
-    prob = _pattern_probs(cfg.matrix, cfg.n_sources, cfg.source, cfg.detector, cols)
+    clicked = np.array([l for l, b in enumerate(pattern) if b], dtype=np.intp)
+    u = cfg.matrix
+    table = _subset_table(u, cfg.n_sources, cfg.source, cfg.detector, clicked, len(clicked), 1)
+    # one piece of one row: the first click, then the rest of the pattern as a one-row suffix
+    first = int(clicked[0]) if len(clicked) else None
+    suffix = _suffix_columns(table, clicked[None, 1:])
+    prob = _pattern_probs(u, cfg.n_sources, cfg.source, cfg.detector, table, suffix, (first, 0, 1))
     return max(float(prob[0]), 0.0)
 
 
@@ -455,22 +511,48 @@ def _row0_minors(u, n, terms) -> np.ndarray:
     return minors
 
 
-def _laplace_squares(row0, minors, cols, complements) -> np.ndarray:
-    """|per(U[:N, C])|^2 for each pattern C of ``cols`` by Laplace expansion along row 0.
+class _Minors(NamedTuple):
+    """What the Laplace expansion along row 0 reads, for the N-click sweep over one suffix table."""
 
-    per = sum_p U[0, c_p] per(U[1:N, C minus c_p]), each minor read from
-    ``minors`` (``_row0_minors``) at the rank of C minus c_p, which is entry
-    N - 1 - p of ``complements`` (``_subset_ranks``'s last size). Added for
-    p = 0, 1, ... in turn and squared as ``_squared_permanents`` squares,
-    this is the kernel's own sum for N = 2, 3 and 4: its closed forms are
-    this expansion, in this order, with the same minors. So each |per|^2
-    has the bits ``_squared_permanents`` gives on the same SIMD target.
+    row0: np.ndarray  # U[0, l] for every mode l
+    table: np.ndarray  # per(U[1:N, T]) for every (N - 1)-subset T, by colex rank (``_row0_minors``)
+    lead: np.ndarray  # (N - 1, rows): U[0, s] for the row's click at each position 1 .. N - 1
+    rest: np.ndarray  # (rows,): per(U[1:N, S[r]]), the minor that leaves out the first click
+
+
+def _minor_columns(u, table, suffix) -> _Minors:
+    """The ``_Minors`` of ``suffix``, over ``table``, a subset table over every mode, for N = clicks."""
+    n = len(suffix.modes) + 1
+    minors = _row0_minors(u, n, table.terms)
+    rank = reduce(np.add, (table.terms[t][suffix.modes[t]] for t in range(n - 1)))
+    return _Minors(u[0], minors, u[0][suffix.modes], minors[rank])
+
+
+def _laplace_amplitudes(minors, suffix, piece, out) -> None:
+    """per(U[:N, C]) for each pattern C of ``piece``, by Laplace expansion along row 0, written to ``out``.
+
+    per = sum_p U[0, c_p] per(U[1:N, C minus c_p]). At p = 0 the minor is
+    the column ``minors.rest``. Above, C minus c_p holds the first click,
+    so its minor is read from ``minors.table`` at the first click plus the
+    rank' of the row's other clicks (``_Suffix.ranks``), or at the first
+    click alone at N = 2. Added for p = 0, 1, ... in turn, each product
+    with the row-0 entry first, this is the kernel's own sum for N = 2, 3
+    and 4: its closed forms are this expansion, in this order, with the
+    same minors. So each |per|^2 has the bits ``_squared_permanents``
+    gives on the same SIMD target. numpy's complex product is not
+    commutative to the bit, and it rounds an in-place product of one
+    element, or an elided temporary, otherwise than a fresh product: so
+    each product is written to a buffer that is neither of its operands.
     """
-    n = cols.shape[1]
-    amp = row0[cols[:, 0]] * minors[complements[n - 1]]
+    first, lo, hi = piece
+    n = len(suffix.modes) + 1
+    np.multiply(minors.row0[first], minors.rest[lo:hi], out=out)
+    held = minors.table[first:]  # the (N - 1)-subsets that hold the first click, by rank'
+    term = np.empty_like(out)
     for p in range(1, n):
-        amp += row0[cols[:, p]] * minors[complements[n - 1 - p]]
-    return np.abs(amp) ** 2
+        key = tuple(q for q in range(1, n) if q != p)
+        minor = held[suffix.ranks[key][lo:hi]] if key else held[0]
+        out += np.multiply(minors.lead[p - 1, lo:hi], minor, out=term)
 
 
 class DistanceParts(NamedTuple):
@@ -494,41 +576,57 @@ def distance_parts(cfg: DeviceConfig) -> DistanceParts:
     photon is the ideal |per|^2 that v2 and vb read anyway (a slot
     permanent otherwise). For 2 <= N <= 4 that |per|^2 is N products read
     from a second table, built once per call: the C(M, N - 1) permanents
-    per(U[1:N, T]), the row-0 Laplace minors (``_row0_minors``), indexed
-    by the ranks the subset table's reads use (``_laplace_squares``); it
-    has the bits the kernel gives. At N = 1 and N >= 5 it is one kernel
-    permanent per pattern. The work of the whole call is checked against
-    the limits once, before any permanent is evaluated.
+    per(U[1:N, T]), the row-0 Laplace minors (``_row0_minors``,
+    ``_laplace_amplitudes``); it has the bits the kernel gives. At N = 1
+    and N >= 5 it is one kernel permanent per pattern. The work of the
+    whole call is checked against the limits once, before any permanent
+    is evaluated.
 
-    The sweep never holds the C(M, N) x N table of patterns: it reads its
-    rows, in order, from ``fock._pattern_chunks``, ``permanent.STACK``
-    (4096) at a time, so its memory does not grow with C(M, N). What it
-    holds is the subset table, sum_(k<N) C(M, k) floats, for 2 <= N <= 4
-    the minors, 16 bytes per (N - 1)-subset, the walk's N - 1 head
-    columns and run ends over C(M - 1, N - 1) prefixes, and one chunk's
-    arrays. Each chunk is the transpose of a contiguous (N, rows) array,
-    which ``_pattern_probs`` and the ideal |per|^2 read as it is. The
-    probabilities are summed a chunk at a time, in order; that order is
-    part of the reproducibility contract: a sweep of at most 4096 patterns
-    gives the same bytes as one pass over the whole table.
+    The sweep never holds the C(M, N) x N table of patterns. It walks them
+    by first click (``fock._first_click_pieces``): the patterns with first
+    click c0 are c0 followed by a tail of the suffix table S,
+    C(M - 1, N - 1) rows (``fock._suffix_rows``). What it holds is the
+    subset table, sum_(k<N) C(M, k) floats; S; and, for N <= 4, S's
+    per-row columns (``_suffix_columns``), 8 bytes each: N - 1 modes,
+    2^(N - 1) - 1 table values and 2^(N - 1) - 2 ranks, plus for
+    2 <= N <= 4 the minors, 16 bytes per (N - 1)-subset, and N complex
+    columns, 16 bytes each. So a term that does not hold the first click
+    is read once per sweep, not once per pattern. Above N = 4 the columns
+    would grow as 2^N per row, so each piece forms its own. Besides those,
+    it holds one chunk's arrays. The probabilities are summed a chunk of
+    ``permanent.STACK`` (4096) patterns at a time, in order, whatever its
+    pieces; that order is part of the reproducibility contract: a sweep of
+    at most 4096 patterns gives the same bytes as one pass over the whole
+    table.
     """
     u = cfg.matrix
     n = cfg.n_sources
-    chunks = _pattern_chunks(cfg.modes, n, STACK)  # refused over the pattern cap before any row is built
+    count = _pattern_count(cfg.modes, n)  # refused over the pattern cap before any work
     # every subset smaller than N lies in some N-subset, so one table over all modes serves every pattern
-    table = _subset_table(u, n, cfg.source, cfg.detector, np.arange(cfg.modes), n, math.comb(cfg.modes, n))
-    minors = _row0_minors(u, n, table.terms) if 2 <= n <= 4 else None
+    table = _subset_table(u, n, cfg.source, cfg.detector, np.arange(cfg.modes), n, count)
+    rows = _suffix_rows(cfg.modes, n, STACK)
+    held = _suffix_columns(table, rows) if n <= 4 else None
+    minors = _minor_columns(u, table, held) if 2 <= n <= 4 else None
     sum_out = 0.0
     sum_gap = 0.0
     sum_ideal = 0.0
-    for cols in chunks:
-        if minors is None:
-            ranks = None
-            pideal = _squared_permanents(u[:n], cols)
+    for pieces in _first_click_pieces(cfg.modes, n, STACK):
+        ends = list(accumulate(hi - lo for _, lo, hi in pieces))
+        spans = [slice(end - (hi - lo), end) for (_, lo, hi), end in zip(pieces, ends)]
+        if held is None:  # each piece's own columns, its rows counted from 0
+            views = [(_suffix_columns(table, rows[lo:hi]), (first, 0, hi - lo)) for first, lo, hi in pieces]
         else:
-            ranks = [list(sized) for sized in _subset_ranks(table, cols)]
-            pideal = _laplace_squares(u[0], minors, cols, ranks[-1])
-        pout = _pattern_probs(u, n, cfg.source, cfg.detector, cols, table, pideal, ranks)
+            views = [(held, piece) for piece in pieces]
+        if minors is None:
+            pideal = _squared_permanents(u[:n], _piece_rows(rows, pieces))
+        else:
+            amp = np.empty(ends[-1], dtype=np.complex128)
+            for (suffix, piece), span in zip(views, spans):
+                _laplace_amplitudes(minors, suffix, piece, amp[span])
+            pideal = np.abs(amp) ** 2
+        pout = np.empty(ends[-1])
+        for (suffix, piece), span in zip(views, spans):
+            pout[span] = _pattern_probs(u, n, cfg.source, cfg.detector, table, suffix, piece, pideal[span])
         sum_out += float(pout.sum())
         sum_gap += float(np.abs(pout - pideal).sum())
         sum_ideal += float(pideal.sum())

@@ -270,9 +270,7 @@ def _glynn_walk(rows: np.ndarray, h: int) -> np.ndarray:
                 cs -= flip_rows[flip]
             else:
                 cs += flip_rows[flip]
-        np.multiply(flat[0], flat[1], out=prod)
-        for j in range(2, n):
-            prod *= flat[j]
+        np.multiply.reduce(flat, axis=0, out=prod)  # ((c_0 c_1) c_2) ..., in one call whatever n
         # the number of negative low signs changes parity at every step
         if k & 1:
             total -= prod

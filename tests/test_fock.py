@@ -14,7 +14,15 @@ from bosonbudget import (
     mu,
 )
 from bosonbudget.fock import _occupations as _photon_occupations
-from bosonbudget.fock import _output_chunks, _output_rows, _pattern_chunks, _pattern_rows
+from bosonbudget.fock import (
+    _first_click_pieces,
+    _output_chunks,
+    _output_rows,
+    _pattern_chunks,
+    _pattern_rows,
+    _piece_rows,
+    _suffix_rows,
+)
 from bosonbudget.permanent import STACK
 
 
@@ -188,6 +196,30 @@ def test_pattern_chunks_are_the_table_cut_in_order():
                 chunks = list(_pattern_chunks(modes, n, size))
                 _assert_chunks_cut_the_table(chunks, size, len(want))
                 np.testing.assert_array_equal(np.concatenate(chunks), want)
+
+
+def test_first_click_pieces_cut_the_table_by_first_click():
+    # N = 1 .. M on M = 1 .. 12: each piece is one first click c0 and a run of the suffix table's rows
+    # that follow it, the table's own rows in order; pieces fill each chunk of ``size`` rows, never
+    # cross its end, and the first piece of each c0 starts where its tail of the suffix table does
+    for modes in range(1, 13):
+        for n in range(1, modes + 1):
+            want = collision_free_patterns(modes, n)
+            for size in (1, 7, STACK):
+                suffix = _suffix_rows(modes, n, size)
+                np.testing.assert_array_equal(suffix, collision_free_patterns(modes - 1, n - 1) + 1)
+                chunks = list(_first_click_pieces(modes, n, size))
+                rows = [sum(hi - lo for _, lo, hi in pieces) for pieces in chunks]
+                assert all(r == size for r in rows[:-1]) and 0 < rows[-1] <= size and sum(rows) == len(want)
+                pieces = [piece for chunk in chunks for piece in chunk]
+                for (first, lo, hi), before in zip(pieces, [None, *pieces]):
+                    assert 0 <= lo < hi <= len(suffix)
+                    if before is None or before[0] != first:
+                        assert lo == len(suffix) - math.comb(modes - 1 - first, n - 1)
+                    else:
+                        assert lo == before[2]
+                got = np.concatenate([_piece_rows(suffix, pieces) for pieces in chunks])
+                np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("size", [997, STACK])

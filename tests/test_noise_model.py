@@ -32,6 +32,7 @@ from bosonbudget.noise_model import (
     _input_support,
     _pattern_probs,
     _subset_table,
+    _suffix_columns,
 )
 from bosonbudget.permanent import STACK, _permanent_batch
 
@@ -141,6 +142,22 @@ def _noisy_cfg(seed=42, modes=5, sources=2):
     return DeviceConfig(u, sources, src, det)
 
 
+def _probs(u, n_sources, source, detector, cols, table=None):
+    """``_pattern_probs`` over a batch of patterns of one click count: one piece per run of one first click.
+
+    Without a ``table``, one over the modes that ``cols`` touches, as
+    ``click_pattern_prob`` builds for its pattern.
+    """
+    if table is None:
+        table = _subset_table(u, n_sources, source, detector, np.unique(cols), cols.shape[1], len(cols))
+    cuts = [0, *(np.flatnonzero(np.diff(cols[:, 0])) + 1).tolist(), len(cols)]
+    return np.concatenate([
+        _pattern_probs(u, n_sources, source, detector, table, _suffix_columns(table, cols[lo:hi, 1:]),
+                       (int(cols[lo, 0]), 0, hi - lo))
+        for lo, hi in zip(cuts, cuts[1:])
+    ])
+
+
 def test_output_distribution_normalised():
     table = output_click_distribution(_noisy_cfg())
     assert abs(table.total_mass - 1.0) <= 1e-9
@@ -230,8 +247,8 @@ def test_pattern_probs_independent_of_subset_stacking(monkeypatch):
     for stack in (1, 7, 4096):
         monkeypatch.setattr(permanent, "STACK", stack)
         monkeypatch.setattr(noise_model, "STACK", stack)
-        results.append(_pattern_probs(*args, cols))
-    results.append(np.array([_pattern_probs(*args, cols[i : i + 1])[0] for i in range(len(cols))]))
+        results.append(_probs(*args, cols))
+    results.append(np.array([_probs(*args, cols[i : i + 1])[0] for i in range(len(cols))]))
     for got in results[1:]:
         np.testing.assert_array_equal(got, results[0])
 
@@ -288,11 +305,11 @@ def test_pattern_probs_are_the_literal_table_sum(n_sources, source, clicks):
     args = (cfg.matrix, n_sources, source, cfg.detector)
     cols = collision_free_patterns(8, clicks)
     table = _subset_table(*args, np.arange(8), clicks, len(cols))
-    assert np.all(_pattern_probs(*args, cols, table) == _literal_pattern_probs(*args, cols, table))
+    assert np.all(_probs(*args, cols, table) == _literal_pattern_probs(*args, cols, table))
     for row in cols[::3]:
         lone = _subset_table(*args, row, clicks, 1)
         assert len(lone.values) == (1 << clicks) - 1
-        got = _pattern_probs(*args, row[None, :], lone)
+        got = _probs(*args, row[None, :], lone)
         assert got == _literal_pattern_probs(*args, row[None, :], lone)
 
 
@@ -333,7 +350,7 @@ def test_slot_matrix_matches_40_digit_input_sum(probs, n_sources):
     cfg = DeviceConfig(make_haar(6, 3), n_sources, SourceModel(probs), DetectorModel(0.01, 1e-4))
     for clicks in range(1, n_sources + 1):
         cols = collision_free_patterns(6, clicks)[::3]
-        got = _pattern_probs(cfg.matrix, n_sources, cfg.source, cfg.detector, cols)
+        got = _probs(cfg.matrix, n_sources, cfg.source, cfg.detector, cols)
         want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
         np.testing.assert_allclose(got, want, rtol=5e-13, atol=0)
 
@@ -343,7 +360,7 @@ def test_slot_matrix_accuracy_on_the_stress_config():
     # them, so the alternating subset sum cancels and sets the floor
     cfg = _noisy_cfg(modes=6)
     cols = collision_free_patterns(6, 4)
-    got = _pattern_probs(cfg.matrix, 2, cfg.source, cfg.detector, cols)
+    got = _probs(cfg.matrix, 2, cfg.source, cfg.detector, cols)
     want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
     np.testing.assert_allclose(got, want, rtol=5e-13, atol=0)
 
@@ -354,7 +371,7 @@ def test_full_click_set_term_is_the_ideal_probability(dark):
     # p1^N (1 - r)^N |per|^2, and only the dark-count corrections are signed
     cfg = DeviceConfig(make_haar(7, 3), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, dark))
     cols = collision_free_patterns(7, 3)
-    got = _pattern_probs(cfg.matrix, 3, cfg.source, cfg.detector, cols)
+    got = _probs(cfg.matrix, 3, cfg.source, cfg.detector, cols)
     want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
     np.testing.assert_allclose(got, want, rtol=5e-15, atol=0)
 
@@ -363,7 +380,7 @@ def test_more_clicks_than_photons_without_the_full_click_set():
     # 4 clicks from 3 single-photon sources need a dark count: no exact full-set term is left
     cfg = DeviceConfig(make_haar(7, 3), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
     cols = collision_free_patterns(7, 4)
-    got = _pattern_probs(cfg.matrix, 3, cfg.source, cfg.detector, cols)
+    got = _probs(cfg.matrix, 3, cfg.source, cfg.detector, cols)
     want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -394,13 +411,13 @@ def test_subset_table_matches_lone_pattern_tables_and_oracle(source):
     cols = collision_free_patterns(9, 3)
     table = _subset_table(*args, np.arange(9), 3, len(cols))
     assert len(table.values) == 1 + 9 + 36
-    shared = _pattern_probs(*args, cols, table)
-    lone = np.array([_pattern_probs(*args, cols[i : i + 1])[0] for i in range(len(cols))])
+    shared = _probs(*args, cols, table)
+    lone = np.array([_probs(*args, cols[i : i + 1])[0] for i in range(len(cols))])
     np.testing.assert_array_equal(shared, lone)
     # a batch that misses mode 4 takes a table over the eight modes it touches, read at remapped ranks
     batch = cols[(cols != 4).all(axis=1)]
     assert np.unique(batch).tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
-    np.testing.assert_array_equal(_pattern_probs(*args, batch), _pattern_probs(*args, batch, table))
+    np.testing.assert_array_equal(_probs(*args, batch), _probs(*args, batch, table))
     want = np.array([_mp_pattern_prob(cfg, list(p)) for p in cols[::3]])
     np.testing.assert_allclose(shared[::3], want, rtol=5e-13, atol=0)
 
@@ -484,7 +501,7 @@ def _assert_parts_match_one_pass(cfg):
     n, modes = cfg.n_sources, cfg.modes
     patterns = collision_free_patterns(modes, n)
     u = cfg.matrix
-    pout = _pattern_probs(u, n, cfg.source, cfg.detector, patterns)
+    pout = _probs(u, n, cfg.source, cfg.detector, patterns)
     # one pass, pattern-major stack: [b, a, j] = U[a, patterns[b, j]]
     pideal = np.abs(_permanent_batch(np.moveaxis(np.take(u[:n], patterns, axis=1), 0, 1))) ** 2
     parts = distance_parts(cfg)
@@ -503,14 +520,17 @@ def test_distance_parts_chunked_matches_one_pass(source):
     _assert_parts_match_one_pass(cfg)
 
 
-@pytest.mark.parametrize("modes, n", [(100, 2), (40, 3), (20, 4), (2, 2), (3, 3), (4, 4)])
+@pytest.mark.parametrize("modes, n", [(100, 2), (40, 3), (20, 4), (2, 2), (3, 3), (4, 4), (200, 3)])
 def test_swept_ideal_is_the_kernels_to_the_bit(monkeypatch, modes, n):
     # 2 <= N <= 4: the sweep takes each pattern's |per|^2 from the row-0 minors, never from the
-    # kernel, and every value keeps the kernel's bits; at M = 100, 40 and 20 the last chunk is short
+    # kernel, and every value keeps the kernel's bits; at M = 100, 40 and 20 the last chunk is short.
+    # At M = 200 the first click 0 is followed by 19,701 rows, past the 16,384 complex values
+    # (256 KiB) from which numpy elides a temporary by computing the product in it, operands
+    # swapped: a product over a whole first click's rows would move bits there, not at M = 180
     seen, kernel = [], []
 
     def probs(*args):
-        seen.append((args[4], args[6]))
+        seen.append(args)
         return _pattern_probs(*args)
 
     monkeypatch.setattr(noise_model, "_pattern_probs", probs)
@@ -518,52 +538,61 @@ def test_swept_ideal_is_the_kernels_to_the_bit(monkeypatch, modes, n):
     u = make_haar(modes, 40 + n).matrix  # unrounded: every bit of the draw reaches the products
     distance_parts(DeviceConfig(u, n, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4)))
     assert kernel == []
-    assert len(seen) == math.ceil(math.comb(modes, n) / STACK)
-    assert sum(len(cols) for cols, _ in seen) == math.comb(modes, n)
-    for cols, ideal in seen:
+    pieces = [piece for chunk in fock._first_click_pieces(modes, n, STACK) for piece in chunk]
+    assert sum(hi - lo for _, lo, hi in pieces) == math.comb(modes, n)
+    assert [args[6] for args in seen] == pieces
+    for *_, suffix, piece, ideal in seen:
+        cols = fock._piece_rows(suffix.modes.T, [piece])
         assert ideal.tobytes() == _squared_permanents(u[:n], cols).tobytes()
 
 
-def _assert_sweep_reads_the_walks_chunks(monkeypatch, cfg, readers):
-    # runs distance_parts(cfg); each reader, a noise_model name and the index of its chunk argument, must
-    # read each chunk the walk gives as it is, not a transposed copy; returns the walked chunks
-    walked, seen = [], {name: [] for name in readers}
+def _assert_sweep_reads_the_walk(monkeypatch, cfg, columns):
+    # runs distance_parts(cfg): the evaluator reads each piece of the walk once, in order, and the patterns
+    # of its pieces are the table's; ``columns`` is the number of _suffix_columns calls. Returns the
+    # evaluator's calls and the chunks that the kernel read
+    seen, built, kernel = [], [], []
 
-    def walk(*args):
-        for chunk in fock._pattern_chunks(*args):
-            walked.append(chunk)
-            yield chunk
-
-    def spy(name, real):
-        def call(*args, **kwargs):
-            seen[name].append(args[readers[name]])
-            return real(*args, **kwargs)
+    def spy(calls, real):
+        def call(*args):
+            calls.append(args)
+            return real(*args)
         return call
 
-    monkeypatch.setattr(noise_model, "_pattern_chunks", walk)
-    for name in readers:
-        monkeypatch.setattr(noise_model, name, spy(name, getattr(noise_model, name)))
+    monkeypatch.setattr(noise_model, "_pattern_probs", spy(seen, noise_model._pattern_probs))
+    monkeypatch.setattr(noise_model, "_suffix_columns", spy(built, noise_model._suffix_columns))
+    monkeypatch.setattr(noise_model, "_squared_permanents", spy(kernel, noise_model._squared_permanents))
     distance_parts(cfg)
     monkeypatch.undo()
-    for name, cols in seen.items():
-        assert len(cols) == len(walked), name
-        assert all(c.T.flags.c_contiguous and np.shares_memory(c, w) for c, w in zip(cols, walked)), name
-    return walked
+    walk = [piece for chunk in fock._first_click_pieces(cfg.modes, cfg.n_sources, STACK) for piece in chunk]
+    assert [(args[6][0], args[6][2] - args[6][1]) for args in seen] == [(first, hi - lo) for first, lo, hi in walk]
+    rows = np.concatenate([fock._piece_rows(args[5].modes.T, [args[6]]) for args in seen])
+    np.testing.assert_array_equal(rows, collision_free_patterns(cfg.modes, cfg.n_sources))
+    assert len(built) == columns
+    return seen, [args[1] for args in kernel]
 
 
 def test_glynn_sweep_reads_the_walks_chunks_through_the_kernel(monkeypatch):
-    # N = 5 keeps the kernel's |per|^2: each chunk the walk gives goes to it, and to the
-    # evaluator, as it is, and the parts match the one-pass route
+    # N = 5 keeps the kernel's |per|^2: it reads each chunk of the walk as the walk lays it out, the
+    # transpose of a contiguous (N, rows) array; each piece forms its own suffix columns, and the parts
+    # match the one-pass route
     cfg = DeviceConfig(make_haar(16, 31), 5, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
-    walked = _assert_sweep_reads_the_walks_chunks(monkeypatch, cfg, {"_pattern_probs": 4, "_squared_permanents": 1})
-    assert len(walked) == 2  # 4,368 patterns in chunks of STACK, the last short
+    pieces = sum(len(chunk) for chunk in fock._first_click_pieces(16, 5, STACK))
+    seen, chunks = _assert_sweep_reads_the_walk(monkeypatch, cfg, pieces)
+    assert len(chunks) == 2  # 4,368 patterns in chunks of STACK, the last short
+    assert all(c.T.flags.c_contiguous for c in chunks)
+    np.testing.assert_array_equal(np.concatenate(chunks), collision_free_patterns(16, 5))
     _assert_parts_match_one_pass(cfg)
 
 
-@pytest.mark.parametrize("modes, bound", [(120, 3_000_000), (180, 4_000_000)])
-def test_default_sweep_holds_no_pattern_table(modes, bound):
-    # the C(M, 3) x 3 intp table alone is 6.7 MB at M = 120 and 22.9 MB at M = 180
-    cfg = DeviceConfig(make_haar(modes, 5), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
+@pytest.mark.parametrize(
+    "modes, n, bound",
+    [(120, 3, 3_000_000), (180, 3, 4_000_000), (60, 4, 10_000_000)],
+    ids=["120-3000000", "180-4000000", "60-N4-10000000"],
+)
+def test_default_sweep_holds_no_pattern_table(modes, n, bound):
+    # the C(M, N) x N intp table alone is 6.7 MB at M = 120 and 22.9 MB at M = 180 (N = 3), and
+    # 15.6 MB at M = 60, N = 4; the sweep holds the suffix table and its per-row columns instead
+    cfg = DeviceConfig(make_haar(modes, 5), n, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
     cfg.matrix  # the checked matrix is the caller's, not the sweep's
     tracemalloc.start()
     try:
@@ -575,10 +604,16 @@ def test_default_sweep_holds_no_pattern_table(modes, bound):
 
 
 def test_default_sweep_reads_the_walks_chunks_without_a_copy(monkeypatch):
-    # each chunk the walk gives is what the evaluator reads, not a transposed copy
+    # N = 3: the suffix columns are formed once per sweep, and every piece reads that one set, whose
+    # columns are contiguous, so a piece's rows are slices of them, not copies
     cfg = DeviceConfig(make_haar(40, 31), 3, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
-    walked = _assert_sweep_reads_the_walks_chunks(monkeypatch, cfg, {"_pattern_probs": 4})
-    assert len(walked) == 3  # 9,880 patterns in chunks of STACK
+    seen, chunks = _assert_sweep_reads_the_walk(monkeypatch, cfg, 1)
+    assert chunks == []
+    suffix = seen[0][5]
+    assert all(args[5] is suffix for args in seen)
+    assert suffix.modes.flags.c_contiguous
+    assert all(col.flags.c_contiguous for col in [*suffix.values.values(), *suffix.ranks.values()])
+    assert len({args[6][0] for args in seen}) == 38  # first clicks 0 .. M - N
 
 
 @pytest.mark.parametrize(
