@@ -111,16 +111,18 @@ def _suffix_rows(modes: int, n_clicks: int, size: int) -> np.ndarray:
     A (C(modes - 1, n_clicks - 1), n_clicks - 1) intp array of the
     (n_clicks - 1)-subsets of 1 .. modes - 1 in lexicographic order, so
     the rows whose first member exceeds c0 are one contiguous tail of it,
-    the last C(modes - 1 - c0, n_clicks - 1) rows. It is unranked ``size``
-    rows at a time (``_pattern_rows``), so building it holds S and the
-    work arrays of one block. Callers keep n_clicks >= 1 and the full
-    table under the ``patterns`` limit, which bounds S.
+    the last C(modes - 1 - c0, n_clicks - 1) rows. Like each chunk, it is
+    the transpose of a C-contiguous (n_clicks - 1, rows) array, so each
+    position's modes are one contiguous row of its ``.T``. It is unranked
+    ``size`` rows at a time (``_pattern_rows``), so building it holds S
+    and the work arrays of one block. Callers keep n_clicks >= 1 and the
+    full table under the ``patterns`` limit, which bounds S.
     """
-    rows = np.empty((math.comb(modes - 1, n_clicks - 1), n_clicks - 1), dtype=np.intp)
-    for lo in range(0, len(rows), size):
-        hi = min(lo + size, len(rows))
-        np.add(_pattern_rows(np.arange(lo, hi), modes - 1, n_clicks - 1), 1, out=rows[lo:hi])
-    return rows
+    rows = np.empty((n_clicks - 1, math.comb(modes - 1, n_clicks - 1)), dtype=np.intp)
+    for lo in range(0, rows.shape[1], size):
+        hi = min(lo + size, rows.shape[1])
+        np.add(_pattern_rows(np.arange(lo, hi), modes - 1, n_clicks - 1).T, 1, out=rows[:, lo:hi])
+    return rows.T
 
 
 def _first_click_pieces(modes: int, n_clicks: int, size: int):
@@ -151,7 +153,11 @@ def _first_click_pieces(modes: int, n_clicks: int, size: int):
 
 
 def _piece_rows(suffix: np.ndarray, pieces) -> np.ndarray:
-    """The patterns of ``pieces`` over the suffix table ``suffix``, as the transpose of a fresh C-contiguous (clicks, rows) intp array."""
+    """The patterns of ``pieces``, in turn, over the suffix table ``suffix``.
+
+    Returned as the transpose of a fresh C-contiguous (clicks, rows) intp
+    array, the layout of ``_pattern_chunks``.
+    """
     out = np.empty((suffix.shape[1] + 1, sum(hi - lo for _, lo, hi in pieces)), dtype=np.intp)
     at = 0
     for first, lo, hi in pieces:

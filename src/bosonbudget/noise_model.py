@@ -9,9 +9,9 @@ probabilities, and the per-detector response:
 Two independent evaluation routes are provided. ``output_click_distribution``
 performs the literal triple sum (desk scale only). The other route is one
 evaluator, ``_pattern_probs``, which folds the detector weights into small
-permanents for a piece of click patterns, one first click followed by rows
-of clicks after it; ``click_pattern_prob`` (and so the round-trip test) and
-``distance_parts`` both run on it. For factorised
+permanents for a chunk of click patterns, given as pieces: one first click
+followed by rows of clicks after it. ``click_pattern_prob`` (and so the
+round-trip test) and ``distance_parts`` both run on it. For factorised
 per-mode weights x_l the network satisfies
 
     sum_s P_U(s|n) prod_l x_l^(s_l) = per(W(x)) / mu(n),
@@ -378,7 +378,10 @@ def _suffix_columns(table, rows) -> _Suffix:
     local = _local(table, modes)
     count = len(modes)
     # term[t, p]: C(l, t + 1) for the row's mode l at position p, its term as member t of a subset
-    term = {(t, p): table.terms[t][local[p - 1]] for p in range(1, count + 1) for t in range(min(p + 1, count))}
+    term = {}
+    for p in range(1, count + 1):
+        for t in range(min(p + 1, count)):
+            term[t, p] = table.terms[t][local[p - 1]] if t else local[p - 1]  # C(l, 1) = l
     own, shifted = {}, {}  # each key's rank, without and with the first click ahead of it
     for k in range(1, count + 1):
         for key in combinations(range(1, count + 1), k):
@@ -389,12 +392,13 @@ def _suffix_columns(table, rows) -> _Suffix:
     return _Suffix(modes, values, shifted)
 
 
-def _pattern_probs(u, n_sources, source, detector, table, suffix, piece, ideal=None):
-    """P_out for a piece of click patterns: one first click, followed by each of some rows of ``suffix``.
+def _pattern_probs(u, n_sources, source, detector, table, suffix, pieces, ideal=None):
+    """P_out for a chunk of click patterns, as pieces: one first click followed by each of some rows of ``suffix``.
 
-    ``piece`` is (first, lo, hi): the patterns (first, *row) for the rows
-    lo .. hi - 1 of ``suffix`` (``_suffix_columns``). The no-click pattern
-    is the piece (None, 0, 1) of a suffix with no positions. Expanding
+    ``pieces`` is a list of (first, lo, hi), in turn: the patterns
+    (first, *row) for the rows lo .. hi - 1 of ``suffix``
+    (``_suffix_columns``). The no-click pattern is the one piece
+    (None, 0, 1) of a suffix with no positions. Expanding
     prod_(clicked)(1 - e^-nu r^s) gives, for each subset T of the clicked
     modes kept un-expanded, the sign (-1)^(clicks - |T|) and dark factor
     e^(-(clicks - |T|) nu) on f(T) (``_slot_perms``). Every proper subset
@@ -413,61 +417,65 @@ def _pattern_probs(u, n_sources, source, detector, table, suffix, piece, ideal=N
     A proper subset T is read in one of three ways. Without the first
     click, f(T) is a column of ``suffix``, formed once for every first
     click that reads its rows. The first click alone is one entry of the
-    table. With the first click and more,
-    f(T) is read at the first click's position within ``table.modes``
-    plus the rank' column of the rest of T, from the part of the table
-    that starts there.
+    table. With the first click and more, f(T) is read at the first
+    click's position within ``table.modes`` plus the rank' column of the
+    rest of T, from the part of the table that starts there.
 
     The f(T) of each size are summed first, in ``combinations`` order, row
     by row (numpy's ``sum`` would add a lone pattern's pairwise), then the
     sizes in increasing order, the full subset last, so a result's bits
-    depend neither on its piece nor on the stacks. The full-size
-    permanents go to the kernel as one stack, so callers keep a piece to
-    ``permanent.STACK`` patterns.
+    depend neither on its pieces nor on the stacks. The full-size
+    permanents of every piece go to the kernel as one stack, so callers
+    keep the pieces to ``permanent.STACK`` patterns in all.
     """
-    first, lo, hi = piece
-    clicks = len(suffix.modes) + (first is not None)
+    clicks = len(suffix.modes) + (pieces[0][0] is not None)
     nu = detector.dark_rate
     slots = len(table.base)
     dark = math.expm1 if clicks >= slots else math.exp
     values, offsets = table.values, table.offsets
+    count = sum(hi - lo for _, lo, hi in pieces)
     # 0 + the term of f of the empty subset, which every pattern with a click holds, as one scalar
     empty = 0.0 + (-1.0) ** clicks * dark(-clicks * nu) * values[0] if clicks else 0.0
-    pout = np.full(hi - lo, empty) if clicks < 2 else np.empty(hi - lo)
-    part, read = np.empty((2, hi - lo))
-    at = _local(table, first) if clicks else 0
+    pout = np.full(count, empty) if clicks < 2 else np.empty(count)
+    part, read = np.empty((2, count))
     for k in range(1, clicks):
-        held = values[offsets[k] + at : offsets[k + 1]]  # f of the k-subsets that hold the first click, by rank'
-        keys = combinations(range(clicks), k)
-        rest = next(keys)[1:]  # the first key, (0, 1, ..., k - 1)
-        if rest:
-            np.take(held, suffix.ranks[rest][lo:hi], out=part, mode="clip")  # in range: "clip" writes unbuffered
-        else:
-            part.fill(held[0])
-        for key in keys:
-            if key[0]:
-                np.add(part, suffix.values[key][lo:hi], out=part)
+        end = 0
+        for first, lo, hi in pieces:
+            acc, buf = part[end : end + hi - lo], read[end : end + hi - lo]  # the piece's patterns in the chunk
+            end += hi - lo
+            # f of the k-subsets that hold the first click, by rank'
+            held = values[offsets[k] + _local(table, first) : offsets[k + 1]]
+            keys = combinations(range(clicks), k)
+            rest = next(keys)[1:]  # the first key, (0, 1, ..., k - 1)
+            if rest:
+                np.take(held, suffix.ranks[rest][lo:hi], out=acc, mode="clip")  # in range: "clip" writes unbuffered
             else:
-                np.add(part, np.take(held, suffix.ranks[key[1:]][lo:hi], out=read, mode="clip"), out=part)
+                acc.fill(held[0])
+            for key in keys:
+                if key[0]:
+                    np.add(acc, suffix.values[key][lo:hi], out=acc)
+                else:
+                    np.add(acc, np.take(held, suffix.ranks[key[1:]][lo:hi], out=buf, mode="clip"), out=acc)
         np.multiply(part, (-1.0) ** (clicks - k) * dark(-(clicks - k) * nu), out=part)
         if k == 1:
             np.add(part, empty, out=pout)
         else:
             pout += part
     if clicks < slots:
-        pout += _slot_perms(table.base, table.proj, _piece_cols(suffix, piece))
+        pout += _slot_perms(table.base, table.proj, _piece_cols(suffix, pieces))
     elif clicks == slots:
         if ideal is None or slots != n_sources:
-            ideal = _squared_permanents(np.tile(u[:n_sources], (slots // n_sources, 1)), _piece_cols(suffix, piece))
+            ideal = _squared_permanents(np.tile(u[:n_sources], (slots // n_sources, 1)), _piece_cols(suffix, pieces))
         pout += np.multiply(ideal, (table.w * (1.0 - detector.loss_prob)) ** slots, out=part)
     pout *= math.exp(-(u.shape[0] - clicks) * nu)
     return pout
 
 
-def _piece_cols(suffix, piece) -> np.ndarray:
-    """The (rows, clicks) modes of the patterns of ``piece``, as ``fock._piece_rows`` lays them out."""
-    first, lo, hi = piece
-    return suffix.modes[:, lo:hi].T if first is None else _piece_rows(suffix.modes.T, [piece])
+def _piece_cols(suffix, pieces) -> np.ndarray:
+    """The (rows, clicks) modes of the patterns of ``pieces``, in turn, as ``fock._piece_rows`` lays them out."""
+    if pieces[0][0] is None:
+        return suffix.modes.T[pieces[0][1] : pieces[0][2]]
+    return _piece_rows(suffix.modes.T, pieces)
 
 
 def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
@@ -491,7 +499,7 @@ def click_pattern_prob(cfg: DeviceConfig, pattern: Sequence[int]) -> float:
     # one piece of one row: the first click, then the rest of the pattern as a one-row suffix
     first = int(clicked[0]) if len(clicked) else None
     suffix = _suffix_columns(table, clicked[None, 1:])
-    prob = _pattern_probs(u, cfg.n_sources, cfg.source, cfg.detector, table, suffix, (first, 0, 1))
+    prob = _pattern_probs(u, cfg.n_sources, cfg.source, cfg.detector, table, suffix, [(first, 0, 1)])
     return max(float(prob[0]), 0.0)
 
 
@@ -528,8 +536,8 @@ def _minor_columns(u, table, suffix) -> _Minors:
     return _Minors(u[0], minors, u[0][suffix.modes], minors[rank])
 
 
-def _laplace_amplitudes(minors, suffix, piece, out) -> None:
-    """per(U[:N, C]) for each pattern C of ``piece``, by Laplace expansion along row 0, written to ``out``.
+def _laplace_amplitudes(minors, suffix, pieces) -> np.ndarray:
+    """per(U[:N, C]) for each pattern C of ``pieces``, in turn, by Laplace expansion along row 0.
 
     per = sum_p U[0, c_p] per(U[1:N, C minus c_p]). At p = 0 the minor is
     the column ``minors.rest``. Above, C minus c_p holds the first click,
@@ -544,15 +552,20 @@ def _laplace_amplitudes(minors, suffix, piece, out) -> None:
     element, or an elided temporary, otherwise than a fresh product: so
     each product is written to a buffer that is neither of its operands.
     """
-    first, lo, hi = piece
     n = len(suffix.modes) + 1
-    np.multiply(minors.row0[first], minors.rest[lo:hi], out=out)
-    held = minors.table[first:]  # the (N - 1)-subsets that hold the first click, by rank'
-    term = np.empty_like(out)
-    for p in range(1, n):
-        key = tuple(q for q in range(1, n) if q != p)
-        minor = held[suffix.ranks[key][lo:hi]] if key else held[0]
-        out += np.multiply(minors.lead[p - 1, lo:hi], minor, out=term)
+    amp = np.empty(sum(hi - lo for _, lo, hi in pieces), dtype=np.complex128)
+    term = np.empty_like(amp)
+    end = 0
+    for first, lo, hi in pieces:
+        out, buf = amp[end : end + hi - lo], term[end : end + hi - lo]  # the piece's patterns in the chunk
+        end += hi - lo
+        np.multiply(minors.row0[first], minors.rest[lo:hi], out=out)
+        held = minors.table[first:]  # the (N - 1)-subsets that hold the first click, by rank'
+        for p in range(1, n):
+            key = tuple(q for q in range(1, n) if q != p)
+            minor = held[suffix.ranks[key][lo:hi]] if key else held[0]
+            out += np.multiply(minors.lead[p - 1, lo:hi], minor, out=buf)
+    return amp
 
 
 class DistanceParts(NamedTuple):
@@ -592,12 +605,12 @@ def distance_parts(cfg: DeviceConfig) -> DistanceParts:
     2 <= N <= 4 the minors, 16 bytes per (N - 1)-subset, and N complex
     columns, 16 bytes each. So a term that does not hold the first click
     is read once per sweep, not once per pattern. Above N = 4 the columns
-    would grow as 2^N per row, so each piece forms its own. Besides those,
-    it holds one chunk's arrays. The probabilities are summed a chunk of
-    ``permanent.STACK`` (4096) patterns at a time, in order, whatever its
-    pieces; that order is part of the reproducibility contract: a sweep of
-    at most 4096 patterns gives the same bytes as one pass over the whole
-    table.
+    would grow as 2^N per row, so each chunk forms its own over its
+    pieces' rows. Besides those, it holds one chunk's arrays. The
+    probabilities are summed a chunk of ``permanent.STACK`` (4096)
+    patterns at a time, in order, whatever its pieces; that order is part
+    of the reproducibility contract: a sweep of at most 4096 patterns
+    gives the same bytes as one pass over the whole table.
     """
     u = cfg.matrix
     n = cfg.n_sources
@@ -611,22 +624,16 @@ def distance_parts(cfg: DeviceConfig) -> DistanceParts:
     sum_gap = 0.0
     sum_ideal = 0.0
     for pieces in _first_click_pieces(cfg.modes, n, STACK):
-        ends = list(accumulate(hi - lo for _, lo, hi in pieces))
-        spans = [slice(end - (hi - lo), end) for (_, lo, hi), end in zip(pieces, ends)]
-        if held is None:  # each piece's own columns, its rows counted from 0
-            views = [(_suffix_columns(table, rows[lo:hi]), (first, 0, hi - lo)) for first, lo, hi in pieces]
-        else:
-            views = [(held, piece) for piece in pieces]
+        suffix = held
+        if held is None:  # the chunk's own columns: its pieces' rows in turn, counted from 0
+            suffix = _suffix_columns(table, np.concatenate([rows[lo:hi] for _, lo, hi in pieces]))
+            ends = accumulate(hi - lo for _, lo, hi in pieces)
+            pieces = [(first, end - hi + lo, end) for (first, lo, hi), end in zip(pieces, ends)]
         if minors is None:
-            pideal = _squared_permanents(u[:n], _piece_rows(rows, pieces))
+            pideal = _squared_permanents(u[:n], _piece_cols(suffix, pieces))
         else:
-            amp = np.empty(ends[-1], dtype=np.complex128)
-            for (suffix, piece), span in zip(views, spans):
-                _laplace_amplitudes(minors, suffix, piece, amp[span])
-            pideal = np.abs(amp) ** 2
-        pout = np.empty(ends[-1])
-        for (suffix, piece), span in zip(views, spans):
-            pout[span] = _pattern_probs(u, n, cfg.source, cfg.detector, table, suffix, piece, pideal[span])
+            pideal = np.abs(_laplace_amplitudes(minors, suffix, pieces)) ** 2
+        pout = _pattern_probs(u, n, cfg.source, cfg.detector, table, suffix, pieces, pideal)
         sum_out += float(pout.sum())
         sum_gap += float(np.abs(pout - pideal).sum())
         sum_ideal += float(pideal.sum())

@@ -143,19 +143,18 @@ def _noisy_cfg(seed=42, modes=5, sources=2):
 
 
 def _probs(u, n_sources, source, detector, cols, table=None):
-    """``_pattern_probs`` over a batch of patterns of one click count: one piece per run of one first click.
+    """``_pattern_probs`` over a batch of patterns of one click count, as one chunk.
 
-    Without a ``table``, one over the modes that ``cols`` touches, as
-    ``click_pattern_prob`` builds for its pattern.
+    The suffix holds every row's clicks after its first; each run of one
+    first click is one piece of it. Without a ``table``, one over the
+    modes that ``cols`` touches, as ``click_pattern_prob`` builds for its
+    pattern.
     """
     if table is None:
         table = _subset_table(u, n_sources, source, detector, np.unique(cols), cols.shape[1], len(cols))
     cuts = [0, *(np.flatnonzero(np.diff(cols[:, 0])) + 1).tolist(), len(cols)]
-    return np.concatenate([
-        _pattern_probs(u, n_sources, source, detector, table, _suffix_columns(table, cols[lo:hi, 1:]),
-                       (int(cols[lo, 0]), 0, hi - lo))
-        for lo, hi in zip(cuts, cuts[1:])
-    ])
+    pieces = [(int(cols[lo, 0]), lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return _pattern_probs(u, n_sources, source, detector, table, _suffix_columns(table, cols[:, 1:]), pieces)
 
 
 def test_output_distribution_normalised():
@@ -538,18 +537,18 @@ def test_swept_ideal_is_the_kernels_to_the_bit(monkeypatch, modes, n):
     u = make_haar(modes, 40 + n).matrix  # unrounded: every bit of the draw reaches the products
     distance_parts(DeviceConfig(u, n, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4)))
     assert kernel == []
-    pieces = [piece for chunk in fock._first_click_pieces(modes, n, STACK) for piece in chunk]
-    assert sum(hi - lo for _, lo, hi in pieces) == math.comb(modes, n)
-    assert [args[6] for args in seen] == pieces
-    for *_, suffix, piece, ideal in seen:
-        cols = fock._piece_rows(suffix.modes.T, [piece])
+    chunks = list(fock._first_click_pieces(modes, n, STACK))
+    assert sum(hi - lo for chunk in chunks for _, lo, hi in chunk) == math.comb(modes, n)
+    assert [args[6] for args in seen] == chunks
+    for *_, suffix, pieces, ideal in seen:
+        cols = fock._piece_rows(suffix.modes.T, pieces)
         assert ideal.tobytes() == _squared_permanents(u[:n], cols).tobytes()
 
 
 def _assert_sweep_reads_the_walk(monkeypatch, cfg, columns):
-    # runs distance_parts(cfg): the evaluator reads each piece of the walk once, in order, and the patterns
-    # of its pieces are the table's; ``columns`` is the number of _suffix_columns calls. Returns the
-    # evaluator's calls and the chunks that the kernel read
+    # runs distance_parts(cfg): the evaluator reads each chunk of the walk's pieces once, in order, and the
+    # patterns of its pieces are the table's; ``columns`` is the number of _suffix_columns calls. Returns
+    # the evaluator's calls and the chunks that the kernel read
     seen, built, kernel = [], [], []
 
     def spy(calls, real):
@@ -563,9 +562,12 @@ def _assert_sweep_reads_the_walk(monkeypatch, cfg, columns):
     monkeypatch.setattr(noise_model, "_squared_permanents", spy(kernel, noise_model._squared_permanents))
     distance_parts(cfg)
     monkeypatch.undo()
-    walk = [piece for chunk in fock._first_click_pieces(cfg.modes, cfg.n_sources, STACK) for piece in chunk]
-    assert [(args[6][0], args[6][2] - args[6][1]) for args in seen] == [(first, hi - lo) for first, lo, hi in walk]
-    rows = np.concatenate([fock._piece_rows(args[5].modes.T, [args[6]]) for args in seen])
+    def runs(pieces):
+        return [(first, hi - lo) for first, lo, hi in pieces]
+
+    walk = fock._first_click_pieces(cfg.modes, cfg.n_sources, STACK)
+    assert [runs(args[6]) for args in seen] == [runs(chunk) for chunk in walk]
+    rows = np.concatenate([fock._piece_rows(args[5].modes.T, args[6]) for args in seen])
     np.testing.assert_array_equal(rows, collision_free_patterns(cfg.modes, cfg.n_sources))
     assert len(built) == columns
     return seen, [args[1] for args in kernel]
@@ -573,11 +575,10 @@ def _assert_sweep_reads_the_walk(monkeypatch, cfg, columns):
 
 def test_glynn_sweep_reads_the_walks_chunks_through_the_kernel(monkeypatch):
     # N = 5 keeps the kernel's |per|^2: it reads each chunk of the walk as the walk lays it out, the
-    # transpose of a contiguous (N, rows) array; each piece forms its own suffix columns, and the parts
+    # transpose of a contiguous (N, rows) array; each chunk forms its own suffix columns, and the parts
     # match the one-pass route
     cfg = DeviceConfig(make_haar(16, 31), 5, SourceModel((0.02, 0.98)), DetectorModel(0.01, 1e-4))
-    pieces = sum(len(chunk) for chunk in fock._first_click_pieces(16, 5, STACK))
-    seen, chunks = _assert_sweep_reads_the_walk(monkeypatch, cfg, pieces)
+    seen, chunks = _assert_sweep_reads_the_walk(monkeypatch, cfg, 2)
     assert len(chunks) == 2  # 4,368 patterns in chunks of STACK, the last short
     assert all(c.T.flags.c_contiguous for c in chunks)
     np.testing.assert_array_equal(np.concatenate(chunks), collision_free_patterns(16, 5))
@@ -613,7 +614,8 @@ def test_default_sweep_reads_the_walks_chunks_without_a_copy(monkeypatch):
     assert all(args[5] is suffix for args in seen)
     assert suffix.modes.flags.c_contiguous
     assert all(col.flags.c_contiguous for col in [*suffix.values.values(), *suffix.ranks.values()])
-    assert len({args[6][0] for args in seen}) == 38  # first clicks 0 .. M - N
+    assert len(seen) == 3  # 9,880 patterns in chunks of STACK
+    assert len({first for args in seen for first, _, _ in args[6]}) == 38  # first clicks 0 .. M - N
 
 
 @pytest.mark.parametrize(
