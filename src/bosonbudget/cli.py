@@ -30,6 +30,7 @@ from . import limits
 from .budget import evaluate_budget, scaling_table
 from .distinguishability import Indistinguishability, JitterSourceSpec
 from .errors import BosonBudgetError, DimensionError, NumericError, ResourceLimitError
+from .exact_sum import exact_sum
 from .fock import _occupations, _output_chunks, _output_rows, _pattern_count, _pattern_rows
 from .ideal_sampler import _device_probs, _draw_indices, _ideal_probs
 from .noise_model import DetectorModel, DeviceConfig, SourceModel, distance_parts, noise_bound, noise_bound_additive
@@ -147,7 +148,18 @@ def read_samples(path: str | Path) -> np.ndarray:
     first such line; lines of different lengths are refused as patterns
     that cannot all match the mode count. A file with no patterns gives a
     ``(0, 0)`` array.
+
+    The file that ``write_samples`` writes, ASCII lines of one width
+    holding only 0 and 1, each ending in ``\n``, is read as one array of
+    its bytes; any other text goes through the line parser.
     """
+    data = Path(path).read_bytes()
+    width = data.find(b"\n")
+    if width > 0 and len(data) % (width + 1) == 0:
+        text = np.frombuffer(data, dtype=np.uint8).reshape(-1, width + 1)
+        bits = text[:, :-1] - ord("0")  # a byte below "0" wraps above 1
+        if bits.max() <= 1 and (text[:, -1] == ord("\n")).all():
+            return bits
     lines = [line for line in map(str.strip, _read_text(path).splitlines()) if line]
     # every UTF-8 byte of a character other than 0/1 wraps or stays above 1
     bits = np.frombuffer("".join(lines).encode(), dtype=np.uint8) - ord("0")
@@ -163,7 +175,9 @@ def read_samples(path: str | Path) -> np.ndarray:
 # report envelope and schema validation
 
 
+@functools.cache
 def load_schema() -> dict:
+    """The packaged report schema, parsed once per process; ``validate_report`` only reads it."""
     text = importlib.resources.files("bosonbudget").joinpath("schema/report.schema.json").read_text()
     return json.loads(text)
 
@@ -493,7 +507,7 @@ def cmd_distribution(args) -> None:
     results = {
         "outcomes": RowChunks(tables),
         "probs": probs,
-        "totalMass": math.fsum(probs),
+        "totalMass": exact_sum(probs),
         "unitarityDefect": u.unitarity_defect,
     }
     emit_report("distribution", args, results, _network_params(args, modes))

@@ -225,12 +225,14 @@ def _pattern_rows(ranks: np.ndarray, modes: int, n_clicks: int) -> np.ndarray:
 def _clicked_modes(clicked: np.ndarray, n_clicks: int) -> np.ndarray:
     """The clicked modes of each row of a (rows, modes) bool mask of ``n_clicks`` clicks a row, as increasing rows.
 
-    Gathered by mask into a C-contiguous (rows, n_clicks) intp array, 8
-    bytes a click: ``np.nonzero(clicked)[1]``, the same modes in the same
+    The flat positions of the clicks, ``np.flatnonzero``, taken modulo the
+    mode count in place: a C-contiguous (rows, n_clicks) intp array, 8
+    bytes a click. ``np.nonzero(clicked)[1]``, the same modes in the same
     order, would first hold a (row, mode) pair per click.
     """
-    modes = np.broadcast_to(np.arange(clicked.shape[1], dtype=np.intp), clicked.shape)
-    return modes[clicked].reshape(len(clicked), n_clicks)
+    modes = np.flatnonzero(clicked)
+    modes %= clicked.shape[1]  # a mask with no modes has no clicks, so nothing is divided by 0
+    return modes.reshape(len(clicked), n_clicks)
 
 
 def enumerate_outputs(modes: int, photons: int) -> np.ndarray:

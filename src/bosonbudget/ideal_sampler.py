@@ -19,6 +19,7 @@ import numpy as np
 
 from . import limits
 from .errors import DimensionError, NumericError
+from .exact_sum import exact_sum
 from .fock import _occupations, _output_chunks, count_outputs, enumerate_outputs, mode_indices, mu, total_photons
 from .permanent import STACK, _permanent_batch, _repeated
 from .random_ensembles import NetworkUnitary, _unitarity_defect, as_matrix
@@ -63,7 +64,7 @@ class DistributionTable:
 
     @property
     def total_mass(self) -> float:
-        return float(math.fsum(self.probs))
+        return exact_sum(self.probs)
 
     def is_complete(self, tol: float | None = None) -> bool:
         return abs(self.total_mass - 1.0) <= (self.tol if tol is None else tol)
@@ -158,7 +159,7 @@ def _device_probs(u: NetworkUnitary, n: Sequence[int]) -> np.ndarray:
     network's unitarity defect.
     """
     probs = _ideal_probs(u, n)
-    total = math.fsum(probs)
+    total = exact_sum(probs)
     if not abs(total - 1.0) <= _mass_tolerance(u, n):
         raise NumericError(f"device distribution has total mass {total}, further from 1 than the network's "
                            f"unitarity defect {u.unitarity_defect:.3e} allows")
@@ -194,10 +195,19 @@ def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np
     their running sum, 16 bytes per outcome, and no outcome table; it
     makes the same RNG calls for the same ``probs``. The callers check
     the total mass first: ``sample_ideal`` and ``_device_probs``.
+
+    The keys are searched ``STACK`` at a time in sorted order, which lets
+    each search start from the one before, and the indices are scattered
+    back: the same indices as ``np.searchsorted(cum, u, side="right")``
+    over all the keys at once, with one block's sort order held.
     """
     cum = np.cumsum(probs)
     u = rng.random(count)
-    idx = np.searchsorted(cum, u, side="right")
+    idx = np.empty(count, dtype=np.intp)
+    for lo in range(0, count, STACK):
+        keys = u[lo : lo + STACK]
+        order = np.argsort(keys)
+        idx[lo : lo + STACK][order] = np.searchsorted(cum, keys[order], side="right")
     # u >= cum[-1] can only happen through roundoff; fall back to the last
     # outcome that carries mass.
     if idx.size and idx.max() >= len(cum):
@@ -229,7 +239,7 @@ def variational_distance(p, q) -> float:
     (p_rows, p_probs), (q_rows, q_probs) = _rows_and_probs(p), _rows_and_probs(q)
     diff = np.concatenate((p_probs, -q_probs))
     if p_rows.shape[1] != q_rows.shape[1]:  # outcomes of different lengths: none is shared
-        return math.fsum(np.abs(diff))
+        return exact_sum(np.abs(diff))
     rows = np.concatenate((p_rows, q_rows))
     order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
     rows, diff = rows[order], diff[order]
@@ -237,4 +247,4 @@ def variational_distance(p, q) -> float:
     shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
     diff[shared] += diff[shared + 1]
     diff[shared + 1] = 0.0
-    return math.fsum(np.abs(diff))
+    return exact_sum(np.abs(diff))

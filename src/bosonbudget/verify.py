@@ -19,6 +19,7 @@ import numpy as np
 from . import limits
 from .distinguishability import Indistinguishability, prob_mismatch, sigma_table
 from .errors import DimensionError
+from .exact_sum import ExactSum
 from .fock import _clicked_modes, _pattern_chunks, mode_indices
 from .ideal_sampler import _squared_permanents, full_distribution
 from .noise_model import DeviceConfig, click_pattern_prob
@@ -47,15 +48,16 @@ def _witness_values(col_mass: np.ndarray, clicked: np.ndarray, modes: int, n: in
     return np.prod((modes / n) * col_mass[clicked], axis=-1)
 
 
-def _weighted_probs(sources: np.ndarray, col_mass: np.ndarray, chunks, probs: np.ndarray):
-    """p W of each pattern of ``chunks`` in turn, p = |per(sources[:, T])|^2; each p is stored in ``probs``."""
+def _device_reference(sources: np.ndarray, col_mass: np.ndarray, chunks) -> float:
+    """sum p W / sum p over the patterns of ``chunks``, p = |per(sources[:, T])|^2, both sums exactly rounded."""
     n, modes = sources.shape
-    lo = 0
+    weighted, total = ExactSum(), ExactSum()
     for cols in chunks:
-        p = probs[lo : lo + len(cols)]
-        p[:] = _squared_permanents(sources, cols)
-        yield from (p * _witness_values(col_mass, cols, modes, n)).tolist()
-        lo += len(cols)
+        p = _squared_permanents(sources, cols)
+        total.add(p)
+        p *= _witness_values(col_mass, cols, modes, n)
+        weighted.add(p)
+    return weighted.value() / total.value()
 
 
 def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
@@ -73,10 +75,12 @@ def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
     the elementary symmetric polynomial built by e_k += c_l e_(k-1) over the
     modes, whose terms never cancel. The device one is calibrated by exact
     enumeration at desk scale: the mean of W weighted by |per(U[rows, T])|^2,
-    both sums exactly rounded (``math.fsum``). The subsets are read
-    ``permanent.STACK`` at a time (``fock._pattern_chunks``); the weights
-    are held, 8 bytes per subset, for the normalisation. Samples whose
-    click count differs from N are rejected and counted.
+    both sums exactly rounded (``math.fsum``'s bits, by two
+    ``exact_sum.ExactSum`` accumulators). The subsets are read
+    ``permanent.STACK`` at a time (``fock._pattern_chunks``), and each
+    chunk's weights are added to both sums and dropped, so no weight is
+    held. Samples whose click count differs from N are rejected and
+    counted.
 
     The call is inconclusive when the sample mean lies within two standard
     errors of the midpoint between the references.
@@ -107,14 +111,13 @@ def row_norm_witness(u, n0: Sequence[int], samples) -> WitnessResult:
 
     # calibrate over the collision-free outputs, the N-subsets of the modes in lexicographic order
     chunks = _pattern_chunks(modes, n, STACK)  # refused over the pattern cap before any row is built
-    p_cf = np.empty(math.comb(modes, n))
-    ref_device = math.fsum(_weighted_probs(m[rows], col_mass, chunks, p_cf)) / math.fsum(p_cf)
+    ref_device = _device_reference(m[rows], col_mass, chunks)
     # the mean of W over every N-subset: e_N of the scaled column masses, e_k += c e_(k-1) over the modes
     e = np.zeros(n + 1)
     e[0] = 1.0
     for c in ((modes / n) * col_mass).tolist():
         e[1:] += c * e[:-1]
-    ref_uniform = float(e[n]) / len(p_cf)
+    ref_uniform = float(e[n]) / math.comb(modes, n)
     midpoint = 0.5 * (ref_uniform + ref_device)
 
     if n_used == 0:

@@ -124,6 +124,29 @@ def test_sample_file_roundtrip_any_table(patterns):
     assert np.array_equal(got, patterns.reshape(got.shape))
 
 
+def test_read_samples_reads_a_written_file_as_one_array(tmp_path, monkeypatch):
+    # the file write_samples writes is read from its bytes; other text still reaches the line parser
+    patterns = np.random.default_rng(4).integers(0, 2, (3_000, 12), dtype=np.uint8)
+    path = tmp_path / "s.txt"
+    write_samples(path, patterns)
+    read_text = cli._read_text
+    monkeypatch.setattr(cli, "_read_text", _no_text)
+    got = read_samples(path)
+    assert got.dtype == np.uint8 and got.flags.writeable
+    np.testing.assert_array_equal(got, patterns)
+    for text in (b"101\r\n011\r\n", b"101\n011", b"101\n0110\n", b"101\n0x1\n", b"\n", b""):
+        path.write_bytes(text)
+        with pytest.raises(AssertionError, match="line parser"):
+            read_samples(path)
+    monkeypatch.setattr(cli, "_read_text", read_text)
+    path.write_bytes(b"101\r\n011\r\n")
+    assert read_samples(path).tolist() == [[1, 0, 1], [0, 1, 1]]
+
+
+def _no_text(path):
+    raise AssertionError("line parser")
+
+
 def _line_parser(text):
     # the line-by-line sample reader, kept as the oracle of read_samples
     out = []
@@ -941,6 +964,24 @@ def test_schema_rejects_malformed_report():
             schema,
         )
     validate_report({"schemaVersion": "2", "command": "bench", "seed": 1, "parameters": {}, "results": {}}, schema)
+
+
+def test_validate_report_leaves_the_parsed_schema_unchanged(tmp_path):
+    # the schema is parsed once per process and shared by every report, so validation only reads it
+    schema = load_schema()
+    assert load_schema() is schema
+    before = json.loads(json.dumps(schema))
+    reports = [{"schemaVersion": "2", "command": "bench", "seed": 1, "parameters": {}, "results": {}},
+               {"schemaVersion": "2"}, {"schemaVersion": "1", "extra": [1, {"a": None}]}, [], None]
+    for argv in (["budget", "--sources", "4", "--modes", "40", "--epsilon", "0.1", "--delta", "0.5"],
+                 ["distribution", "--modes", "4", "--photons", "2", "--seed", "1"]):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    for report in reports:
+        with contextlib.suppress(ValueError):
+            validate_report(report)
+    assert load_schema() is schema and schema == before
 
 
 # ------------------------------------------------------- the error contract

@@ -17,7 +17,7 @@ from bosonbudget import (
 from bosonbudget import fock, ideal_sampler
 from bosonbudget.fock import enumerate_outputs, mu
 from bosonbudget.ideal_sampler import _device_probs, _draw_indices
-from bosonbudget.permanent import permanent_contingency
+from bosonbudget.permanent import STACK, permanent_contingency
 
 from conftest import make_haar
 
@@ -132,6 +132,36 @@ def test_table_route_draws_from_the_networks_the_device_sample_accepts():
         assert dist.tol == 1e-8 and not dist.is_complete()
         with pytest.raises(ValueError, match="^distribution is incomplete"):
             sample_ideal(dist, 10, np.random.default_rng(3))
+
+
+class _Keys:
+    """A stand-in generator whose ``random(count)`` returns the given keys."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=np.float64)
+
+    def random(self, count):
+        assert count == len(self.keys)
+        return self.keys.copy()
+
+
+def test_draw_indices_match_the_plain_search():
+    # zero-probability outcomes first, inside and last; keys equal to each other and to running sums;
+    # a total just under 1, so keys at or above it take the last outcome that carries mass
+    probs = np.array([0.0, 0.0, 0.25, 0.0, 0.125, 0.125, 0.0, 0.5 - 2**-40, 0.0, 0.0])
+    cum = np.cumsum(probs)
+    rng = np.random.default_rng(11)
+    keys = np.concatenate((rng.random(9_000), np.repeat(cum, 50), np.full(700, 0.4), [0.0],
+                           np.full(300, cum[-1]), 1 - rng.random(200) * 2**-42))
+    keys = keys[rng.permutation(len(keys))]
+    assert len(keys) > 2 * STACK and np.any(keys >= cum[-1])
+    want = np.searchsorted(cum, keys, side="right")
+    want[want >= len(cum)] = 7
+    got = _draw_indices(probs, len(keys), _Keys(keys))
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+    assert probs[got].min() > 0
+    assert _draw_indices(probs, 0, _Keys([])).shape == (0,)
 
 
 def test_sampling_incomplete_rejected():

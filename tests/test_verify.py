@@ -90,6 +90,9 @@ def test_witness_gathers_the_kept_clicks_by_mask(witness_unitary, monkeypatch):
     assert 0 < len(kept) < len(samples) and np.any(samples[clicks.sum(axis=1) == N] > 1)
     want = np.nonzero(kept)[1].reshape(len(kept), N)
     np.testing.assert_array_equal(_clicked_modes(kept, N), want)
+    # a mask with no rows, and one with a click on every mode
+    for mask, n in ((kept[:0], N), (np.ones((5, M), dtype=bool), M)):
+        np.testing.assert_array_equal(_clicked_modes(mask, n), np.nonzero(mask)[1].reshape(len(mask), n))
     seen = []
     values = verify._witness_values
 
@@ -139,8 +142,8 @@ def test_witness_calibration_matches_the_full_table(modes, n):
 
 
 def test_witness_calibration_memory_per_pattern():
-    # C(56, 4) = 367,290 subsets: the held weights take 8 bytes each, the prefix table and one
-    # chunk's arrays the rest; the full table with its weight arrays took 80 bytes each
+    # C(56, 4) = 367,290 subsets: the walk's suffix table and one chunk's arrays; the full table with
+    # its weight arrays took 80 bytes each, and held weights alone, 8 bytes each, peaked at 5.1 MB
     u = make_haar(56, 12)
     n0 = (1,) * 4 + (0,) * 52
     row_norm_witness(u, n0, [])  # lazily imported code is not the calibration's
@@ -151,6 +154,7 @@ def test_witness_calibration_memory_per_pattern():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * math.comb(56, 4)
+    assert peak <= 3_000_000  # no weight is held: both sums stream
 
 
 def test_witness_refused_by_the_table_cap():
