@@ -13,8 +13,9 @@ rounded once, so it depends neither on how the values are chunked nor
 on their order, nor on numpy's SIMD target.
 
 Below about a thousand values ``math.fsum`` on a Python sequence is the
-faster of the two (5.4 against 24 microseconds at 120 values); the
-accumulator is for whole arrays and for streams of chunks.
+faster of the two: on a 2-core x86-64 host with numpy 2.4, 4 to 8
+against 27 microseconds at 120 values, and 1.4 ms against 0.11 ms at
+15,504. The accumulator is for whole arrays and for streams of chunks.
 """
 
 from __future__ import annotations
@@ -75,14 +76,13 @@ class ExactSum:
         self._pending += len(x)
 
     def _flush(self) -> None:
-        lo, hi = self._used
-        if lo < hi:
-            high, low = self._high[lo:hi], self._low[lo:hi]
-            for k, h, l in zip(range(lo, hi), high.astype(np.int64).tolist(), low.astype(np.int64).tolist()):
-                if h or l:
-                    self._total += ((h << 26) + l) << k
-            high[:] = 0.0
-            low[:] = 0.0
+        lo, hi = self._used  # an empty range when nothing was added
+        high, low = self._high[lo:hi], self._low[lo:hi]
+        for k, h, l in zip(range(lo, hi), high.astype(np.int64).tolist(), low.astype(np.int64).tolist()):
+            if h or l:
+                self._total += ((h << 26) + l) << k
+        high[:] = 0.0
+        low[:] = 0.0
         self._used = [_BUCKETS, 0]
         self._pending = 0
 

@@ -102,19 +102,14 @@ def test_exact_sum_bucket_flush_to_the_bit(monkeypatch, flush):
     assert max(flushes) == flush
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf]])
 def test_exact_sum_refuses_non_finite_values(bad):
     with pytest.raises(NumericError, match="non-finite"):
-        exact_sum([1.0, bad, 2.0])
+        exact_sum([1.0, *bad, 2.0])
     acc = ExactSum()
     acc.add(np.ones(5_000))
-    with pytest.raises(NumericError, match="non-finite"):
+    with pytest.raises(NumericError, match="non-finite"):  # in the second block of a chunk
         acc.add(np.r_[np.ones(20_000), bad])
-
-
-def test_exact_sum_refuses_inf_and_minus_inf_together():
-    with pytest.raises(NumericError, match="non-finite"):
-        exact_sum([math.inf, -math.inf])
 
 
 @pytest.mark.parametrize("values", [[MAX, MAX], [-MAX, -MAX / 2], [MAX, 2.0**970]])
